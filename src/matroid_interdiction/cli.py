@@ -23,6 +23,7 @@ from .interdiction import (
     EnumerationCapExceeded,
     InterdictionSolution,
     changepoint_bound,
+    enumeration_cap,
     solve,
 )
 from .matroid import Matroid, explicit, graphic, partition, uniform
@@ -249,7 +250,15 @@ def run(
     return solution, solution_to_dict(solution, wall, report), code
 
 
+def _check_enumeration_cap() -> None:
+    try:
+        enumeration_cap()
+    except ValueError as exc:
+        raise CliError(EXIT_PARSE, str(exc))
+
+
 def _cmd_solve(args) -> int:
+    _check_enumeration_cap()
     instance = parse_instance(args.instance)
     if args.algorithm not in ALGORITHMS:
         raise CliError(EXIT_PARSE, f"unknown algorithm {args.algorithm!r}")
@@ -396,6 +405,7 @@ def _cmd_bench(args) -> int:
     for a in algorithms:
         if a not in ALGORITHMS:
             raise CliError(EXIT_PARSE, f"unknown algorithm {a!r}")
+    _check_enumeration_cap()
     rows, code = bench(args.instances, algorithms)
     _dump_json(rows, args.output)
     return code

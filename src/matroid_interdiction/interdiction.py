@@ -55,8 +55,17 @@ ENUM_CAP_ENV = "INTERDICTION_ENUM_CAP"
 
 
 def enumeration_cap() -> int:
+    """The brute-force subset cap; ValueError unless the variable is a non-negative integer."""
     raw = os.environ.get(ENUM_CAP_ENV)
-    return int(raw) if raw else DEFAULT_ENUM_CAP
+    if not raw:
+        return DEFAULT_ENUM_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = None
+    if cap is None or cap < 0:
+        raise ValueError(f"{ENUM_CAP_ENV}={raw!r} is not a non-negative integer")
+    return cap
 
 
 class EnumerationCapExceeded(Exception):

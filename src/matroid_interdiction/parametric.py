@@ -6,6 +6,21 @@ interval endpoints may additionally be +-math.inf (IEEE infinities
 compare exactly against Fractions, no rounding is involved).  Ties are
 always broken by the fixed total order (weight at lam, element id
 ascending); there is no pluggable tie order.
+
+The solvers ask for that order at the same lam hundreds of times (one
+greedy basis per tracked deletion set, one replacement search per tree
+node), so the whole ground set is sorted once per (weights, lam) and
+memoized: the order itself, plus each element's integer rank in it.
+weight_order filters the memoized order by the matroid's deleted set,
+and replacement_element sorts its pool by rank, so both visit elements
+exactly as a fresh sort would and make the same oracle calls.  The
+memo is keyed on the identity of the weights tuple and holds a strong
+reference to it, so the id cannot be reused by another object while
+the entries live.  A different tuple replaces the memo, and a miss with
+_ORDER_MEMO_CAP lam values already kept empties it (one solve of the
+benchmark workloads probes at most 81 distinct lam).  Only tuples are
+memoized: a list or any other Sequence may be mutated between calls,
+so it is sorted afresh every time.
 """
 
 from __future__ import annotations
@@ -113,9 +128,42 @@ def all_equality_points(
     return events
 
 
+_ORDER_MEMO_CAP = 128
+# (weights tuple, {lam: (order, rank)}); swapped whole when the tuple changes
+_order_memo: tuple[tuple, dict] = ((), {})
+
+
+def _sort_ground(weights: Sequence[ParametricWeight], lam: Fraction):
+    order = sorted(range(len(weights)), key=lambda e: (weight_at(weights[e], lam), e))
+    rank = [0] * len(order)
+    for i, e in enumerate(order):
+        rank[e] = i
+    return tuple(order), tuple(rank)
+
+
+def _ground_order(weights: Sequence[ParametricWeight], lam: Fraction):
+    """Every element id by (weight at lam, id), and each id's rank in that order."""
+    global _order_memo
+    if not isinstance(weights, tuple):
+        return _sort_ground(weights, lam)
+    held, entries = _order_memo
+    if held is not weights:
+        entries = {}
+        _order_memo = (weights, entries)
+    hit = entries.get(lam)
+    if hit is None:
+        if len(entries) >= _ORDER_MEMO_CAP:
+            entries.clear()
+        hit = entries[lam] = _sort_ground(weights, lam)
+    return hit
+
+
 def weight_order(matroid: Matroid, weights: Sequence[ParametricWeight], lam: Fraction) -> list[int]:
     """Available elements sorted by (weight at lam, id)."""
-    return sorted(matroid.available, key=lambda e: (weight_at(weights[e], lam), e))
+    if len(weights) != matroid.ground_size:
+        raise ValueError(f"expected {matroid.ground_size} weights, got {len(weights)}")
+    deleted = matroid.deleted
+    return [e for e in _ground_order(weights, lam)[0] if e not in deleted]
 
 
 def greedy_min_basis(matroid: Matroid, weights: Sequence[ParametricWeight], lam: Fraction) -> frozenset[int]:
@@ -163,11 +211,8 @@ def replacement_element(
         raise ValueError(f"element {e} is not in the basis")
     pool = matroid.available if among is None else among
     rest = set(basis) - {e}
-    order = sorted(
-        (r for r in pool if r not in basis),
-        key=lambda r: (weight_at(weights[r], lam), r),
-    )
-    for r in order:
+    rank = _ground_order(weights, lam)[1]
+    for r in sorted((r for r in pool if r not in basis), key=rank.__getitem__):
         if matroid.is_independent(rest | {r}):
             return r
     return None

@@ -105,6 +105,18 @@ def test_solve_enumeration_cap_exits_4(tmp_path, monkeypatch, capsys):
     assert "enumeration cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw", ["abc", "-5"])
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_bad_enumeration_cap_exits_2(tmp_path, monkeypatch, capsys, raw, command):
+    monkeypatch.setenv("INTERDICTION_ENUM_CAP", raw)
+    out = str(tmp_path / "out.json")
+    assert main([command, write_instance(tmp_path), "-o", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: INTERDICTION_ENUM_CAP=")
+    assert "non-negative integer" in err and "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize(
     "mangle",
     [

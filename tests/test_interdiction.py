@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from matroid_interdiction.cli import generate_random, instance_from_dict
 from matroid_interdiction.envelope import POS_INF, Line, interior_point
 from matroid_interdiction.interdiction import (
     ALGORITHMS,
@@ -317,6 +318,10 @@ def test_enumeration_cap_env_override(monkeypatch):
         solve_brute(inst)
     monkeypatch.setenv("INTERDICTION_ENUM_CAP", "100000")
     solve_brute(inst)
+    for raw in ("abc", "-5", "1.5"):
+        monkeypatch.setenv("INTERDICTION_ENUM_CAP", raw)
+        with pytest.raises(ValueError, match="non-negative integer"):
+            solve_brute(inst)
 
 
 def test_solve_rejects_unknown_algorithm():
@@ -335,6 +340,23 @@ def test_solution_accessors_and_counter_isolation():
     piece = sol.envelope.piece_at(lam)
     assert sol.value_at(lam) == piece.line.value_at(lam)
     assert sol.f_star_at(lam) == piece.label.f_star
+
+
+# Oracle calls are the paper's cost measure.  These exact counts pin it per
+# solver and family, so a change that alters how many independence tests a
+# solver makes fails here instead of passing unnoticed.
+ORACLE_CALL_PINS = [
+    (("graphic", 15, 5, 2, 4), {"brute": 2927, "uset": 1192, "tree": 558}),
+    (("partition", 12, 3, 2, 5), {"brute": 2343, "uset": 1031, "tree": 2964}),
+    (("uniform", 10, 4, 2, 7), {"brute": 830, "uset": 890, "tree": 1554}),
+]
+
+
+@pytest.mark.parametrize("spec,expected", ORACLE_CALL_PINS, ids=[spec[0] for spec, _ in ORACLE_CALL_PINS])
+def test_oracle_calls_are_pinned(spec, expected):
+    inst = instance_from_dict(generate_random(*spec))
+    got = {name: solve(inst, name).oracle_calls for name in expected}
+    assert got == expected
 
 
 def test_brute_equals_direct_enumeration_small():

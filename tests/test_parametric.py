@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matroid_interdiction import parametric
 from matroid_interdiction.envelope import NEG_INF, POS_INF, interior_point
 from matroid_interdiction.matroid import graphic, uniform
 from matroid_interdiction.parametric import (
@@ -227,6 +228,80 @@ def test_interdicted_basis_order_independent(weights, lam, data):
         assert len(scratch) < len(basis)
     else:
         assert got == scratch
+
+
+# ---------------------------------------------------------------------------
+# the per-lam order memo
+
+K4 = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)]
+
+
+def fresh_order(weights, lam, elements):
+    return sorted(elements, key=lambda e: (weight_at(weights[e], lam), e))
+
+
+@settings(max_examples=60, deadline=None)
+@given(weights=small_weights(6), lam=rationals, drop=st.sampled_from(range(6)))
+def test_memoized_tuple_matches_list(weights, lam, drop):
+    mat = graphic(4, K4)
+    as_tuple, as_list = tuple(weights), list(weights)
+    for view in (mat, mat.delete({drop})):
+        order = weight_order(view, as_tuple, lam)
+        assert order == weight_order(view, as_list, lam)
+        assert order == fresh_order(weights, lam, view.available)
+        basis = greedy_min_basis(view, as_tuple, lam)
+        assert basis == greedy_min_basis(view, as_list, lam)
+        for e in sorted(basis):
+            for among in (None, [r for r in range(6) if r != drop]):
+                assert replacement_element(view, as_tuple, basis, e, lam, among) == (
+                    replacement_element(view, as_list, basis, e, lam, among)
+                )
+
+
+def test_mutated_weights_list_is_not_served_stale():
+    mat = uniform(4, 2)
+    weights = [pw(0, 0), pw(1, 0), pw(2, 0), pw(3, 0)]
+    assert weight_order(mat, weights, F(0)) == [0, 1, 2, 3]
+    assert greedy_min_basis(mat, weights, F(0)) == frozenset({0, 1})
+    weights[0], weights[3] = pw(9, 0), pw(-1, 0)
+    assert weight_order(mat, weights, F(0)) == [3, 1, 2, 0]
+    assert greedy_min_basis(mat, weights, F(0)) == frozenset({3, 1})
+    assert replacement_element(mat, weights, frozenset({3, 1}), 3, F(0)) == 2
+
+
+def test_alternating_weight_tuples_keep_their_own_orders():
+    mat = uniform(4, 2)
+    up = tuple(pw(i, 0) for i in range(4))
+    down = tuple(pw(-i, 0) for i in range(4))
+    for _ in range(3):
+        assert weight_order(mat, up, F(1)) == [0, 1, 2, 3]
+        assert weight_order(mat, down, F(1)) == [3, 2, 1, 0]
+        assert replacement_element(mat, up, frozenset({0, 1}), 0, F(1)) == 2
+        assert replacement_element(mat, down, frozenset({3, 2}), 3, F(1)) == 1
+    # short-lived tuples built in turn: a freed tuple's id may be reused,
+    # which must never serve the previous tuple's order
+    for shift in range(20):
+        weights = tuple(pw((i + shift) % 4, 0) for i in range(4))
+        assert weight_order(mat, weights, F(0)) == fresh_order(weights, F(0), range(4))
+
+
+def test_order_memo_stays_within_its_cap():
+    mat = uniform(5, 2)
+    weights = tuple(pw(i, (-1) ** i * i) for i in range(5))
+    cap = parametric._ORDER_MEMO_CAP
+    for j in range(3 * cap):
+        lam = F(j - cap, 7)
+        assert weight_order(mat, weights, lam) == fresh_order(weights, lam, range(5))
+        held, entries = parametric._order_memo
+        assert held is weights and 1 <= len(entries) <= cap
+
+
+def test_weight_order_rejects_a_wrong_weight_count():
+    # the memo sorts every index of the weights, so extra weights would
+    # otherwise leak ids outside the ground set into the order
+    for weights in ((pw(0, 0),) * 4, (pw(0, 0),) * 6):
+        with pytest.raises(ValueError, match="expected 5 weights"):
+            weight_order(uniform(5, 2), weights, F(0))
 
 
 # ---------------------------------------------------------------------------

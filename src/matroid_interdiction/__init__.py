@@ -3,119 +3,46 @@
 Given a matroid whose element weights vary linearly in a parameter and
 a deletion budget, compute for every parameter value the optimal set of
 elements to delete and the resulting piecewise-linear min-basis value.
+
+The package exports the solver API; the building blocks (envelopes,
+sweeps, layered bases, the candidate tree) import from their submodules.
 """
 
-from .envelope import (
-    NEG_INF,
-    POS_INF,
-    Changepoint,
-    Line,
-    Piece,
-    PiecewiseLinearFunction,
-    classify_changepoints,
-    concatenate,
-    envelope_of_lines,
-    interior_point,
-    upper_envelope,
-)
 from .interdiction import (
     ALGORITHMS,
-    DEFAULT_ENUM_CAP,
-    ENUM_CAP_ENV,
     EnumerationCapExceeded,
     InterdictionSolution,
-    LayeredBases,
     SegmentLabel,
-    candidate_tree,
-    canonical_infinite_label,
     changepoint_bound,
-    changepoint_bound_secondary,
-    enumeration_cap,
-    layered_bases,
     solve,
     solve_brute,
     solve_tree,
     solve_uset,
-    update_interdicted_set,
-    update_u,
 )
-from .matroid import Matroid, explicit, graphic, partition, uniform, verify_axioms
-from .oracle import VerificationReport, oracle_value, verify_solution
-from .parametric import (
-    EqualityPoint,
-    Interval,
-    MatroidInstance,
-    ParametricWeight,
-    all_equality_points,
-    basis_line,
-    equality_point,
-    greedy_min_basis,
-    interdicted_basis_via_replacement,
-    most_vital_element,
-    parametric_sweep,
-    pw,
-    rat,
-    replacement_candidates,
-    replacement_element,
-    weight_at,
-    weight_order,
-)
+from .matroid import Matroid, explicit, graphic, partition, uniform
+from .oracle import VerificationReport, verify_solution
+from .parametric import Interval, MatroidInstance, ParametricWeight, pw, rat
 
 __all__ = [
     "ALGORITHMS",
-    "Changepoint",
-    "DEFAULT_ENUM_CAP",
-    "ENUM_CAP_ENV",
     "EnumerationCapExceeded",
-    "EqualityPoint",
     "InterdictionSolution",
     "Interval",
-    "LayeredBases",
-    "Line",
     "Matroid",
     "MatroidInstance",
-    "NEG_INF",
-    "POS_INF",
     "ParametricWeight",
-    "Piece",
-    "PiecewiseLinearFunction",
     "SegmentLabel",
     "VerificationReport",
-    "all_equality_points",
-    "basis_line",
-    "candidate_tree",
-    "canonical_infinite_label",
     "changepoint_bound",
-    "changepoint_bound_secondary",
-    "classify_changepoints",
-    "concatenate",
-    "enumeration_cap",
-    "envelope_of_lines",
-    "equality_point",
     "explicit",
     "graphic",
-    "greedy_min_basis",
-    "interdicted_basis_via_replacement",
-    "interior_point",
-    "layered_bases",
-    "most_vital_element",
-    "oracle_value",
-    "parametric_sweep",
     "partition",
     "pw",
     "rat",
-    "replacement_candidates",
-    "replacement_element",
     "solve",
     "solve_brute",
     "solve_tree",
     "solve_uset",
     "uniform",
-    "update_interdicted_set",
-    "update_u",
-    "upper_envelope",
-    "verify_axioms",
     "verify_solution",
-    "weight_at",
-    "weight_order",
 ]

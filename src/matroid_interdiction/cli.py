@@ -5,7 +5,7 @@ a "p/q" (or plain integer) string so exactness survives the file
 boundary, and interval endpoints accept "-inf"/"inf".
 
 Exit codes: 0 success, 2 malformed input or infeasible parameters,
-3 verification failure, 4 enumeration cap exceeded.
+3 verification failure, 4 enumeration cap or plot row cap exceeded.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ EXIT_VERIFY = 3
 EXIT_CAP = 4
 
 HEAVY_A = 10_000  # constant weight of connectivity-padding parallel edges
+PLOT_MAX_ROWS = 1_000_000  # step samples one --emit-plot file may hold
 
 
 class CliError(Exception):
@@ -211,6 +212,9 @@ def emit_plot_data(solution: InterdictionSolution, step: Fraction) -> str:
     lo, hi = solution.envelope.lo, solution.envelope.hi
     if lo == NEG_INF or hi == POS_INF:
         raise CliError(EXIT_PARSE, "plot emission needs a finite interval")
+    samples = (hi - lo) // step + 1
+    if samples > PLOT_MAX_ROWS:
+        raise CliError(EXIT_CAP, f"plot step {step} gives {samples} rows, above the cap {PLOT_MAX_ROWS}")
     points = {lo, hi}
     lam = lo
     while lam <= hi:

@@ -12,9 +12,19 @@ interdicted basis.
 * solve_tree regrows a candidate search tree of replacement chains in
   every cell between consecutive crossings.
 
+uset and tree share one cell loop, _solve_by_cells.  A generator
+cell_lines(mat, instance, cells) yields per cell the (value line,
+SegmentLabel) entries of its candidate deletion sets, or None on a rank
+kill; it is resumed only after the previous cell's envelope is taken,
+so independence tests run in sweep order, and it keeps its own state
+across cells (uset's layered bases and tracked family) as locals.
+brute stays on upper_envelope over whole per-deletion sweeps, so it
+remains an independent reference for the shared loop.
+
 A deletion that kills the matroid rank makes y identically +inf; the
 reported witness is then always the lexicographically smallest killing
-set, so the three solvers agree exactly.
+set, so the three solvers agree exactly.  That case and the rank-0 one
+(y identically 0) share one flat-solution path.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Any, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .envelope import (
     Changepoint,
@@ -45,6 +55,7 @@ from .parametric import (
     ParametricWeight,
     all_equality_points,
     basis_line,
+    crossing_cells,
     greedy_min_basis,
     parametric_sweep,
     replacement_element,
@@ -254,49 +265,47 @@ def update_interdicted_set(
 # shared solver plumbing
 
 
-def _distinct_lams(events: Sequence[EqualityPoint]) -> list[Fraction]:
-    out: list[Fraction] = []
-    for ev in events:
-        if not out or ev.lam != out[-1]:
-            out.append(ev.lam)
-    return out
-
-
-def _has_rank(matroid: Matroid, k: int) -> bool:
-    if k == 0:
-        return True
-    chosen: set[int] = set()
-    for e in matroid.available:
-        chosen.add(e)
-        if matroid.is_independent(chosen):
-            if len(chosen) == k:
-                return True
-        else:
-            chosen.discard(e)
-    return False
-
-
 def canonical_infinite_label(matroid: Matroid, k: int, ell: int) -> tuple[int, ...]:
     """Lexicographically smallest ell-subset whose deletion kills the rank."""
     for F in combinations(matroid.available, ell):
-        if not _has_rank(matroid.delete(F), k):
+        if matroid.delete(F).rank(stop_at=k) < k:
             return F
     raise ValueError("no deletion of the given size kills the rank")
 
 
-def _infinite_solution(mat: Matroid, instance: MatroidInstance, algorithm: str) -> InterdictionSolution:
-    label = SegmentLabel(canonical_infinite_label(mat, instance.rank, instance.ell), ())
-    env = PiecewiseLinearFunction.infinite(instance.interval.lo, instance.interval.hi, label)
+def _label(F, basis) -> SegmentLabel:
+    return SegmentLabel(tuple(sorted(F)), tuple(sorted(basis)))
+
+
+def _flat_solution(mat, instance, algorithm, killer=None) -> InterdictionSolution:
+    """y without changepoints: 0 at rank 0, else +inf with killer as witness.
+
+    Without a killing set from the caller the canonical one is searched for.
+    """
+    lo, hi = instance.interval.lo, instance.interval.hi
+    if instance.rank == 0:
+        # every basis is empty, so every deletion attains the same value 0
+        line, F = Line(Fraction(0), Fraction(0)), mat.available[: instance.ell]
+    else:
+        line, F = None, killer or canonical_infinite_label(mat, instance.rank, instance.ell)
+    env = PiecewiseLinearFunction(lo, hi, (Piece(lo, hi, line, _label(F, ())),))
     return InterdictionSolution(env, (), algorithm, mat.oracle_calls)
 
 
-def _zero_rank_solution(mat: Matroid, instance: MatroidInstance, algorithm: str) -> InterdictionSolution:
-    # every basis is empty, so every deletion attains the same value 0
-    label = SegmentLabel(tuple(mat.available[: instance.ell]), ())
-    env = PiecewiseLinearFunction.from_line(
-        instance.interval.lo, instance.interval.hi, Line(Fraction(0), Fraction(0)), label
-    )
-    return InterdictionSolution(env, (), algorithm, mat.oracle_calls)
+def _solve_by_cells(instance: MatroidInstance, algorithm: str, cell_lines) -> InterdictionSolution:
+    """Envelope of cell_lines' candidates per crossing cell, concatenated."""
+    mat = instance.matroid.with_fresh_counter()
+    if instance.rank == 0:
+        return _flat_solution(mat, instance, algorithm)
+    events = all_equality_points(instance.weights, instance.interval, mat.available)
+    cells = crossing_cells(instance.interval, events)
+    cell_envs: list[PiecewiseLinearFunction] = []
+    for (lo, hi, _crossings), entries in zip(cells, cell_lines(mat, instance, cells)):
+        if entries is None:
+            return _flat_solution(mat, instance, algorithm)
+        cell_envs.append(envelope_of_lines(entries, lo, hi))
+    env = concatenate(cell_envs)
+    return InterdictionSolution(env, _classify(env), algorithm, mat.oracle_calls)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +322,7 @@ def solve_brute(instance: MatroidInstance, cap: int | None = None) -> Interdicti
     mat = instance.matroid.with_fresh_counter()
     k = instance.rank
     if k == 0:
-        return _zero_rank_solution(mat, instance, "brute")
+        return _flat_solution(mat, instance, "brute")
     weights, interval = instance.weights, instance.interval
     events = all_equality_points(weights, interval, mat.available)
     funcs = []
@@ -321,13 +330,8 @@ def solve_brute(instance: MatroidInstance, cap: int | None = None) -> Interdicti
         sweep = parametric_sweep(mat.delete(F), weights, interval, events=events)
         if len(sweep.cells[0].basis) < k:
             # first killing set in enumeration order is the smallest one
-            label = SegmentLabel(F, ())
-            env = PiecewiseLinearFunction.infinite(interval.lo, interval.hi, label)
-            return InterdictionSolution(env, (), "brute", mat.oracle_calls)
-        pieces = tuple(
-            Piece(c.lo, c.hi, c.line, SegmentLabel(F, tuple(sorted(c.basis))))
-            for c in sweep.cells
-        )
+            return _flat_solution(mat, instance, "brute", killer=F)
+        pieces = tuple(Piece(c.lo, c.hi, c.line, _label(F, c.basis)) for c in sweep.cells)
         funcs.append(PiecewiseLinearFunction(interval.lo, interval.hi, pieces))
     env = upper_envelope(funcs)
     return InterdictionSolution(env, _classify(env), "brute", mat.oracle_calls)
@@ -346,40 +350,22 @@ def solve_uset(instance: MatroidInstance) -> InterdictionSolution:
     scratch.  Per cell the envelope of the tracked value lines is
     taken, and the cells concatenate to y.
     """
-    mat = instance.matroid.with_fresh_counter()
-    k = instance.rank
-    ell = instance.ell
-    if k == 0:
-        return _zero_rank_solution(mat, instance, "uset")
-    weights, interval = instance.weights, instance.interval
-    events = all_equality_points(weights, interval, mat.available)
-    lams = _distinct_lams(events)
+    return _solve_by_cells(instance, "uset", _uset_cells)
 
-    probe = interior_point(interval.lo, lams[0] if lams else interval.hi)
-    lb = layered_bases(mat, weights, probe, ell)
-    if len(lb.union) < ell:
-        # everything outside the union is a loop; deleting the union kills
-        return _infinite_solution(mat, instance, "uset")
-    tracked = _track_family(mat, weights, probe, lb.union, ell, k)
-    if tracked is None:
-        return _infinite_solution(mat, instance, "uset")
 
-    cell_envs: list[PiecewiseLinearFunction] = []
-    cur_lo = interval.lo
-    ev_idx = 0
-    for i, lam in enumerate(lams):
-        cell_envs.append(_tracked_envelope(tracked, cur_lo, lam))
-        next_probe = interior_point(lam, lams[i + 1] if i + 1 < len(lams) else interval.hi)
-        group_end = ev_idx
-        while group_end < len(events) and events[group_end].lam == lam:
-            group_end += 1
+def _uset_cells(mat, instance, cells):
+    weights, ell, k = instance.weights, instance.ell, instance.rank
+    lb = tracked = None
+    for lo, hi, crossings in cells:
+        probe = interior_point(lo, hi)
         # the one-test updates assume the crossing is a lone adjacent
-        # transposition of the weight order; coincident crossings (or a
-        # union update that is neither a rename nor a no-op) rebuild
-        rebuild = group_end - ev_idx > 1
+        # transposition of the weight order; the first cell, coincident
+        # crossings and a union update that is neither a rename nor a
+        # no-op rebuild
+        rebuild = len(crossings) != 1
         if not rebuild:
-            ev = events[ev_idx]
-            new_lb = update_u(mat, weights, lb, ev, next_probe)
+            (ev,) = crossings
+            new_lb = update_u(mat, weights, lb, ev, probe)
             u1, u2 = lb.union, new_lb.union
             if u2 == u1 or u2 == u1 - {ev.leaving} | {ev.entering}:
                 new_tracked = {}
@@ -391,21 +377,18 @@ def solve_uset(instance: MatroidInstance) -> InterdictionSolution:
             else:
                 rebuild = True
         if rebuild:
-            lb = layered_bases(mat, weights, next_probe, ell)
-            if len(lb.union) < ell:
-                return _infinite_solution(mat, instance, "uset")
-            tracked = _track_family(mat, weights, next_probe, lb.union, ell, k)
+            lb = layered_bases(mat, weights, probe, ell)
+            tracked = _track_family(mat, weights, probe, lb.union, ell, k)
             if tracked is None:
-                return _infinite_solution(mat, instance, "uset")
-        ev_idx = group_end
-        cur_lo = lam
-    cell_envs.append(_tracked_envelope(tracked, cur_lo, interval.hi))
-    env = concatenate(cell_envs)
-    return InterdictionSolution(env, _classify(env), "uset", mat.oracle_calls)
+                yield None
+                return
+        yield [(line, _label(F, basis)) for F, (basis, line) in tracked.items()]
 
 
 def _track_family(mat, weights, probe, union, ell, k):
     """Greedy bases for every ell-subset of the union; None on rank kill."""
+    if len(union) < ell:
+        return None  # everything outside the union is a loop; deleting the union kills
     tracked: dict[frozenset[int], tuple[frozenset[int], Line]] = {}
     for F in combinations(sorted(union), ell):
         basis = greedy_min_basis(mat.delete(F), weights, probe)
@@ -426,14 +409,6 @@ def _shift_line(weights, line: Line, old_basis: frozenset[int], new_basis: froze
         slope += weights[e].b
         intercept += weights[e].a
     return Line(slope, intercept)
-
-
-def _tracked_envelope(tracked, lo, hi) -> PiecewiseLinearFunction:
-    entries = [
-        (line, SegmentLabel(tuple(sorted(F)), tuple(sorted(basis))))
-        for F, (basis, line) in tracked.items()
-    ]
-    return envelope_of_lines(entries, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -536,31 +511,19 @@ def _tree_child(matroid, weights, lam, F, forbidden, layers, e):
 
 def solve_tree(instance: MatroidInstance) -> InterdictionSolution:
     """Per cell, grow the candidate tree and take the envelope of its lines."""
-    mat = instance.matroid.with_fresh_counter()
-    k = instance.rank
-    if k == 0:
-        return _zero_rank_solution(mat, instance, "tree")
-    weights, interval = instance.weights, instance.interval
-    events = all_equality_points(weights, interval, mat.available)
-    lams = _distinct_lams(events)
-    boundaries = [interval.lo, *lams, interval.hi]
+    return _solve_by_cells(instance, "tree", _tree_cells)
 
-    cell_envs: list[PiecewiseLinearFunction] = []
-    for lo, hi in zip(boundaries, boundaries[1:]):
-        probe = interior_point(lo, hi)
-        candidates = candidate_tree(mat, weights, probe, instance.ell)
+
+def _tree_cells(mat, instance, cells):
+    for lo, hi, _crossings in cells:
+        candidates = candidate_tree(mat, instance.weights, interior_point(lo, hi), instance.ell)
         if any(line is None for _F, line, _b in candidates):
-            return _infinite_solution(mat, instance, "tree")
+            yield None
+            return
         unique: dict[frozenset[int], tuple[Line, frozenset[int]]] = {}
         for F, line, basis in candidates:
             unique.setdefault(F, (line, basis))
-        entries = [
-            (line, SegmentLabel(tuple(sorted(F)), tuple(sorted(basis))))
-            for F, (line, basis) in unique.items()
-        ]
-        cell_envs.append(envelope_of_lines(entries, lo, hi))
-    env = concatenate(cell_envs)
-    return InterdictionSolution(env, _classify(env), "tree", mat.oracle_calls)
+        yield [(line, _label(F, basis)) for F, (line, basis) in unique.items()]
 
 
 ALGORITHMS = {

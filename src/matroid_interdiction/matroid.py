@@ -168,10 +168,16 @@ class Matroid:
             raise ValueError("cannot delete elements outside the ground set")
         return Matroid(self._family, self.deleted | removed, self._counter)
 
-    def rank(self) -> int:
-        """Size of a maximal independent set, grown greedily by id."""
+    def rank(self, stop_at: int | None = None) -> int:
+        """Size of a maximal independent set, grown greedily by id.
+
+        The scan stops, spending no further oracle call, once the set
+        holds stop_at elements: the result is min(rank, stop_at).
+        """
         chosen: set[int] = set()
         for e in self.available:
+            if len(chosen) == stop_at:
+                break
             chosen.add(e)
             if not self.is_independent(chosen):
                 chosen.discard(e)

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .envelope import NEG_INF, POS_INF, Line, interior_point
 from .matroid import Matroid
-
-Rational = Fraction
 
 
 def rat(value) -> Fraction:
@@ -126,6 +126,20 @@ def all_equality_points(
                 events.append(ev)
     events.sort(key=lambda ev: ev.sort_key)
     return events
+
+
+def crossing_cells(interval: Interval, events: Sequence[EqualityPoint]):
+    """The cells between consecutive distinct crossing lams, left to right.
+
+    Each cell is (lo, hi, crossings): crossings are the sorted events at
+    lo, all events sharing a lam in one group (none for the first cell).
+    """
+    cells, lo, crossings = [], interval.lo, ()
+    for lam, group in groupby(events, key=attrgetter("lam")):
+        cells.append((lo, lam, crossings))
+        lo, crossings = lam, tuple(group)
+    cells.append((lo, interval.hi, crossings))
+    return cells
 
 
 _ORDER_MEMO_CAP = 128
@@ -316,13 +330,8 @@ def parametric_sweep(
     else:
         avail = set(matroid.available)
         events = [ev for ev in events if ev.leaving in avail and ev.entering in avail]
-    if interval.lo == interval.hi:
-        basis = greedy_min_basis(matroid, weights, interval.lo)
-        cell = SweepCell(interval.lo, interval.hi, basis, basis_line(weights, basis))
-        return SweepResult(interval, (cell,))
-
-    first_boundary = events[0].lam if events else interval.hi
-    probe = interior_point(interval.lo, first_boundary)
+    sweep_cells = crossing_cells(interval, events)
+    probe = interior_point(interval.lo, sweep_cells[0][1])
     basis = set(greedy_min_basis(matroid, weights, probe))
 
     cells: list[SweepCell] = []
@@ -335,26 +344,19 @@ def parametric_sweep(
             cells.append(SweepCell(cell_lo, hi, frozen, basis_line(weights, frozen)))
             cell_lo = hi
 
-    idx = 0
-    while idx < len(events):
-        lam = events[idx].lam
-        end = idx
-        while end < len(events) and events[end].lam == lam:
-            end += 1
-        if end - idx == 1:
-            ev = events[idx]
+    for lam, next_lam, crossings in sweep_cells[1:]:
+        if len(crossings) == 1:
+            (ev,) = crossings
             if ev.leaving in basis and ev.entering not in basis:
                 if matroid.is_independent(basis - {ev.leaving} | {ev.entering}):
                     close_cell(lam)
                     basis.discard(ev.leaving)
                     basis.add(ev.entering)
         else:
-            next_lam = events[end].lam if end < len(events) else interval.hi
             fresh = greedy_min_basis(matroid, weights, interior_point(lam, next_lam))
             if fresh != basis:
                 close_cell(lam)
                 basis = set(fresh)
-        idx = end
     frozen = frozenset(basis)
     cells.append(SweepCell(cell_lo, interval.hi, frozen, basis_line(weights, frozen)))
     return SweepResult(interval, tuple(cells))

@@ -240,6 +240,23 @@ def test_emit_plot_rows(tmp_path):
     assert claimed <= set(lams)
 
 
+def test_emit_plot_row_cap_exits_4(tmp_path, monkeypatch, capsys):
+    inst = tmp_path / "gen.json"
+    assert main(["generate", "uniform", "--m", "5", "--k", "2", "--ell", "1", "-o", str(inst)]) == 0
+    plot = tmp_path / "plot.tsv"
+    # [-5, 5] at this step would be 10^10 rows
+    assert main(["solve", str(inst), "--emit-plot", str(plot), "--step", "1/1000000000"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "rows" in captured.err
+    assert captured.out == "" and not plot.exists()
+    # the cap counts step samples and admits exactly PLOT_MAX_ROWS of them
+    monkeypatch.setattr(cli, "PLOT_MAX_ROWS", 9)
+    small = write_instance(tmp_path)  # interval [-2, 2]
+    assert main(["solve", small, "--emit-plot", str(plot), "--step", "1/2", "-o", "-"]) == 0
+    assert main(["solve", small, "--emit-plot", str(plot), "--step", "4/9", "-o", "-"]) == 4
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # bench
 
@@ -313,3 +330,8 @@ def test_console_script_is_installed():
     exe = shutil.which("minterdict")
     if exe:
         _run_minterdict([exe, *args])
+
+
+def test_python_dash_m_runs_the_cli():
+    args = ["generate", "uniform", "--m", "5", "--k", "2", "--ell", "1"]
+    _run_minterdict([sys.executable, "-m", "matroid_interdiction", *args])

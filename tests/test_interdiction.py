@@ -260,22 +260,39 @@ def test_canonical_infinite_label_lex_first():
 
 def test_all_solvers_agree_on_infinite_instance():
     inst = uniform_instance(5, 3, 3)
+    calls = {"brute": 2, "uset": 11, "tree": 18}
     for name in ALGORITHMS:
         sol = solve(inst, name)
         assert sol.value_at(F(0)) == POS_INF
         assert sol.changepoints == ()
         assert sol.envelope.pieces[0].label == SegmentLabel((0, 1, 2), ())
         assert sol.algorithm == name
+        assert sol.oracle_calls == calls[name]
 
 
 def test_bridge_deletion_is_infinite():
     # path 0-1-2: either edge is a bridge
-    mat = graphic(3, [(0, 1), (1, 2)])
-    inst = MatroidInstance(mat, (pw(0, 0), pw(1, 0)), 1, Interval(F(0), F(1)))
-    for name in ALGORITHMS:
-        sol = solve(inst, name)
-        assert sol.value_at(F(1, 2)) == POS_INF
-        assert sol.envelope.pieces[0].label == SegmentLabel((0,), ())
+    path = MatroidInstance(
+        graphic(3, [(0, 1), (1, 2)]), (pw(0, 0), pw(1, 0)), 1, Interval(F(0), F(1))
+    )
+    # edge 1 = (2, 3) is a bridge; the canonical witness search stops
+    # scanning as soon as deleting edge 0 still leaves a full rank
+    pendant = MatroidInstance(
+        graphic(4, [(0, 1), (2, 3), (1, 2), (0, 2), (0, 1)]),
+        (pw(0, 1), pw(1, -1), pw(2, 0), pw(3, 1), pw(-1, 2)),
+        1,
+        Interval(F(-3), F(3)),
+    )
+    cases = [
+        (path, (0,), {"brute": 1, "uset": 4, "tree": 3}),
+        (pendant, (1,), {"brute": 14, "uset": 16, "tree": 19}),
+    ]
+    for inst, f_star, calls in cases:
+        for name in ALGORITHMS:
+            sol = solve(inst, name)
+            assert sol.value_at(F(1, 2)) == POS_INF
+            assert sol.envelope.pieces[0].label == SegmentLabel(f_star, ())
+            assert sol.oracle_calls == calls[name], name
 
 
 def test_zero_rank_instance_constant_zero():
@@ -287,6 +304,7 @@ def test_zero_rank_instance_constant_zero():
         assert sol.value_at(F(1)) == 0
         assert sol.envelope.pieces[0].line == Line(F(0), F(0))
         assert sol.envelope.pieces[0].label == SegmentLabel((0,), ())
+        assert sol.oracle_calls == 0
 
 
 def test_tie_heavy_instance_agrees_across_algorithms():

@@ -137,6 +137,20 @@ def test_graphic_deletion_bridges():
     assert mat.delete({0}).rank() == 1
 
 
+def test_rank_stop_at():
+    mat = uniform(5, 3).with_fresh_counter()
+    assert mat.rank(stop_at=0) == 0
+    assert mat.oracle_calls == 0
+    assert mat.rank(stop_at=2) == 2
+    assert mat.oracle_calls == 2
+    full = uniform(5, 3).with_fresh_counter()
+    assert full.rank() == 3
+    assert mat.with_fresh_counter().rank(stop_at=4) == full.rank() == 3
+    # a graphic loop is skipped, and stopping never undercounts the rank
+    loopy = graphic(3, [(0, 0), (0, 1), (1, 2), (0, 2)])
+    assert [loopy.rank(stop_at=s) for s in range(5)] == [0, 1, 2, 2, 2]
+
+
 def test_verify_axioms_accepts_families():
     verify_axioms(uniform(5, 2))
     verify_axioms(graphic(4, [(0, 1), (1, 2), (2, 0), (0, 3)]))

@@ -129,7 +129,7 @@ def instance_from_dict(data, where: str = "<instance>") -> MatroidInstance:
     hi = parse_rational(_expect(raw_interval, "hi", f"{where}: interval"), f"{where}: interval.hi", allow_infinite=True)
     try:
         return MatroidInstance(matroid, tuple(weights), ell, Interval(lo, hi))
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise CliError(EXIT_PARSE, f"{where}: {exc}")
 
 

@@ -2,10 +2,12 @@
 labeled upper envelope.
 
 Pieces carry an optional label (for interdiction use: the deletion set
-that produced the piece).  Values live in the rationals plus +inf; an
-infinite piece stores line=None and is tracked symbolically, never as a
-large sentinel number.  Value ties are resolved toward the smallest
-label, with unlabeled pieces losing against labeled ones.
+that produced the piece).  The envelope algebra works on finite lines
+only.  The value +inf exists only as a flat solution: one Piece with
+line=None spanning the whole domain, built by the solvers when a
+deletion kills the rank and never passed back into the algebra.  Value
+ties are resolved toward the smallest label, with unlabeled pieces
+losing against labeled ones.
 """
 
 from __future__ import annotations
@@ -45,15 +47,11 @@ def _label_key(label):
     return (1,) if label is None else (0, label)
 
 
-def _min_label(a, b):
-    return a if _label_key(a) <= _label_key(b) else b
-
-
 @dataclass(frozen=True)
 class Piece:
     lo: object
     hi: object
-    line: Line | None  # None encodes the value +inf
+    line: Line | None  # None encodes the flat value +inf
     label: Any = None
 
     def value_at(self, lam):
@@ -78,10 +76,6 @@ class PiecewiseLinearFunction:
     @classmethod
     def from_line(cls, lo, hi, line: Line, label=None) -> "PiecewiseLinearFunction":
         return cls(lo, hi, (Piece(lo, hi, line, label),))
-
-    @classmethod
-    def infinite(cls, lo, hi, label=None) -> "PiecewiseLinearFunction":
-        return cls(lo, hi, (Piece(lo, hi, None, label),))
 
     def breakpoints(self) -> list:
         """Interior piece boundaries, ascending."""
@@ -141,16 +135,10 @@ def _piece_covering(pieces: Sequence[Piece], x0, x1) -> Piece:
 
 
 def _sub_pieces(x0, x1, pa: Piece, pb: Piece) -> list[Piece]:
-    """Envelope of two single-line (or infinite) pieces on [x0, x1]."""
+    """Envelope of two single-line pieces on [x0, x1]."""
     la, lb = pa.line, pb.line
-    if la is None and lb is None:
-        return [Piece(x0, x1, None, _min_label(pa.label, pb.label))]
-    if la is None:
-        return [Piece(x0, x1, None, pa.label)]
-    if lb is None:
-        return [Piece(x0, x1, None, pb.label)]
     if la == lb:
-        return [Piece(x0, x1, la, _min_label(pa.label, pb.label))]
+        return [Piece(x0, x1, la, min(pa.label, pb.label, key=_label_key))]
     if la.slope != lb.slope:
         cross = (lb.intercept - la.intercept) / (la.slope - lb.slope)
         if x0 < cross < x1:
@@ -202,17 +190,10 @@ def upper_envelope(fs: Sequence[PiecewiseLinearFunction]) -> PiecewiseLinearFunc
     return fs[0]
 
 
-def envelope_of_lines(entries: Sequence[tuple[Line | None, Any]], lo, hi) -> PiecewiseLinearFunction:
-    """Upper envelope of plain lines on [lo, hi]; fast path for solvers.
-
-    Entries are (line, label) with line=None meaning +inf everywhere;
-    any infinite entry dominates the whole interval.
-    """
+def envelope_of_lines(entries: Sequence[tuple[Line, Any]], lo, hi) -> PiecewiseLinearFunction:
+    """Upper envelope of (line, label) entries on [lo, hi]; fast path for solvers."""
     if not entries:
         raise ValueError("upper envelope of an empty family")
-    inf_labels = [label for line, label in entries if line is None]
-    if inf_labels:
-        return PiecewiseLinearFunction.infinite(lo, hi, min(inf_labels, key=_label_key))
     if lo == hi:
         best_line, best_label = entries[0]
         for line, label in entries[1:]:

@@ -24,7 +24,9 @@ remains an independent reference for the shared loop.
 A deletion that kills the matroid rank makes y identically +inf; the
 reported witness is then always the lexicographically smallest killing
 set, so the three solvers agree exactly.  That case and the rank-0 one
-(y identically 0) share one flat-solution path.
+(y identically 0) share one flat-solution path.  Every enumeration of
+ell-subsets (brute's deletions, the witness search, uset's tracked
+family) is refused above the enumeration cap.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 from .envelope import (
@@ -56,6 +59,7 @@ from .parametric import (
     all_equality_points,
     basis_line,
     crossing_cells,
+    exchange,
     greedy_min_basis,
     parametric_sweep,
     replacement_element,
@@ -81,9 +85,17 @@ def enumeration_cap() -> int:
 
 class EnumerationCapExceeded(Exception):
     def __init__(self, subsets: int, cap: int):
-        super().__init__(f"C(m, ell) = {subsets} exceeds the enumeration cap {cap}")
+        super().__init__(f"{subsets} deletion sets to enumerate exceed the enumeration cap {cap}")
         self.subsets = subsets
         self.cap = cap
+
+
+def _check_cap(n: int, ell: int, cap: int | None = None) -> None:
+    """Refuse to enumerate the C(n, ell) deletion sets of n elements above the cap."""
+    cap = enumeration_cap() if cap is None else cap
+    subsets = comb(n, ell)
+    if subsets > cap:
+        raise EnumerationCapExceeded(subsets, cap)
 
 
 class SegmentLabel(NamedTuple):
@@ -121,14 +133,10 @@ def changepoint_bound_secondary(m: int, k: int, l: int) -> int:
     return comb(m, 2) * comb(k * (l - 1), l - 1) * k
 
 
-def _winning_set(label):
+def _classify(env: PiecewiseLinearFunction) -> tuple[Changepoint, ...]:
     # breakpoint vs interdiction point hinges on the deletion set only;
     # the carried basis may swap inside one winner's reign
-    return label.f_star if isinstance(label, SegmentLabel) else label
-
-
-def _classify(env: PiecewiseLinearFunction) -> tuple[Changepoint, ...]:
-    return tuple(classify_changepoints(env, key=_winning_set))
+    return tuple(classify_changepoints(env, key=attrgetter("f_star")))
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +206,14 @@ def update_u(
     """Layered bases valid right of the event, from those valid left of it.
 
     A lone crossing is an adjacent transposition of the weight order, so
-    each layer either keeps its basis or trades e for f, and one
-    independence test at e's layer decides which.  When the trade fires
-    on the last layer the union simply absorbs f for e.  When it fires
-    higher up, every deeper layer is the greedy basis of a minor that
-    just changed (f left it, e returned), and a single trade can ripple
-    through them arbitrarily, so they are recomputed at next_probe.  In
-    the truncated regime the whole structure is recomputed.
+    each layer either keeps its basis or trades e for f, and exchange()
+    at e's layer decides which with one independence test.  When the
+    trade fires on the last layer the union simply absorbs f for e.
+    When it fires higher up, every deeper layer is the greedy basis of a
+    minor that just changed (f left it, e returned), and a single trade
+    can ripple through them arbitrarily, so they are recomputed at
+    next_probe.  In the truncated regime the whole structure is
+    recomputed.
     """
     e, f = event.leaving, event.entering
     je = lb.layer_of(e)
@@ -216,10 +225,10 @@ def update_u(
     if lb.truncated:
         return layered_bases(matroid, weights, next_probe, lb.depth)
     layers = lb.layers
-    if not matroid.is_independent(layers[je] - {e} | {f}):
+    swapped = exchange(matroid, layers[je], event)
+    if swapped == layers[je]:
         return lb  # swap refused: e keeps its slot and nothing deeper moves
-    prefix = list(layers[:je])
-    prefix.append(layers[je] - {e} | {f})
+    prefix = [*layers[:je], swapped]
     if je == len(layers) - 1:
         return LayeredBases(tuple(prefix))
     deleted: set[int] = set()
@@ -246,7 +255,7 @@ def update_interdicted_set(
     was serving as e's replacement (f in basis).  With f absent the
     basis stays put: e only ever entered the picture through f, so a
     basis that never needed f cannot profit from e's return.  Without a
-    rename the basis obeys the usual one-test sweep update.
+    rename the basis obeys the sweep's exchange(), unless f is deleted.
     """
     e, f = event.leaving, event.entering
     if u2 != u1 and e in F:
@@ -254,11 +263,9 @@ def update_interdicted_set(
         if f in basis:
             return new_f, basis - {f} | {e}
         return new_f, basis
-    if e in basis and f not in basis and f not in F:
-        swapped = basis - {e} | {f}
-        if matroid.is_independent(swapped):
-            return F, swapped
-    return F, basis
+    if f in F:
+        return F, basis
+    return F, exchange(matroid, basis, event)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +274,7 @@ def update_interdicted_set(
 
 def canonical_infinite_label(matroid: Matroid, k: int, ell: int) -> tuple[int, ...]:
     """Lexicographically smallest ell-subset whose deletion kills the rank."""
+    _check_cap(len(matroid.available), ell)
     for F in combinations(matroid.available, ell):
         if matroid.delete(F).rank(stop_at=k) < k:
             return F
@@ -314,11 +322,7 @@ def _solve_by_cells(instance: MatroidInstance, algorithm: str, cell_lines) -> In
 
 def solve_brute(instance: MatroidInstance, cap: int | None = None) -> InterdictionSolution:
     """Sweep every deletion set of size ell and take the upper envelope."""
-    cap = enumeration_cap() if cap is None else cap
-    m = instance.ground_size
-    subsets = comb(m, instance.ell)
-    if subsets > cap:
-        raise EnumerationCapExceeded(subsets, cap)
+    _check_cap(instance.ground_size, instance.ell, cap)
     mat = instance.matroid.with_fresh_counter()
     k = instance.rank
     if k == 0:
@@ -328,10 +332,10 @@ def solve_brute(instance: MatroidInstance, cap: int | None = None) -> Interdicti
     funcs = []
     for F in combinations(mat.available, instance.ell):
         sweep = parametric_sweep(mat.delete(F), weights, interval, events=events)
-        if len(sweep.cells[0].basis) < k:
+        if len(sweep.pieces[0].label) < k:
             # first killing set in enumeration order is the smallest one
             return _flat_solution(mat, instance, "brute", killer=F)
-        pieces = tuple(Piece(c.lo, c.hi, c.line, _label(F, c.basis)) for c in sweep.cells)
+        pieces = tuple(Piece(p.lo, p.hi, p.line, _label(F, p.label)) for p in sweep.pieces)
         funcs.append(PiecewiseLinearFunction(interval.lo, interval.hi, pieces))
     env = upper_envelope(funcs)
     return InterdictionSolution(env, _classify(env), "brute", mat.oracle_calls)
@@ -389,6 +393,7 @@ def _track_family(mat, weights, probe, union, ell, k):
     """Greedy bases for every ell-subset of the union; None on rank kill."""
     if len(union) < ell:
         return None  # everything outside the union is a loop; deleting the union kills
+    _check_cap(len(union), ell)
     tracked: dict[frozenset[int], tuple[frozenset[int], Line]] = {}
     for F in combinations(sorted(union), ell):
         basis = greedy_min_basis(mat.delete(F), weights, probe)
@@ -424,9 +429,10 @@ def candidate_tree(
     """All relevant deletion candidates at lam, with multiplicity.
 
     Returns (F, value line, interdicted basis) triples; a missing
-    replacement yields a +inf candidate (line None).  On a full-rank
-    instance the count is exactly k * C(k + ell - 2, ell - 1): each of
-    the C(k + ell - 2, ell - 1) leaves expands by all k basis elements.
+    replacement yields a +inf candidate (line None).  Every level grows
+    children by _tree_child; the last one expands all k basis elements
+    of each of the C(k + ell - 2, ell - 1) nodes, forbidden ones too, so
+    a full-rank instance gives exactly k * C(k + ell - 2, ell - 1).
     """
     root = layered_bases(matroid, weights, lam, ell + 1)
     k = len(root.layers[0])
@@ -436,27 +442,22 @@ def candidate_tree(
     nodes: list[tuple[frozenset[int], frozenset[int], tuple[frozenset[int], ...]]] = [
         (frozenset(), frozenset(), root.layers)
     ]
-    for _level in range(ell - 1):
+    for level in range(ell):
+        leaf = level == ell - 1
         nxt = []
         for F, forbidden, layers in nodes:
             taken: set[int] = set(forbidden)
-            for e in sorted(layers[0] - forbidden):
-                child = _tree_child(matroid, weights, lam, F, frozenset(taken), layers, e)
-                taken.add(e)
+            for e in sorted(layers[0] if leaf else layers[0] - forbidden):
+                child_f = F | {e}
+                child = _tree_child(matroid, weights, lam, child_f, layers, e)
                 if child is None:
-                    out.append((F | {e}, None, frozenset()))
+                    out.append((child_f, None, frozenset()))
+                elif leaf:
+                    out.append((child_f, basis_line(weights, child[0]), child[0]))
                 else:
-                    nxt.append(child)
+                    nxt.append((child_f, frozenset(taken), child))
+                taken.add(e)
         nodes = nxt
-    for F, _forbidden, layers in nodes:
-        t0, t1 = layers[0], layers[1]
-        for e in sorted(t0):
-            r = _tree_replacement(matroid, weights, lam, F, (), layers, 0, e)
-            if r is None:
-                out.append((F | {e}, None, frozenset()))
-            else:
-                new_basis = t0 - {e} | {r}
-                out.append((F | {e}, basis_line(weights, new_basis), new_basis))
     return out
 
 
@@ -478,35 +479,33 @@ def _tree_replacement(matroid, weights, lam, F, child_layers, parent_layers, p, 
     return replacement_element(matroid, weights, layer, x, lam, among=pool)
 
 
-def _tree_child(matroid, weights, lam, F, forbidden, layers, e):
-    """Build the child reached by deleting e, repairing layers by chains.
+def _tree_child(matroid, weights, lam, child_f, layers, e):
+    """Layers of the child reached by deleting e, repaired by chains.
 
-    Each repaired layer loses its replaced element to the layer above
-    and steals the next replacement from below; a replacement found
-    outside the maintained layers ends the chain early.  Returns None
-    when e has no replacement at all (F + e kills the rank).
+    child_f is the child's deletion set, e included.  Each repaired
+    layer loses its replaced element to the layer above and steals the
+    next replacement from below; a replacement found outside the
+    maintained layers ends the chain early.  Returns None when e has no
+    replacement at all (child_f kills the rank).
     """
     child_depth = len(layers) - 1
     child_layers = list(layers[:child_depth])
-    new_f = F | {e}
     p, x = 0, e
     while p < child_depth:
-        r = _tree_replacement(matroid, weights, lam, new_f, child_layers, layers, p, x)
+        r = _tree_replacement(matroid, weights, lam, child_f, child_layers, layers, p, x)
         if r is None:
             if p == 0:
                 return None
             child_layers[p] = layers[p] - {x}
             break
         child_layers[p] = layers[p] - {x} | {r}
-        home = None
-        for t in range(p + 1, len(layers)):
+        for t in range(p + 1, child_depth):  # r's home layer, if one is maintained
             if r in layers[t]:
-                home = t
+                p, x = t, r
                 break
-        if home is None or home >= child_depth:
+        else:
             break
-        p, x = home, r
-    return (new_f, forbidden, tuple(child_layers))
+    return tuple(child_layers)
 
 
 def solve_tree(instance: MatroidInstance) -> InterdictionSolution:

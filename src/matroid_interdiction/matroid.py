@@ -163,10 +163,7 @@ class Matroid:
         return self._family.independent(s)
 
     def delete(self, removed: Iterable[int]) -> "Matroid":
-        removed = frozenset(removed)
-        if not removed <= set(range(self.ground_size)):
-            raise ValueError("cannot delete elements outside the ground set")
-        return Matroid(self._family, self.deleted | removed, self._counter)
+        return Matroid(self._family, self.deleted.union(removed), self._counter)
 
     def rank(self, stop_at: int | None = None) -> int:
         """Size of a maximal independent set, grown greedily by id.

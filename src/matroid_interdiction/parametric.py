@@ -31,7 +31,7 @@ from itertools import groupby
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .envelope import NEG_INF, POS_INF, Line, interior_point
+from .envelope import NEG_INF, POS_INF, Line, Piece, PiecewiseLinearFunction, interior_point
 from .matroid import Matroid
 
 
@@ -80,17 +80,15 @@ class Interval:
         return interior_point(self.lo, self.hi)
 
 
-@dataclass(frozen=True)
-class EqualityPoint:
-    """Crossing of two weight lines; the leaving element is cheaper before lam."""
+class EqualityPoint(NamedTuple):
+    """Crossing of two weight lines; the leaving element is cheaper before lam.
+
+    Tuple order is sweep order: by lam, then (leaving id, entering id).
+    """
 
     lam: Fraction
     leaving: int
     entering: int
-
-    @property
-    def sort_key(self):
-        return (self.lam, self.leaving, self.entering)
 
 
 def equality_point(e: int, f: int, we: ParametricWeight, wf: ParametricWeight) -> EqualityPoint | None:
@@ -124,7 +122,7 @@ def all_equality_points(
             ev = equality_point(e, f, weights[e], weights[f])
             if ev is not None and interval.lo < ev.lam < interval.hi:
                 events.append(ev)
-    events.sort(key=lambda ev: ev.sort_key)
+    events.sort()
     return events
 
 
@@ -281,24 +279,20 @@ def interdicted_basis_via_replacement(
     return cur_b
 
 
-@dataclass(frozen=True)
-class SweepCell:
-    lo: object
-    hi: object
-    basis: frozenset[int]
-    line: Line
+def exchange(matroid: Matroid, basis: frozenset[int], ev: EqualityPoint) -> frozenset[int]:
+    """The minimum basis just right of a lone crossing, given the one left of it.
 
-
-@dataclass(frozen=True)
-class SweepResult:
-    interval: Interval
-    cells: tuple[SweepCell, ...]
-
-    def cell_at(self, lam) -> SweepCell:
-        for cell in self.cells:
-            if cell.lo <= lam <= cell.hi:
-                return cell
-        raise ValueError(f"lam={lam} outside the swept interval")
+    A lone crossing lam(e -> f) is an adjacent transposition of the
+    weight order, so the basis either keeps its shape or trades e for f:
+    basis - e + f when e is in the basis, f is not, and the swap stays
+    independent (one oracle call), otherwise basis itself.
+    """
+    e, f = ev.leaving, ev.entering
+    if e in basis and f not in basis:
+        swapped = basis - {e} | {f}
+        if matroid.is_independent(swapped):
+            return swapped
+    return basis
 
 
 def basis_line(weights: Sequence[ParametricWeight], basis: Iterable[int]) -> Line:
@@ -312,18 +306,20 @@ def parametric_sweep(
     weights: Sequence[ParametricWeight],
     interval: Interval,
     events: Sequence[EqualityPoint] | None = None,
-) -> SweepResult:
-    """Minimum-basis evolution over the interval.
+) -> PiecewiseLinearFunction:
+    """Minimum-basis value over the interval, one piece per basis.
 
-    The basis is computed greedily once, strictly inside the first cell;
-    afterwards a lone crossing lam(e -> f) with e in the basis and f
-    outside costs exactly one independence test of basis - e + f.  That
-    shortcut is only sound when the crossing is a single adjacent
-    transposition of the weight order, so a lam carrying several
-    coincident crossings falls back to one greedy recomputation just
-    right of it.  Precomputed events may be passed in; they are filtered
-    down to the matroid's available elements, so one sorted crossing
-    list can be shared across many deleted views of the same ground set.
+    Each piece carries the value line of its minimum basis and that
+    basis, a frozenset, as label; neighbouring pieces hold different
+    bases.  The basis is computed greedily once, strictly inside the
+    first cell; afterwards a lone crossing costs at most the one
+    independence test of exchange().  That shortcut is only sound when
+    the crossing is a single adjacent transposition of the weight order,
+    so a lam carrying several coincident crossings falls back to one
+    greedy recomputation just right of it.  Precomputed events may be
+    passed in; they are filtered down to the matroid's available
+    elements, so one sorted crossing list can be shared across many
+    deleted views of the same ground set.
     """
     if events is None:
         events = all_equality_points(weights, interval, matroid.available)
@@ -331,35 +327,19 @@ def parametric_sweep(
         avail = set(matroid.available)
         events = [ev for ev in events if ev.leaving in avail and ev.entering in avail]
     sweep_cells = crossing_cells(interval, events)
-    probe = interior_point(interval.lo, sweep_cells[0][1])
-    basis = set(greedy_min_basis(matroid, weights, probe))
-
-    cells: list[SweepCell] = []
-    cell_lo = interval.lo
-
-    def close_cell(hi):
-        nonlocal cell_lo
-        if cell_lo < hi:
-            frozen = frozenset(basis)
-            cells.append(SweepCell(cell_lo, hi, frozen, basis_line(weights, frozen)))
-            cell_lo = hi
-
+    basis = greedy_min_basis(matroid, weights, interior_point(interval.lo, sweep_cells[0][1]))
+    pieces: list[Piece] = []
+    lo = interval.lo
     for lam, next_lam, crossings in sweep_cells[1:]:
         if len(crossings) == 1:
-            (ev,) = crossings
-            if ev.leaving in basis and ev.entering not in basis:
-                if matroid.is_independent(basis - {ev.leaving} | {ev.entering}):
-                    close_cell(lam)
-                    basis.discard(ev.leaving)
-                    basis.add(ev.entering)
+            nxt = exchange(matroid, basis, crossings[0])
         else:
-            fresh = greedy_min_basis(matroid, weights, interior_point(lam, next_lam))
-            if fresh != basis:
-                close_cell(lam)
-                basis = set(fresh)
-    frozen = frozenset(basis)
-    cells.append(SweepCell(cell_lo, interval.hi, frozen, basis_line(weights, frozen)))
-    return SweepResult(interval, tuple(cells))
+            nxt = greedy_min_basis(matroid, weights, interior_point(lam, next_lam))
+        if nxt != basis:
+            pieces.append(Piece(lo, lam, basis_line(weights, basis), basis))
+            lo, basis = lam, nxt
+    pieces.append(Piece(lo, interval.hi, basis_line(weights, basis), basis))
+    return PiecewiseLinearFunction(interval.lo, interval.hi, tuple(pieces))
 
 
 @dataclass(frozen=True)

@@ -218,10 +218,10 @@ def _check_replacement_lemma(instance, probe):
 def _check_sweep_cells(instance):
     mat, weights = instance.matroid, instance.weights
     sweep = parametric_sweep(mat, weights, instance.interval)
-    for cell in sweep.cells:
-        probe = interior_point(cell.lo, cell.hi)
-        assert greedy_min_basis(mat, weights, probe) == cell.basis
-        assert basis_line(weights, cell.basis) == cell.line
+    for piece in sweep.pieces:
+        probe = interior_point(piece.lo, piece.hi)
+        assert greedy_min_basis(mat, weights, probe) == piece.label
+        assert basis_line(weights, piece.label) == piece.line
 
 
 def _check_most_vital(instance, probe):

@@ -105,6 +105,21 @@ def test_solve_enumeration_cap_exits_4(tmp_path, monkeypatch, capsys):
     assert "enumeration cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algorithm", ["brute", "uset", "tree"])
+def test_witness_search_cap_exits_4(tmp_path, monkeypatch, capsys, algorithm):
+    # only the last 3 of 30 edges form a small cut: the witness search
+    # of uset and tree would enumerate all C(30, 3) = 4060 subsets
+    payload = {
+        "matroid": {"type": "graphic", "num_vertices": 3, "edges": [[0, 1]] * 27 + [[1, 2]] * 3},
+        "weights": [{"a": str(i % 5), "b": str((-1) ** i)} for i in range(30)],
+        "ell": 3,
+        "interval": {"lo": "-2", "hi": "2"},
+    }
+    monkeypatch.setenv("INTERDICTION_ENUM_CAP", "1000")
+    assert main(["solve", write_instance(tmp_path, payload), "--algorithm", algorithm]) == 4
+    assert "enumeration cap 1000" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("raw", ["abc", "-5"])
 @pytest.mark.parametrize("command", ["solve", "bench"])
 def test_bad_enumeration_cap_exits_2(tmp_path, monkeypatch, capsys, raw, command):
@@ -126,13 +141,16 @@ def test_bad_enumeration_cap_exits_2(tmp_path, monkeypatch, capsys, raw, command
         lambda d: d["weights"][0].update(a="abc"),
         lambda d: d["interval"].update(lo="1/0"),
         lambda d: d["matroid"].update(type="fancy"),
+        lambda d: d["interval"].update(lo="inf"),
+        lambda d: d["interval"].update(hi="-inf"),
     ],
 )
 def test_malformed_instances_exit_2(tmp_path, capsys, mangle):
     payload = json.loads(json.dumps(DIAMOND))
     mangle(payload)
     assert main(["solve", write_instance(tmp_path, payload)]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
 
 
 def test_unreadable_and_unparsable_files_exit_2(tmp_path, capsys):

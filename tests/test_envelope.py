@@ -59,7 +59,7 @@ def test_from_line_and_evaluate():
 
 
 def test_infinite_function():
-    f = PiecewiseLinearFunction.infinite(F(0), F(1), label="dead")
+    f = PiecewiseLinearFunction(F(0), F(1), (Piece(F(0), F(1), None, "dead"),))
     assert f.evaluate(F(1, 2)) == POS_INF
     assert f.pieces[0].line is None
 
@@ -87,15 +87,6 @@ def test_upper_envelope_domain_mismatch_raises():
     b = PiecewiseLinearFunction.from_line(F(0), F(2), Line(F(0), F(0)))
     with pytest.raises(ValueError):
         upper_envelope([a, b])
-
-
-def test_upper_envelope_with_infinite_member():
-    lo, hi = F(0), F(2)
-    fin = PiecewiseLinearFunction.from_line(lo, hi, Line(F(1), F(0)), label="fin")
-    inf = PiecewiseLinearFunction.infinite(lo, hi, label="inf")
-    env = upper_envelope([fin, inf])
-    assert env.evaluate(F(1)) == POS_INF
-    assert [p.label for p in env.pieces] == ["inf"]
 
 
 def test_upper_envelope_label_tie_prefers_smaller_label():
@@ -141,12 +132,6 @@ def test_envelope_of_lines_matches_upper_envelope(ls, grid):
     assert fast.pieces == slow.pieces
     lam = lo + (hi - lo) * F(grid, 10**6)
     assert fast.evaluate(lam) == max(l.value_at(lam) for l in ls)
-
-
-def test_envelope_of_lines_with_none_line():
-    env = envelope_of_lines([(Line(F(1), F(0)), "a"), (None, "dead")], F(0), F(1))
-    assert env.evaluate(F(1, 2)) == POS_INF
-    assert [p.label for p in env.pieces] == ["dead"]
 
 
 def test_envelope_slopes_increase_left_to_right():

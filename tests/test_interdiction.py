@@ -342,6 +342,40 @@ def test_enumeration_cap_env_override(monkeypatch):
             solve_brute(inst)
 
 
+def witness_search_instance():
+    # the only small cut is the last ell edges, so the lex-first killing
+    # set is the last of the C(30, 3) = 4060 subsets
+    mat = graphic(3, [(0, 1)] * 27 + [(1, 2)] * 3)
+    weights = tuple(pw(i % 5, (-1) ** i) for i in range(30))
+    return MatroidInstance(mat, weights, 3, Interval(F(-2), F(2)))
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_every_solver_refuses_the_witness_search_above_the_cap(monkeypatch, name):
+    monkeypatch.setenv("INTERDICTION_ENUM_CAP", "1000")
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        solve(witness_search_instance(), name)
+    assert (exc.value.subsets, exc.value.cap) == (4060, 1000)
+
+
+def test_witness_search_under_the_default_cap():
+    inst = witness_search_instance()
+    for name, calls in (("uset", 103_341), ("tree", 102_922)):
+        sol = solve(inst, name)
+        assert sol.f_star_at(F(0)) == (27, 28, 29)
+        assert sol.oracle_calls == calls
+
+
+def test_uset_tracked_family_respects_the_cap(monkeypatch):
+    inst = uniform_instance(10, 4, 2)  # union of 2 layers: C(8, 2) = 28 tracked sets
+    monkeypatch.setenv("INTERDICTION_ENUM_CAP", "27")
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        solve(inst, "uset")
+    assert exc.value.subsets == 28
+    monkeypatch.setenv("INTERDICTION_ENUM_CAP", "28")
+    assert solve(inst, "uset").segments == solve(inst, "tree").segments
+
+
 def test_solve_rejects_unknown_algorithm():
     inst = uniform_instance(4, 2, 1)
     with pytest.raises(ValueError):

@@ -111,6 +111,9 @@ def test_deletion_view_restricts_and_raises():
     # chained deletion accumulates
     dd = d.delete({0})
     assert dd.available == (2, 4)
+    for bad in ({5}, {-1}, {0, 7}):
+        with pytest.raises(ValueError, match="outside the ground set"):
+            d.delete(bad)
 
 
 def test_deletion_shares_oracle_counter():

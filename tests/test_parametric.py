@@ -11,11 +11,13 @@ from matroid_interdiction import parametric
 from matroid_interdiction.envelope import NEG_INF, POS_INF, interior_point
 from matroid_interdiction.matroid import graphic, uniform
 from matroid_interdiction.parametric import (
+    EqualityPoint,
     Interval,
     MatroidInstance,
     all_equality_points,
     basis_line,
     equality_point,
+    exchange,
     greedy_min_basis,
     interdicted_basis_via_replacement,
     most_vital_element,
@@ -108,7 +110,7 @@ def test_all_equality_points_strictly_inside_and_sorted():
     weights = [pw(0, 1), pw(4, -1), pw(2, 0)]
     # crossings: (0,1) at 2, (0,2) at 2, (1,2) at 2 -- all coincide
     events = all_equality_points(weights, Interval(F(0), F(5)))
-    assert [ev.sort_key for ev in events] == sorted(ev.sort_key for ev in events)
+    assert events == sorted(events)
     assert all(F(0) < ev.lam < F(5) for ev in events)
     assert len(events) == 3
     # an endpoint crossing is dropped
@@ -308,18 +310,41 @@ def test_weight_order_rejects_a_wrong_weight_count():
 # the sweep
 
 
+def test_exchange_trades_only_an_independent_lone_swap():
+    # triangle 0-1-2 plus a pendant edge 3 and its parallel copy 4
+    mat = graphic(4, [(0, 1), (1, 2), (0, 2), (2, 3), (2, 3)]).with_fresh_counter()
+    basis = frozenset({0, 1, 3})
+    # 1 leaves for 2: still a spanning tree, one oracle call
+    assert exchange(mat, basis, EqualityPoint(F(0), 1, 2)) == {0, 2, 3}
+    assert mat.oracle_calls == 1
+    # 3 leaves for its parallel copy 4: independent too
+    assert exchange(mat, basis, EqualityPoint(F(0), 3, 4)) == {0, 1, 4}
+    # 0 leaves for 4: {1, 3, 4} closes the cycle 3-4, so the basis stays
+    assert exchange(mat, basis, EqualityPoint(F(0), 0, 4)) is basis
+    assert mat.oracle_calls == 3
+    # e outside the basis or f inside it: no test at all
+    assert exchange(mat, basis, EqualityPoint(F(0), 2, 4)) is basis
+    assert exchange(mat, basis, EqualityPoint(F(0), 0, 1)) is basis
+    assert mat.oracle_calls == 3
+
+
+def test_equality_points_sort_in_sweep_order():
+    events = [EqualityPoint(F(1), 2, 0), EqualityPoint(F(-1), 3, 1), EqualityPoint(F(1), 0, 4)]
+    assert sorted(events) == [events[1], events[2], events[0]]
+
+
 def check_sweep(mat, weights, interval):
     sweep = parametric_sweep(mat, weights, interval)
-    cells = sweep.cells
-    assert cells[0].lo == interval.lo and cells[-1].hi == interval.hi
-    for a, b in zip(cells, cells[1:]):
+    pieces = sweep.pieces
+    assert pieces[0].lo == interval.lo and pieces[-1].hi == interval.hi
+    for a, b in zip(pieces, pieces[1:]):
         assert a.hi == b.lo
     slopes = []
-    for cell in cells:
-        probe = interior_point(cell.lo, cell.hi)
-        assert greedy_min_basis(mat, weights, probe) == cell.basis
-        assert basis_line(weights, cell.basis) == cell.line
-        slopes.append(cell.line.slope)
+    for piece in pieces:
+        probe = interior_point(piece.lo, piece.hi)
+        assert greedy_min_basis(mat, weights, probe) == piece.label
+        assert basis_line(weights, piece.label) == piece.line
+        slopes.append(piece.line.slope)
     assert slopes == sorted(slopes, reverse=True), "min-basis value must be concave"
     return sweep
 
@@ -335,15 +360,15 @@ def test_sweep_unbounded_interval():
     mat = uniform(3, 2)
     weights = [pw(0, 1), pw(4, -1), pw(2, 0)]
     sweep = check_sweep(mat, weights, Interval(NEG_INF, POS_INF))
-    assert len(sweep.cells) >= 2
+    assert len(sweep.pieces) >= 2
 
 
 def test_sweep_point_interval():
     mat = uniform(3, 2)
     weights = [pw(0, 1), pw(4, -1), pw(2, 0)]
     sweep = parametric_sweep(mat, weights, Interval(F(2), F(2)))
-    assert len(sweep.cells) == 1
-    assert sweep.cells[0].basis == greedy_min_basis(mat, weights, F(2))
+    assert len(sweep.pieces) == 1
+    assert sweep.pieces[0].label == greedy_min_basis(mat, weights, F(2))
 
 
 def test_sweep_accepts_shared_events():
@@ -354,16 +379,16 @@ def test_sweep_accepts_shared_events():
     deleted = mat.delete({5})
     own = parametric_sweep(deleted, weights, interval)
     shared = parametric_sweep(deleted, weights, interval, events=events)
-    assert own.cells == shared.cells
+    assert own.pieces == shared.pieces
 
 
 def test_sweep_cell_at():
     mat = uniform(3, 2)
     weights = [pw(0, 1), pw(4, -1), pw(2, 0)]
     sweep = parametric_sweep(mat, weights, Interval(F(0), F(5)))
-    assert sweep.cell_at(F(5)) == sweep.cells[-1]
+    assert sweep.piece_at(F(5)) == sweep.pieces[-1]
     with pytest.raises(ValueError):
-        sweep.cell_at(F(6))
+        sweep.piece_at(F(6))
 
 
 # ---------------------------------------------------------------------------

@@ -248,7 +248,10 @@ def run(
     report = None
     code = EXIT_OK
     if verify:
-        report = verify_solution(instance, solution, extra_samples=samples, seed=seed)
+        try:
+            report = verify_solution(instance, solution, extra_samples=samples, seed=seed)
+        except EnumerationCapExceeded as exc:
+            raise CliError(EXIT_CAP, f"verification: {exc}")
         if not report.ok:
             code = EXIT_VERIFY
     return solution, solution_to_dict(solution, wall, report), code
@@ -263,6 +266,8 @@ def _check_enumeration_cap() -> None:
 
 def _cmd_solve(args) -> int:
     _check_enumeration_cap()
+    if args.samples < 0:
+        raise CliError(EXIT_PARSE, f"--samples must be non-negative, got {args.samples}")
     instance = parse_instance(args.instance)
     if args.algorithm not in ALGORITHMS:
         raise CliError(EXIT_PARSE, f"unknown algorithm {args.algorithm!r}")

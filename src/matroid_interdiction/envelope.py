@@ -8,6 +8,14 @@ line=None spanning the whole domain, built by the solvers when a
 deletion kills the rank and never passed back into the algebra.  Value
 ties are resolved toward the smallest label, with unlabeled pieces
 losing against labeled ones.
+
+upper_envelope, the general merge that the brute-force solver uses,
+computes in Fractions throughout.  envelope_of_lines, the per-cell
+envelope of the other two solvers, scales its lines by the lcm of their
+denominators and works on those integers: deduplication, the
+equal-slope filter, the sort and the hull test compare ints and
+cross-multiply, and a Fraction is built only for each breakpoint it
+emits.  The two stay independent, so each checks the other.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ def _label_key(label):
     return (1,) if label is None else (0, label)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Piece:
     lo: object
     hi: object
@@ -58,7 +66,7 @@ class Piece:
         return POS_INF if self.line is None else self.line.value_at(lam)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PiecewiseLinearFunction:
     lo: object
     hi: object
@@ -191,52 +199,69 @@ def upper_envelope(fs: Sequence[PiecewiseLinearFunction]) -> PiecewiseLinearFunc
 
 
 def envelope_of_lines(entries: Sequence[tuple[Line, Any]], lo, hi) -> PiecewiseLinearFunction:
-    """Upper envelope of (line, label) entries on [lo, hi]; fast path for solvers."""
+    """Upper envelope of (line, label) entries on [lo, hi]; fast path for solvers.
+
+    Equal lines keep their smallest label, as in upper_envelope.
+    """
     if not entries:
         raise ValueError("upper envelope of an empty family")
-    if lo == hi:
-        best_line, best_label = entries[0]
-        for line, label in entries[1:]:
-            v, bv = line.value_at(lo), best_line.value_at(lo)
-            if v > bv or (v == bv and _label_key(label) < _label_key(best_label)):
-                best_line, best_label = line, label
-        return PiecewiseLinearFunction.from_line(lo, hi, best_line, best_label)
-
-    label_of: dict[Line, Any] = {}
+    # every line times one common denominator: (slope, intercept) as ints
+    scale = math.lcm(*(x.denominator for line, _label in entries for x in line))
+    best: dict[tuple[int, int], tuple[Line, Any]] = {}
     for line, label in entries:
-        if line not in label_of or _label_key(label) < _label_key(label_of[line]):
-            label_of[line] = label
-    # among equal slopes only the highest intercept can ever win
-    best_by_slope: dict[Fraction, Line] = {}
-    for line in label_of:
-        cur = best_by_slope.get(line.slope)
-        if cur is None or line.intercept > cur.intercept:
-            best_by_slope[line.slope] = line
-    lines = sorted(best_by_slope.values())
+        s, i = line
+        key = (s.numerator * (scale // s.denominator), i.numerator * (scale // i.denominator))
+        held = best.get(key)
+        if held is None or _label_key(label) < _label_key(held[1]):
+            best[key] = (line, label)
 
-    hull: list[Line] = []
-    xs: list[Fraction] = []  # xs[i]: where hull[i+1] overtakes hull[i]
-    for ln in lines:
+    if lo == hi:
+        p, q = lo.numerator, lo.denominator
+        win = None
+        for (s, i), (line, label) in best.items():
+            v = s * p + i * q  # scale * q * value at lo
+            if win is None or v > win[0] or (v == win[0] and _label_key(label) < _label_key(win[2])):
+                win = (v, line, label)
+        return PiecewiseLinearFunction.from_line(lo, hi, win[1], win[2])
+
+    # by slope; among equal slopes only the highest intercept can ever win
+    lines: list[tuple[int, int]] = []
+    for key in sorted(best):
+        if lines and lines[-1][0] == key[0]:
+            lines[-1] = key
+        else:
+            lines.append(key)
+
+    hull: list[tuple[int, int]] = []
+    xs: list[tuple[int, int]] = []  # xs[j] = (num, den), den > 0: where hull[j+1] overtakes hull[j]
+    for s, i in lines:
         while hull:
-            top = hull[-1]
-            x = (top.intercept - ln.intercept) / (ln.slope - top.slope)
-            if xs and x <= xs[-1]:
+            ts, ti = hull[-1]
+            num, den = ti - i, s - ts
+            if xs and num * xs[-1][1] <= xs[-1][0] * den:
                 hull.pop()
                 xs.pop()
                 continue
-            xs.append(x)
+            xs.append((num, den))
             break
-        hull.append(ln)
+        hull.append((s, i))
 
+    # the hull lines reigning inside (lo, hi): first..last
+    first, last = 0, len(hull) - 1
+    if lo != NEG_INF:
+        while first < last and xs[first][0] * lo.denominator <= lo.numerator * xs[first][1]:
+            first += 1
+    if hi != POS_INF:
+        while last > first and xs[last - 1][0] * hi.denominator >= hi.numerator * xs[last - 1][1]:
+            last -= 1
     pieces: list[Piece] = []
-    for i, ln in enumerate(hull):
-        reign_lo = xs[i - 1] if i > 0 else NEG_INF
-        reign_hi = xs[i] if i < len(xs) else POS_INF
-        p_lo = max(lo, reign_lo)
-        p_hi = min(hi, reign_hi)
-        if p_lo < p_hi:
-            pieces.append(Piece(p_lo, p_hi, ln, label_of[ln]))
-    return _normalize(lo, hi, pieces)
+    start = lo
+    for j in range(first, last):
+        x = Fraction(*xs[j])
+        pieces.append(Piece(start, x, *best[hull[j]]))
+        start = x
+    pieces.append(Piece(start, hi, *best[hull[last]]))
+    return PiecewiseLinearFunction(lo, hi, tuple(pieces))
 
 
 def concatenate(fs: Sequence[PiecewiseLinearFunction]) -> PiecewiseLinearFunction:
@@ -252,7 +277,7 @@ def concatenate(fs: Sequence[PiecewiseLinearFunction]) -> PiecewiseLinearFunctio
     return _normalize(fs[0].lo, fs[-1].hi, pieces)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Changepoint:
     lam: Fraction
     kind: str  # "breakpoint" or "interdiction-point"

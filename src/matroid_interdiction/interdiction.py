@@ -375,7 +375,7 @@ def _uset_cells(mat, instance, cells):
                 new_tracked = {}
                 for F, (basis, line) in tracked.items():
                     F2, B2 = update_interdicted_set(mat, F, basis, ev, u1, u2)
-                    new_tracked[F2] = (B2, _shift_line(weights, line, basis, B2))
+                    new_tracked[F2] = (B2, line if B2 == basis else basis_line(weights, B2))
                 tracked = new_tracked
                 lb = new_lb
             else:
@@ -401,19 +401,6 @@ def _track_family(mat, weights, probe, union, ell, k):
             return None
         tracked[frozenset(F)] = (basis, basis_line(weights, basis))
     return tracked
-
-
-def _shift_line(weights, line: Line, old_basis: frozenset[int], new_basis: frozenset[int]) -> Line:
-    if new_basis == old_basis:
-        return line
-    slope, intercept = line.slope, line.intercept
-    for e in old_basis - new_basis:
-        slope -= weights[e].b
-        intercept -= weights[e].a
-    for e in new_basis - old_basis:
-        slope += weights[e].b
-        intercept += weights[e].a
-    return Line(slope, intercept)
 
 
 # ---------------------------------------------------------------------------

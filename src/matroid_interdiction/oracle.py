@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .envelope import NEG_INF, POS_INF, interior_point
+from .interdiction import _check_cap
 from .matroid import Matroid
 from .parametric import MatroidInstance, weight_at
 
@@ -102,9 +103,11 @@ def verify_solution(
     piece the optimal value, deletion set, and basis must all match the
     oracle exactly; on piece boundaries (where several labels attain the
     optimum) the claimed value must match and the claimed deletion set
-    must attain it.
+    must attain it.  Each sample enumerates all C(m, ell) deletion sets,
+    so EnumerationCapExceeded is raised above the enumeration cap.
     """
     mat = instance.matroid.with_fresh_counter()
+    _check_cap(len(mat.available), instance.ell)
     weights = instance.weights
     k = instance.rank
     samples, boundary = _sample_points(instance, solution, extra_samples, seed)

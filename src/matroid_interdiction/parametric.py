@@ -7,6 +7,15 @@ compare exactly against Fractions, no rounding is involved).  Ties are
 always broken by the fixed total order (weight at lam, element id
 ascending); there is no pluggable tie order.
 
+The hot paths run on plain ints instead of Fractions.  Each weights
+sequence is written once in integer form: a common denominator d (the
+lcm of every a and b denominator) and numerator columns A, B with
+w(e, lam) = (A[e] + lam * B[e]) / d.  At lam = p/q (q > 0) the weight
+order is then the order of the ints A[e] * q + B[e] * p, and a basis
+line is (sum of B, sum of A) / d: basis_line builds its two Fractions
+from integer sums, so Fractions appear only where a line or a lam
+leaves this module.
+
 The solvers ask for that order at the same lam hundreds of times (one
 greedy basis per tracked deletion set, one replacement search per tree
 node), so the whole ground set is sorted once per (weights, lam) and
@@ -14,13 +23,14 @@ memoized: the order itself, plus each element's integer rank in it.
 weight_order filters the memoized order by the matroid's deleted set,
 and replacement_element sorts its pool by rank, so both visit elements
 exactly as a fresh sort would and make the same oracle calls.  The
-memo is keyed on the identity of the weights tuple and holds a strong
-reference to it, so the id cannot be reused by another object while
-the entries live.  A different tuple replaces the memo, and a miss with
-_ORDER_MEMO_CAP lam values already kept empties it (one solve of the
-benchmark workloads probes at most 81 distinct lam).  Only tuples are
-memoized: a list or any other Sequence may be mutated between calls,
-so it is sorted afresh every time.
+memo also holds the tuple's integer columns.  It is keyed on the
+identity of the weights tuple and holds a strong reference to it, so
+the id cannot be reused by another object while the entries live.  A
+different tuple replaces the memo, and a miss with _ORDER_MEMO_CAP lam
+values already kept empties its orders (one solve of the benchmark
+workloads probes at most 81 distinct lam).  Only tuples are memoized: a
+list or any other Sequence may be mutated between calls, so its
+columns and orders are computed afresh every time.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
+from math import lcm
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -141,12 +152,39 @@ def crossing_cells(interval: Interval, events: Sequence[EqualityPoint]):
 
 
 _ORDER_MEMO_CAP = 128
-# (weights tuple, {lam: (order, rank)}); swapped whole when the tuple changes
-_order_memo: tuple[tuple, dict] = ((), {})
+# (weights tuple, its integer columns, {lam: (order, rank)}); swapped
+# whole when the tuple changes
+_order_memo: tuple[tuple, tuple, dict] = ((), (1, [], []), {})
 
 
-def _sort_ground(weights: Sequence[ParametricWeight], lam: Fraction):
-    order = sorted(range(len(weights)), key=lambda e: (weight_at(weights[e], lam), e))
+def _integer_weights(weights: Sequence[ParametricWeight]) -> tuple[int, list[int], list[int]]:
+    """(d, A, B) with w(e, lam) = (A[e] + lam * B[e]) / d, all ints."""
+    d = lcm(*(x.denominator for w in weights for x in w))
+    return (
+        d,
+        [w.a.numerator * (d // w.a.denominator) for w in weights],
+        [w.b.numerator * (d // w.b.denominator) for w in weights],
+    )
+
+
+def _kernel(weights: Sequence[ParametricWeight]) -> tuple[tuple, dict | None]:
+    """The integer columns of the weights and, for a tuple, its order memo."""
+    global _order_memo
+    if not isinstance(weights, tuple):
+        return _integer_weights(weights), None
+    held, columns, entries = _order_memo
+    if held is not weights:
+        columns, entries = _integer_weights(weights), {}
+        _order_memo = (weights, columns, entries)
+    return columns, entries
+
+
+def _sort_ground(columns, lam: Fraction):
+    _d, A, B = columns
+    p, q = lam.numerator, lam.denominator
+    # d * q * w(e, lam) = A[e] * q + B[e] * p with d, q > 0; the stable
+    # sort of ascending ids breaks equal weights by id
+    order = sorted(range(len(A)), key=[a * q + b * p for a, b in zip(A, B)].__getitem__)
     rank = [0] * len(order)
     for i, e in enumerate(order):
         rank[e] = i
@@ -155,18 +193,14 @@ def _sort_ground(weights: Sequence[ParametricWeight], lam: Fraction):
 
 def _ground_order(weights: Sequence[ParametricWeight], lam: Fraction):
     """Every element id by (weight at lam, id), and each id's rank in that order."""
-    global _order_memo
-    if not isinstance(weights, tuple):
-        return _sort_ground(weights, lam)
-    held, entries = _order_memo
-    if held is not weights:
-        entries = {}
-        _order_memo = (weights, entries)
+    columns, entries = _kernel(weights)
+    if entries is None:
+        return _sort_ground(columns, lam)
     hit = entries.get(lam)
     if hit is None:
         if len(entries) >= _ORDER_MEMO_CAP:
             entries.clear()
-        hit = entries[lam] = _sort_ground(weights, lam)
+        hit = entries[lam] = _sort_ground(columns, lam)
     return hit
 
 
@@ -296,9 +330,13 @@ def exchange(matroid: Matroid, basis: frozenset[int], ev: EqualityPoint) -> froz
 
 
 def basis_line(weights: Sequence[ParametricWeight], basis: Iterable[int]) -> Line:
-    slope = sum((weights[e].b for e in basis), Fraction(0))
-    intercept = sum((weights[e].a for e in basis), Fraction(0))
-    return Line(slope, intercept)
+    """The value line lam -> sum of w(e, lam) over the basis, from integer sums."""
+    (d, A, B), _entries = _kernel(weights)
+    slope = intercept = 0
+    for e in basis:
+        slope += B[e]
+        intercept += A[e]
+    return Line(Fraction(slope, d), Fraction(intercept, d))
 
 
 def parametric_sweep(

@@ -105,6 +105,25 @@ def test_solve_enumeration_cap_exits_4(tmp_path, monkeypatch, capsys):
     assert "enumeration cap" in capsys.readouterr().err
 
 
+def test_verify_enumeration_cap_exits_4(tmp_path, monkeypatch, capsys):
+    # tree enumerates no deletion sets here, so only the verifier's
+    # C(5, 1) = 5 per sample exceeds the cap
+    monkeypatch.setenv("INTERDICTION_ENUM_CAP", "4")
+    path, out = write_instance(tmp_path), str(tmp_path / "sol.json")
+    assert main(["solve", path, "--algorithm", "tree", "-o", out]) == 0
+    assert main(["solve", path, "--algorithm", "tree", "--verify", "-o", out]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: verification: 5 deletion sets")
+    assert "enumeration cap 4" in err and "Traceback" not in err
+
+
+def test_negative_samples_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "sol.json")
+    assert main(["solve", write_instance(tmp_path), "--verify", "--samples", "-3", "-o", out]) == 2
+    assert capsys.readouterr().err.startswith("error: --samples must be non-negative")
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("algorithm", ["brute", "uset", "tree"])
 def test_witness_search_cap_exits_4(tmp_path, monkeypatch, capsys, algorithm):
     # only the last 3 of 30 edges form a small cut: the witness search

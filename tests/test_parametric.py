@@ -294,7 +294,7 @@ def test_order_memo_stays_within_its_cap():
     for j in range(3 * cap):
         lam = F(j - cap, 7)
         assert weight_order(mat, weights, lam) == fresh_order(weights, lam, range(5))
-        held, entries = parametric._order_memo
+        held, _columns, entries = parametric._order_memo
         assert held is weights and 1 <= len(entries) <= cap
 
 

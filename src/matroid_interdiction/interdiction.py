@@ -90,9 +90,9 @@ class EnumerationCapExceeded(Exception):
         self.cap = cap
 
 
-def _check_cap(n: int, ell: int, cap: int | None = None) -> None:
+def _check_cap(n: int, ell: int) -> None:
     """Refuse to enumerate the C(n, ell) deletion sets of n elements above the cap."""
-    cap = enumeration_cap() if cap is None else cap
+    cap = enumeration_cap()
     subsets = comb(n, ell)
     if subsets > cap:
         raise EnumerationCapExceeded(subsets, cap)
@@ -320,9 +320,9 @@ def _solve_by_cells(instance: MatroidInstance, algorithm: str, cell_lines) -> In
 # algorithm 1: full enumeration
 
 
-def solve_brute(instance: MatroidInstance, cap: int | None = None) -> InterdictionSolution:
+def solve_brute(instance: MatroidInstance) -> InterdictionSolution:
     """Sweep every deletion set of size ell and take the upper envelope."""
-    _check_cap(instance.ground_size, instance.ell, cap)
+    _check_cap(instance.ground_size, instance.ell)
     mat = instance.matroid.with_fresh_counter()
     k = instance.rank
     if k == 0:
@@ -448,38 +448,31 @@ def candidate_tree(
     return out
 
 
-def _tree_replacement(matroid, weights, lam, F, child_layers, parent_layers, p, x):
-    """Replacement of x w.r.t. parent layer p, preferring the next layer.
-
-    When the next layer is as large as the current one it must contain
-    the replacement (replacement elements fall through exactly one
-    layer), so the search is restricted to it; otherwise the search
-    falls back to every element below the repaired layers.
-    """
-    layer = parent_layers[p]
-    nxt = parent_layers[p + 1] if p + 1 < len(parent_layers) else frozenset()
-    if nxt and len(nxt) == len(layer):
-        return replacement_element(matroid, weights, layer, x, lam, among=nxt)
-    pool = set(matroid.available) - F - layer
-    for q in range(p):
-        pool -= child_layers[q]
-    return replacement_element(matroid, weights, layer, x, lam, among=pool)
-
-
 def _tree_child(matroid, weights, lam, child_f, layers, e):
     """Layers of the child reached by deleting e, repaired by chains.
 
     child_f is the child's deletion set, e included.  Each repaired
     layer loses its replaced element to the layer above and steals the
     next replacement from below; a replacement found outside the
-    maintained layers ends the chain early.  Returns None when e has no
-    replacement at all (child_f kills the rank).
+    maintained layers ends the chain early.  When the next layer is as
+    large as the repaired one it must contain the replacement
+    (replacement elements fall through exactly one layer), so the search
+    is restricted to it; otherwise it covers every element below the
+    repaired layers.  Returns None when e has no replacement at all
+    (child_f kills the rank).
     """
     child_depth = len(layers) - 1
     child_layers = list(layers[:child_depth])
     p, x = 0, e
     while p < child_depth:
-        r = _tree_replacement(matroid, weights, lam, child_f, child_layers, layers, p, x)
+        layer, nxt = layers[p], layers[p + 1]
+        if len(nxt) == len(layer):  # x is in layer, so nxt is not empty
+            pool = nxt
+        else:
+            pool = set(matroid.available) - child_f - layer
+            for q in range(p):
+                pool -= child_layers[q]
+        r = replacement_element(matroid, weights, layer, x, lam, among=pool)
         if r is None:
             if p == 0:
                 return None

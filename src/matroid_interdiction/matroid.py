@@ -5,6 +5,12 @@ uniform, partition, and explicit (all bases listed, tiny ground sets
 only).  Elements are dense integer ids 0..m-1.  Deletion returns a new
 view sharing the family; matroid objects never mutate after
 construction, so they are safe to share across solver runs.
+
+A graphic query costs O(|subset| + touched vertices): the family
+renumbers the vertices its edges touch once, and each query runs one
+union-find over those alone, so isolated vertices cost nothing.
+Matroid.greedy is the one greedy scan of the solvers (minimum bases
+and rank); only the enumeration oracle keeps its own, as a reference.
 """
 
 from __future__ import annotations
@@ -13,27 +19,6 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 EXPLICIT_MAX_GROUND = 16  # axiom checks enumerate 2^m subsets
-
-
-class _DSU:
-    """Union-find with path halving; rebuilt per independence query."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, x: int, y: int) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[rx] = ry
-        return True
 
 
 class _GraphicFamily:
@@ -49,13 +34,24 @@ class _GraphicFamily:
         self.num_vertices = num_vertices
         self.edges = edges
         self.ground_size = len(edges)
+        # endpoints renumbered densely over the touched vertices only
+        index: dict[int, int] = {}
+        self._ends = tuple((index.setdefault(u, len(index)), index.setdefault(v, len(index))) for u, v in edges)
+        self._touched = len(index)
 
     def independent(self, subset: frozenset[int]) -> bool:
-        dsu = _DSU(self.num_vertices)
+        """Union-find with path halving, one fresh parent list per query."""
+        ends = self._ends
+        parent = list(range(self._touched))
         for e in subset:
-            u, v = self.edges[e]
-            if not dsu.union(u, v):  # closes a cycle (self-loops included)
+            u, v = ends[e]
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u == v:  # closes a cycle (self-loops included)
                 return False
+            parent[u] = v
         return True
 
 
@@ -165,20 +161,25 @@ class Matroid:
     def delete(self, removed: Iterable[int]) -> "Matroid":
         return Matroid(self._family, self.deleted.union(removed), self._counter)
 
-    def rank(self, stop_at: int | None = None) -> int:
-        """Size of a maximal independent set, grown greedily by id.
+    def greedy(self, order: Iterable[int], stop_at: int | None = None) -> frozenset[int]:
+        """The independent set grown greedily along order.
 
-        The scan stops, spending no further oracle call, once the set
-        holds stop_at elements: the result is min(rank, stop_at).
+        Each element tried costs one oracle call.  The scan stops,
+        spending no further call, once the set holds stop_at elements.
+        Along a weight order this is the minimum basis.
         """
         chosen: set[int] = set()
-        for e in self.available:
+        for e in order:
             if len(chosen) == stop_at:
                 break
             chosen.add(e)
             if not self.is_independent(chosen):
                 chosen.discard(e)
-        return len(chosen)
+        return frozenset(chosen)
+
+    def rank(self, stop_at: int | None = None) -> int:
+        """min(rank, stop_at): the size of the greedy set grown by id."""
+        return len(self.greedy(self.available, stop_at))
 
     def __repr__(self) -> str:
         return f"Matroid({self._family.kind}, m={self.ground_size}, deleted={sorted(self.deleted)})"

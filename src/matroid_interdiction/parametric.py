@@ -83,13 +83,6 @@ class Interval:
         if not self.lo <= self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
-    def contains(self, lam) -> bool:
-        return self.lo <= lam <= self.hi
-
-    def representative(self) -> Fraction:
-        """A deterministic interior point (the midpoint when finite)."""
-        return interior_point(self.lo, self.hi)
-
 
 class EqualityPoint(NamedTuple):
     """Crossing of two weight lines; the leaving element is cheaper before lam.
@@ -218,12 +211,7 @@ def greedy_min_basis(matroid: Matroid, weights: Sequence[ParametricWeight], lam:
     May be smaller than the full-rank basis when deletions have reduced
     the rank; callers treat that as the infinite-value case.
     """
-    chosen: set[int] = set()
-    for e in weight_order(matroid, weights, lam):
-        chosen.add(e)
-        if not matroid.is_independent(chosen):
-            chosen.discard(e)
-    return frozenset(chosen)
+    return matroid.greedy(weight_order(matroid, weights, lam))
 
 
 def replacement_candidates(matroid: Matroid, basis: frozenset[int], e: int) -> frozenset[int]:

@@ -94,6 +94,30 @@ def test_solve_verify_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert "verification FAILED" in capsys.readouterr().err
 
 
+def test_isolated_vertices_leave_the_segments_alone(tmp_path):
+    # the 4 edges touch 3 of 10^6 vertices; relabelled onto 3 vertices
+    # they must solve to the same segments with every solver
+    hub, mid, far = 0, 500_000, 999_999
+    big = {
+        **DIAMOND,
+        "matroid": {
+            "type": "graphic",
+            "num_vertices": 10**6,
+            "edges": [[hub, far], [far, mid], [hub, mid], [mid, far]],
+        },
+        "weights": DIAMOND["weights"][:4],
+    }
+    small = {**big, "matroid": {"type": "graphic", "num_vertices": 3, "edges": [[0, 2], [2, 1], [0, 1], [1, 2]]}}
+    paths = {"big": write_instance(tmp_path, big, "big.json"), "small": write_instance(tmp_path, small, "small.json")}
+    segments = {}
+    for algorithm in ("brute", "uset", "tree"):
+        for size, path in paths.items():
+            out = tmp_path / f"{size}-{algorithm}.json"
+            assert main(["solve", path, "--algorithm", algorithm, "--verify", "-o", str(out)]) == 0
+            segments[size, algorithm] = json.loads(out.read_text())["segments"]
+    assert len({json.dumps(segs) for segs in segments.values()}) == 1
+
+
 def test_solve_unknown_algorithm_exits_2(tmp_path, capsys):
     assert main(["solve", write_instance(tmp_path), "--algorithm", "magic"]) == 2
     assert "unknown algorithm" in capsys.readouterr().err

@@ -161,6 +161,7 @@ KERNEL = {
     "_sort_ground",
     "_ground_order",
     "weight_order",
+    "greedy",
     "greedy_min_basis",
     "basis_line",
     "envelope_of_lines",

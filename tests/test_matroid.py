@@ -1,5 +1,6 @@
 """Matroid families: axioms, independence oracles, deletion views."""
 
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -61,6 +62,13 @@ def test_graphic_cycle_detection():
     assert mat.rank() == 3
     assert mat.is_independent({0, 1, 3})
     assert not mat.is_independent({0, 1, 2})
+    # a 200-vertex path builds a 199-link union-find chain, so finding
+    # the closing edge's cycle needs the full path-halving loop
+    n = 200
+    mat = graphic(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
+    path = range(n - 1)
+    assert mat.is_independent(path)
+    assert not mat.is_independent([*path, n - 1])
 
 
 def test_graphic_self_loop_is_dependent():
@@ -154,6 +162,24 @@ def test_rank_stop_at():
     assert [loopy.rank(stop_at=s) for s in range(5)] == [0, 1, 2, 2, 2]
 
 
+def test_graphic_query_is_sized_by_touched_vertices():
+    # isolated vertices cost nothing: 4 edges on 3 touched vertices out of 10^6
+    hub, mid, far = 0, 500_000, 999_999
+    big = graphic(10**6, [(hub, far), (far, mid), (hub, mid), (mid, far)])
+    small = graphic(3, [(0, 2), (2, 1), (0, 1), (1, 2)])
+    full = frozenset(range(4))
+    tracemalloc.start()
+    try:
+        big.is_independent(full)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    for size in range(5):
+        for s in combinations(range(4), size):
+            assert big.is_independent(s) == small.is_independent(s), s
+
+
 def test_verify_axioms_accepts_families():
     verify_axioms(uniform(5, 2))
     verify_axioms(graphic(4, [(0, 1), (1, 2), (2, 0), (0, 3)]))
@@ -214,3 +240,49 @@ def test_partition_matches_counting(blocks, caps):
                 sum(1 for e in s if blocks[e] == b) <= caps[b] for b in range(3)
             )
             assert mat.is_independent(s) == by_count
+
+
+def reference_greedy(mat: Matroid, order, stop_at):
+    """The greedy scan written out: one oracle call per element tried."""
+    chosen: list[int] = []
+    for e in order:
+        if len(chosen) == stop_at:
+            break
+        if mat.is_independent([*chosen, e]):
+            chosen.append(e)
+    return frozenset(chosen)
+
+
+def _graphic_st():
+    # loops and parallel edges included
+    return st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=9
+        ).map(lambda edges: graphic(n, edges))
+    )
+
+
+def _partition_st():
+    return st.lists(st.integers(0, 2), min_size=1, max_size=9).flatmap(
+        lambda blocks: st.lists(st.integers(0, 3), min_size=3, max_size=3).map(
+            lambda caps: partition(blocks, caps)
+        )
+    )
+
+
+def _uniform_st():
+    return st.integers(1, 9).flatmap(lambda m: st.integers(0, m).map(lambda k: uniform(m, k)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_graphic_st(), _partition_st(), _uniform_st()), st.data())
+def test_greedy_matches_the_reference_scan(mat, data):
+    m = mat.ground_size
+    deleted = data.draw(st.sets(st.integers(0, m - 1), max_size=m - 1), label="deleted")
+    view = mat.delete(deleted)
+    order = data.draw(st.permutations(view.available), label="order")
+    order = order[: data.draw(st.integers(0, len(order)), label="prefix")]
+    stop_at = data.draw(st.none() | st.integers(0, m + 1), label="stop_at")
+    a, b = view.with_fresh_counter(), view.with_fresh_counter()
+    assert a.greedy(order, stop_at) == reference_greedy(b, order, stop_at)
+    assert a.oracle_calls == b.oracle_calls

@@ -4,8 +4,9 @@ Instances and solutions are JSON files; every rational is serialized as
 a "p/q" (or plain integer) string so exactness survives the file
 boundary, and interval endpoints accept "-inf"/"inf".
 
-Exit codes: 0 success, 2 malformed input or infeasible parameters,
-3 verification failure, 4 enumeration cap or plot row cap exceeded.
+Exit codes: 0 success, 2 malformed input, infeasible parameters or an
+unwritable output path, 3 verification failure, 4 enumeration cap or
+plot row cap exceeded.
 """
 
 from __future__ import annotations
@@ -188,13 +189,20 @@ def solution_to_dict(solution: InterdictionSolution, wall_time: float, verificat
     return data
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(EXIT_PARSE, f"cannot write {path}: {exc}")
+
+
 def _dump_json(data, path: str | None):
     text = json.dumps(data, indent=2, sort_keys=True) + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        _write(path, text)
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +282,7 @@ def _cmd_solve(args) -> int:
     solution, data, code = run(instance, args.algorithm, args.verify, args.samples, args.seed)
     if args.emit_plot:
         step = parse_rational(args.step, "--step")
-        text = emit_plot_data(solution, step)
-        with open(args.emit_plot, "w") as fh:
-            fh.write(text)
+        _write(args.emit_plot, emit_plot_data(solution, step))
     _dump_json(data, args.output)
     if code == EXIT_VERIFY:
         print("verification FAILED:", file=sys.stderr)

@@ -12,21 +12,23 @@ interdicted basis.
 * solve_tree regrows a candidate search tree of replacement chains in
   every cell between consecutive crossings.
 
-uset and tree share one cell loop, _solve_by_cells.  A generator
-cell_lines(mat, instance, cells) yields per cell the (value line,
-SegmentLabel) entries of its candidate deletion sets, or None on a rank
-kill; it is resumed only after the previous cell's envelope is taken,
-so independence tests run in sweep order, and it keeps its own state
-across cells (uset's layered bases and tracked family) as locals.
-brute stays on upper_envelope over whole per-deletion sweeps, so it
-remains an independent reference for the shared loop.
+Each solve builds one crossing arrangement, whose cells carry the probe
+lam where every solver evaluates them.  uset and tree share one cell loop,
+_solve_by_cells.  A generator cell_lines(mat, instance, cells) yields
+per cell the (value line, SegmentLabel) entries of its candidate
+deletion sets, or None on a rank kill; it is resumed only after the
+previous cell's envelope is taken, so independence tests run in sweep
+order, and it keeps its own state across cells (uset's layered bases
+and tracked family) as locals.  brute stays on upper_envelope over
+whole per-deletion sweeps, an independent reference for the shared loop.
 
 A deletion that kills the matroid rank makes y identically +inf; the
 reported witness is then always the lexicographically smallest killing
 set, so the three solvers agree exactly.  That case and the rank-0 one
 (y identically 0) share one flat-solution path.  Every enumeration of
 ell-subsets (brute's deletions, the witness search, uset's tracked
-family) is refused above the enumeration cap.
+family) is refused above the enumeration cap, and so is a candidate
+tree with more candidates than the cap.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .envelope import (
     classify_changepoints,
     concatenate,
     envelope_of_lines,
-    interior_point,
     upper_envelope,
 )
 from .matroid import Matroid
@@ -90,10 +91,9 @@ class EnumerationCapExceeded(Exception):
         self.cap = cap
 
 
-def _check_cap(n: int, ell: int) -> None:
-    """Refuse to enumerate the C(n, ell) deletion sets of n elements above the cap."""
+def _check_cap(subsets: int) -> None:
+    """Refuse to enumerate that many deletion sets above the cap."""
     cap = enumeration_cap()
-    subsets = comb(n, ell)
     if subsets > cap:
         raise EnumerationCapExceeded(subsets, cap)
 
@@ -123,9 +123,14 @@ class InterdictionSolution:
         return self.envelope.piece_at(lam).label.f_star
 
 
+def _tree_candidates(k: int, ell: int) -> int:
+    """Candidates of one full-rank candidate tree, k * C(k + ell - 2, ell - 1); 0 at rank 0."""
+    return k * comb(k + ell - 2, ell - 1) if k else 0
+
+
 def changepoint_bound(m: int, k: int, l: int) -> int:
-    """Worst-case changepoint count of y via the candidate-chain count."""
-    return comb(m, 2) * comb(k + l - 2, l - 1) * k
+    """Worst-case changepoint count of y: C(m, 2) cells times the tree's candidates."""
+    return comb(m, 2) * _tree_candidates(k, l)
 
 
 def changepoint_bound_secondary(m: int, k: int, l: int) -> int:
@@ -274,7 +279,7 @@ def update_interdicted_set(
 
 def canonical_infinite_label(matroid: Matroid, k: int, ell: int) -> tuple[int, ...]:
     """Lexicographically smallest ell-subset whose deletion kills the rank."""
-    _check_cap(len(matroid.available), ell)
+    _check_cap(comb(len(matroid.available), ell))
     for F in combinations(matroid.available, ell):
         if matroid.delete(F).rank(stop_at=k) < k:
             return F
@@ -305,10 +310,10 @@ def _solve_by_cells(instance: MatroidInstance, algorithm: str, cell_lines) -> In
     mat = instance.matroid.with_fresh_counter()
     if instance.rank == 0:
         return _flat_solution(mat, instance, algorithm)
-    events = all_equality_points(instance.weights, instance.interval, mat.available)
-    cells = crossing_cells(instance.interval, events)
+    weights, interval = instance.weights, instance.interval
+    cells = crossing_cells(interval, all_equality_points(weights, interval, mat.available))
     cell_envs: list[PiecewiseLinearFunction] = []
-    for (lo, hi, _crossings), entries in zip(cells, cell_lines(mat, instance, cells)):
+    for (lo, hi, _probe, _crossings), entries in zip(cells, cell_lines(mat, instance, cells)):
         if entries is None:
             return _flat_solution(mat, instance, algorithm)
         cell_envs.append(envelope_of_lines(entries, lo, hi))
@@ -321,17 +326,17 @@ def _solve_by_cells(instance: MatroidInstance, algorithm: str, cell_lines) -> In
 
 
 def solve_brute(instance: MatroidInstance) -> InterdictionSolution:
-    """Sweep every deletion set of size ell and take the upper envelope."""
-    _check_cap(instance.ground_size, instance.ell)
+    """Sweep every deletion set of size ell over one arrangement; take the upper envelope."""
+    _check_cap(comb(instance.ground_size, instance.ell))
     mat = instance.matroid.with_fresh_counter()
     k = instance.rank
     if k == 0:
         return _flat_solution(mat, instance, "brute")
     weights, interval = instance.weights, instance.interval
-    events = all_equality_points(weights, interval, mat.available)
+    cells = crossing_cells(interval, all_equality_points(weights, interval, mat.available))
     funcs = []
     for F in combinations(mat.available, instance.ell):
-        sweep = parametric_sweep(mat.delete(F), weights, interval, events=events)
+        sweep = parametric_sweep(mat.delete(F), weights, cells)
         if len(sweep.pieces[0].label) < k:
             # first killing set in enumeration order is the smallest one
             return _flat_solution(mat, instance, "brute", killer=F)
@@ -360,8 +365,7 @@ def solve_uset(instance: MatroidInstance) -> InterdictionSolution:
 def _uset_cells(mat, instance, cells):
     weights, ell, k = instance.weights, instance.ell, instance.rank
     lb = tracked = None
-    for lo, hi, crossings in cells:
-        probe = interior_point(lo, hi)
+    for _lo, _hi, probe, crossings in cells:
         # the one-test updates assume the crossing is a lone adjacent
         # transposition of the weight order; the first cell, coincident
         # crossings and a union update that is neither a rename nor a
@@ -393,7 +397,7 @@ def _track_family(mat, weights, probe, union, ell, k):
     """Greedy bases for every ell-subset of the union; None on rank kill."""
     if len(union) < ell:
         return None  # everything outside the union is a loop; deleting the union kills
-    _check_cap(len(union), ell)
+    _check_cap(comb(len(union), ell))
     tracked: dict[frozenset[int], tuple[frozenset[int], Line]] = {}
     for F in combinations(sorted(union), ell):
         basis = greedy_min_basis(mat.delete(F), weights, probe)
@@ -419,7 +423,7 @@ def candidate_tree(
     replacement yields a +inf candidate (line None).  Every level grows
     children by _tree_child; the last one expands all k basis elements
     of each of the C(k + ell - 2, ell - 1) nodes, forbidden ones too, so
-    a full-rank instance gives exactly k * C(k + ell - 2, ell - 1).
+    a full-rank instance gives exactly _tree_candidates(k, ell).
     """
     root = layered_bases(matroid, weights, lam, ell + 1)
     k = len(root.layers[0])
@@ -489,13 +493,14 @@ def _tree_child(matroid, weights, lam, child_f, layers, e):
 
 
 def solve_tree(instance: MatroidInstance) -> InterdictionSolution:
-    """Per cell, grow the candidate tree and take the envelope of its lines."""
+    """Per cell, grow the candidate tree (refused above the cap) and take the envelope of its lines."""
+    _check_cap(_tree_candidates(instance.rank, instance.ell))
     return _solve_by_cells(instance, "tree", _tree_cells)
 
 
 def _tree_cells(mat, instance, cells):
-    for lo, hi, _crossings in cells:
-        candidates = candidate_tree(mat, instance.weights, interior_point(lo, hi), instance.ell)
+    for _lo, _hi, probe, _crossings in cells:
+        candidates = candidate_tree(mat, instance.weights, probe, instance.ell)
         if any(line is None for _F, line, _b in candidates):
             yield None
             return

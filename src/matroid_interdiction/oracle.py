@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from .envelope import NEG_INF, POS_INF, interior_point
 from .interdiction import _check_cap
@@ -107,7 +108,7 @@ def verify_solution(
     so EnumerationCapExceeded is raised above the enumeration cap.
     """
     mat = instance.matroid.with_fresh_counter()
-    _check_cap(len(mat.available), instance.ell)
+    _check_cap(comb(len(mat.available), instance.ell))
     weights = instance.weights
     k = instance.rank
     samples, boundary = _sample_points(instance, solution, extra_samples, seed)

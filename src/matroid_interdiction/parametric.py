@@ -7,6 +7,10 @@ compare exactly against Fractions, no rounding is involved).  Ties are
 always broken by the fixed total order (weight at lam, element id
 ascending); there is no pluggable tie order.
 
+The equality points cut the interval into cells of fixed weight order:
+the arrangement, built once per solve by crossing_cells.  Every deleted
+view of a ground set sweeps the same cells (see parametric_sweep).
+
 The hot paths run on plain ints instead of Fractions.  Each weights
 sequence is written once in integer form: a common denominator d (the
 lcm of every a and b denominator) and numerator columns A, B with
@@ -133,14 +137,15 @@ def all_equality_points(
 def crossing_cells(interval: Interval, events: Sequence[EqualityPoint]):
     """The cells between consecutive distinct crossing lams, left to right.
 
-    Each cell is (lo, hi, crossings): crossings are the sorted events at
-    lo, all events sharing a lam in one group (none for the first cell).
+    Each cell is (lo, hi, probe, crossings): probe = interior_point(lo, hi)
+    is where solvers evaluate the cell, and crossings are the sorted events
+    at lo, all events sharing a lam in one group (none for the first cell).
     """
     cells, lo, crossings = [], interval.lo, ()
     for lam, group in groupby(events, key=attrgetter("lam")):
-        cells.append((lo, lam, crossings))
+        cells.append((lo, lam, interior_point(lo, lam), crossings))
         lo, crossings = lam, tuple(group)
-    cells.append((lo, interval.hi, crossings))
+    cells.append((lo, interval.hi, interior_point(lo, interval.hi), crossings))
     return cells
 
 
@@ -212,20 +217,6 @@ def greedy_min_basis(matroid: Matroid, weights: Sequence[ParametricWeight], lam:
     the rank; callers treat that as the infinite-value case.
     """
     return matroid.greedy(weight_order(matroid, weights, lam))
-
-
-def replacement_candidates(matroid: Matroid, basis: frozenset[int], e: int) -> frozenset[int]:
-    """Non-basis elements r for which basis - e + r stays independent."""
-    if e not in basis:
-        raise ValueError(f"element {e} is not in the basis")
-    rest = set(basis) - {e}
-    out = []
-    for r in matroid.available:
-        if r in basis:
-            continue
-        if matroid.is_independent(rest | {r}):
-            out.append(r)
-    return frozenset(out)
 
 
 def replacement_element(
@@ -330,42 +321,38 @@ def basis_line(weights: Sequence[ParametricWeight], basis: Iterable[int]) -> Lin
 def parametric_sweep(
     matroid: Matroid,
     weights: Sequence[ParametricWeight],
-    interval: Interval,
-    events: Sequence[EqualityPoint] | None = None,
+    cells: Sequence[tuple],
 ) -> PiecewiseLinearFunction:
-    """Minimum-basis value over the interval, one piece per basis.
+    """Minimum-basis value over the cells' span, one piece per basis.
 
-    Each piece carries the value line of its minimum basis and that
-    basis, a frozenset, as label; neighbouring pieces hold different
-    bases.  The basis is computed greedily once, strictly inside the
-    first cell; afterwards a lone crossing costs at most the one
-    independence test of exchange().  That shortcut is only sound when
-    the crossing is a single adjacent transposition of the weight order,
-    so a lam carrying several coincident crossings falls back to one
-    greedy recomputation just right of it.  Precomputed events may be
-    passed in; they are filtered down to the matroid's available
-    elements, so one sorted crossing list can be shared across many
-    deleted views of the same ground set.
+    cells is a crossing_cells() arrangement of any superset of the
+    matroid's available elements.  Pieces are labeled with their basis,
+    a frozenset; neighbouring pieces hold different bases.  The first
+    cell's probe gets a greedy basis.  Each later cell keeps only its
+    crossings between two available elements: with none the basis
+    stands, one costs at most exchange()'s single independence test, and
+    several coincident ones cost one greedy at the cell's probe.  That
+    probe lies in the matroid's own cell starting at the same lam, so
+    bases and oracle calls match a sweep over the matroid's own cells.
     """
-    if events is None:
-        events = all_equality_points(weights, interval, matroid.available)
-    else:
-        avail = set(matroid.available)
-        events = [ev for ev in events if ev.leaving in avail and ev.entering in avail]
-    sweep_cells = crossing_cells(interval, events)
-    basis = greedy_min_basis(matroid, weights, interior_point(interval.lo, sweep_cells[0][1]))
+    deleted = matroid.deleted
+    basis = greedy_min_basis(matroid, weights, cells[0][2])
     pieces: list[Piece] = []
-    lo = interval.lo
-    for lam, next_lam, crossings in sweep_cells[1:]:
-        if len(crossings) == 1:
-            nxt = exchange(matroid, basis, crossings[0])
+    lo = cells[0][0]
+    for lam, _hi, probe, crossings in cells[1:]:
+        live = [ev for ev in crossings if ev.leaving not in deleted and ev.entering not in deleted]
+        if not live:
+            continue
+        if len(live) == 1:
+            nxt = exchange(matroid, basis, live[0])
         else:
-            nxt = greedy_min_basis(matroid, weights, interior_point(lam, next_lam))
+            nxt = greedy_min_basis(matroid, weights, probe)
         if nxt != basis:
             pieces.append(Piece(lo, lam, basis_line(weights, basis), basis))
             lo, basis = lam, nxt
-    pieces.append(Piece(lo, interval.hi, basis_line(weights, basis), basis))
-    return PiecewiseLinearFunction(interval.lo, interval.hi, tuple(pieces))
+    hi = cells[-1][1]
+    pieces.append(Piece(lo, hi, basis_line(weights, basis), basis))
+    return PiecewiseLinearFunction(cells[0][0], hi, tuple(pieces))
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from matroid_interdiction.parametric import (
     MatroidInstance,
     all_equality_points,
     basis_line,
+    crossing_cells,
     greedy_min_basis,
     interdicted_basis_via_replacement,
     most_vital_element,
@@ -216,8 +217,9 @@ def _check_replacement_lemma(instance, probe):
 
 
 def _check_sweep_cells(instance):
-    mat, weights = instance.matroid, instance.weights
-    sweep = parametric_sweep(mat, weights, instance.interval)
+    mat, weights, interval = instance.matroid, instance.weights, instance.interval
+    cells = crossing_cells(interval, all_equality_points(weights, interval, mat.available))
+    sweep = parametric_sweep(mat, weights, cells)
     for piece in sweep.pieces:
         probe = interior_point(piece.lo, piece.hi)
         assert greedy_min_basis(mat, weights, probe) == piece.label

@@ -130,8 +130,8 @@ def test_solve_enumeration_cap_exits_4(tmp_path, monkeypatch, capsys):
 
 
 def test_verify_enumeration_cap_exits_4(tmp_path, monkeypatch, capsys):
-    # tree enumerates no deletion sets here, so only the verifier's
-    # C(5, 1) = 5 per sample exceeds the cap
+    # tree's 3 * C(2, 0) = 3 candidates per cell fit the cap, so only
+    # the verifier's C(5, 1) = 5 per sample exceeds it
     monkeypatch.setenv("INTERDICTION_ENUM_CAP", "4")
     path, out = write_instance(tmp_path), str(tmp_path / "sol.json")
     assert main(["solve", path, "--algorithm", "tree", "-o", out]) == 0
@@ -161,6 +161,39 @@ def test_witness_search_cap_exits_4(tmp_path, monkeypatch, capsys, algorithm):
     monkeypatch.setenv("INTERDICTION_ENUM_CAP", "1000")
     assert main(["solve", write_instance(tmp_path, payload), "--algorithm", algorithm]) == 4
     assert "enumeration cap 1000" in capsys.readouterr().err
+
+
+def test_tree_candidate_cap_exits_4(tmp_path, monkeypatch, capsys):
+    # C(60, 5) = 5,461,512 deletion sets stop brute and uset at once;
+    # tree's 30 * C(33, 4) = 1,227,600 candidates per cell stop it too
+    inst = str(tmp_path / "big.json")
+    assert main(["generate", "uniform", "--m", "60", "--k", "30", "--ell", "5", "-o", inst]) == 0
+    for algorithm in ("brute", "uset", "tree"):
+        assert main(["solve", inst, "--algorithm", algorithm]) == 4
+    assert "1227600 deletion sets" in capsys.readouterr().err
+    # on the diamond (k = 3, ell = 1) the tree holds 3 candidates
+    monkeypatch.setenv("INTERDICTION_ENUM_CAP", "2")
+    assert main(["solve", write_instance(tmp_path), "--algorithm", "tree"]) == 4
+    assert "enumeration cap 2" in capsys.readouterr().err
+    monkeypatch.setenv("INTERDICTION_ENUM_CAP", "3")
+    assert main(["solve", write_instance(tmp_path), "--algorithm", "tree", "-o", "-"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "INST", "-o", "OUT"],
+        ["solve", "INST", "--emit-plot", "OUT", "-o", "-"],
+        ["generate", "uniform", "--m", "5", "--k", "2", "--ell", "1", "-o", "OUT"],
+        ["bench", "INST", "-o", "OUT"],
+    ],
+)
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    out = str(tmp_path / "missing" / "out")
+    argv = [{"INST": write_instance(tmp_path), "OUT": out}.get(a, a) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("raw", ["abc", "-5"])
@@ -344,6 +377,19 @@ def test_bench_cross_checks_algorithms(tmp_path):
         assert row["changepoints"] <= row["changepoint_bound"]
         assert row["changepoint_bound"] == changepoint_bound(row["m"], row["k"], row["ell"])
         assert row["oracle_calls"] > 0
+
+
+def test_bench_rank_zero_instance(tmp_path):
+    payload = {
+        "matroid": {"type": "uniform", "m": 3, "k": 0},
+        "weights": [{"a": str(i), "b": "1"} for i in range(3)],
+        "ell": 1,
+        "interval": {"lo": "-1", "hi": "1"},
+    }
+    out = tmp_path / "bench.json"
+    assert main(["bench", write_instance(tmp_path, payload), "-o", str(out)]) == 0
+    for row in json.loads(out.read_text()):
+        assert (row["k"], row["changepoints"], row["changepoint_bound"]) == (0, 0, 0)
 
 
 def test_bench_unknown_algorithm_exits_2(tmp_path, capsys):

@@ -51,6 +51,8 @@ def test_changepoint_bound_values():
     assert changepoint_bound(10, 4, 2) == 720
     assert changepoint_bound_secondary(10, 4, 2) == 720
     assert changepoint_bound(36, 5, 3) == comb(36, 2) * comb(6, 2) * 5
+    # rank 0: the candidate tree is empty, so is the bound
+    assert [changepoint_bound(10, 0, ell) for ell in (1, 2, 3)] == [0, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +399,17 @@ def test_uset_tracked_family_respects_the_cap(monkeypatch):
     assert exc.value.subsets == 28
     monkeypatch.setenv("INTERDICTION_ENUM_CAP", "28")
     assert solve(inst, "uset").segments == solve(inst, "tree").segments
+
+
+def test_tree_refuses_a_candidate_tree_above_the_cap(monkeypatch):
+    inst = uniform_instance(10, 4, 2)  # 4 * C(4, 1) = 16 candidates per tree
+    expected = solve(inst, "tree").segments
+    monkeypatch.setenv("INTERDICTION_ENUM_CAP", "15")
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        solve(inst, "tree")
+    assert (exc.value.subsets, exc.value.cap) == (16, 15)
+    monkeypatch.setenv("INTERDICTION_ENUM_CAP", "16")
+    assert solve(inst, "tree").segments == expected
 
 
 def test_solve_rejects_unknown_algorithm():

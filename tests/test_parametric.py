@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from matroid_interdiction import parametric
 from matroid_interdiction.envelope import NEG_INF, POS_INF, interior_point
-from matroid_interdiction.matroid import graphic, uniform
+from matroid_interdiction.matroid import graphic, partition, uniform
 from matroid_interdiction.parametric import (
     EqualityPoint,
     Interval,
     MatroidInstance,
     all_equality_points,
     basis_line,
+    crossing_cells,
     equality_point,
     exchange,
     greedy_min_basis,
@@ -24,7 +25,6 @@ from matroid_interdiction.parametric import (
     parametric_sweep,
     pw,
     rat,
-    replacement_candidates,
     replacement_element,
     weight_at,
     weight_order,
@@ -158,14 +158,6 @@ def test_greedy_matches_brute_minimum(weights, lam):
     assert mat.is_independent(basis) and len(basis) == 3
     got = sum(weight_at(weights[e], lam) for e in basis)
     assert got == brute_min_basis_weight(mat, weights, lam)
-
-
-def test_replacement_candidates_on_a_square():
-    mat = graphic(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    basis = frozenset({0, 1, 2})
-    assert replacement_candidates(mat, basis, 1) == frozenset({3})
-    with pytest.raises(ValueError):
-        replacement_candidates(mat, basis, 3)
 
 
 def test_replacement_element_picks_cheapest_then_smallest_id():
@@ -331,8 +323,12 @@ def test_equality_points_sort_in_sweep_order():
     assert sorted(events) == [events[1], events[2], events[0]]
 
 
+def own_cells(mat, weights, interval):
+    return crossing_cells(interval, all_equality_points(weights, interval, mat.available))
+
+
 def check_sweep(mat, weights, interval):
-    sweep = parametric_sweep(mat, weights, interval)
+    sweep = parametric_sweep(mat, weights, own_cells(mat, weights, interval))
     pieces = sweep.pieces
     assert pieces[0].lo == interval.lo and pieces[-1].hi == interval.hi
     for a, b in zip(pieces, pieces[1:]):
@@ -364,26 +360,69 @@ def test_sweep_unbounded_interval():
 def test_sweep_point_interval():
     mat = uniform(3, 2)
     weights = [pw(0, 1), pw(4, -1), pw(2, 0)]
-    sweep = parametric_sweep(mat, weights, Interval(F(2), F(2)))
+    sweep = parametric_sweep(mat, weights, own_cells(mat, weights, Interval(F(2), F(2))))
     assert len(sweep.pieces) == 1
     assert sweep.pieces[0].label == greedy_min_basis(mat, weights, F(2))
 
 
-def test_sweep_accepts_shared_events():
-    mat = graphic(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
-    weights = [pw(i % 3, (-1) ** i * (i + 1)) for i in range(6)]
-    interval = Interval(F(-3), F(3))
-    events = all_equality_points(weights, interval, mat.available)
-    deleted = mat.delete({5})
-    own = parametric_sweep(deleted, weights, interval)
-    shared = parametric_sweep(deleted, weights, interval, events=events)
-    assert own.pieces == shared.pieces
+small_ints = st.tuples(st.integers(-3, 3), st.integers(-2, 2))
+
+
+@st.composite
+def arrangement_cases(draw):
+    """A small matroid, integer weights (so crossings coincide), an
+    interval of every shape, and a deletion of up to 3 elements."""
+    kind = draw(st.sampled_from(["graphic", "partition", "uniform"]))
+    if kind == "graphic":
+        n = draw(st.integers(2, 4))
+        vertex = st.integers(0, n - 1)
+        mat = graphic(n, draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=7)))
+    elif kind == "partition":
+        blocks = draw(st.lists(st.integers(0, 2), min_size=1, max_size=7))
+        mat = partition(blocks, draw(st.lists(st.integers(0, 2), min_size=3, max_size=3)))
+    else:
+        m = draw(st.integers(1, 7))
+        mat = uniform(m, draw(st.integers(0, m)))
+    m = mat.ground_size
+    weights = tuple(pw(a, b) for a, b in draw(st.lists(small_ints, min_size=m, max_size=m)))
+    lo, width = draw(st.integers(-3, 3)), draw(st.integers(0, 4))
+    interval = draw(
+        st.sampled_from(
+            [
+                Interval(F(lo), F(lo)),
+                Interval(F(lo), F(lo + width)),
+                Interval(NEG_INF, F(lo)),
+                Interval(F(lo), POS_INF),
+                Interval(NEG_INF, POS_INF),
+            ]
+        )
+    )
+    deleted = draw(st.sets(st.integers(0, m - 1), max_size=min(3, m)))
+    return mat, weights, interval, deleted
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=arrangement_cases())
+def test_sweep_over_the_full_arrangement_matches_its_own(case):
+    # a deleted view swept over its ground set's cells gives the pieces
+    # and oracle calls of a sweep over its own cells
+    mat, weights, interval, deleted = case
+    full = own_cells(mat, weights, interval)
+    view = mat.delete(deleted)
+    shared_view, own_view = view.with_fresh_counter(), view.with_fresh_counter()
+    shared = parametric_sweep(shared_view, weights, full)
+    own = parametric_sweep(own_view, weights, own_cells(view, weights, interval))
+    assert shared.pieces == own.pieces
+    assert shared_view.oracle_calls == own_view.oracle_calls
+    for lo, hi, probe, crossings in full:
+        assert probe == lo if lo == hi else lo < probe < hi
+        assert all(ev.lam == lo for ev in crossings)
 
 
 def test_sweep_cell_at():
     mat = uniform(3, 2)
     weights = [pw(0, 1), pw(4, -1), pw(2, 0)]
-    sweep = parametric_sweep(mat, weights, Interval(F(0), F(5)))
+    sweep = parametric_sweep(mat, weights, own_cells(mat, weights, Interval(F(0), F(5))))
     assert sweep.piece_at(F(5)) == sweep.pieces[-1]
     with pytest.raises(ValueError):
         sweep.piece_at(F(6))

@@ -1,4 +1,4 @@
-"""The README's library quickstart runs against the package surface."""
+"""The README's python blocks run, in order, against the package surface."""
 
 import re
 from pathlib import Path
@@ -9,9 +9,11 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_quickstart_runs_and_exports_resolve(capsys):
-    block = re.search(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
-    assert block, "README has no python block"
-    exec(compile(block.group(1), str(README), "exec"), {})
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
+    assert blocks, "README has no python block"
+    namespace = {}
+    for block in blocks:  # later blocks continue the quickstart
+        exec(compile(block, str(README), "exec"), namespace)
     assert capsys.readouterr().out.strip()
     missing = [n for n in matroid_interdiction.__all__ if not hasattr(matroid_interdiction, n)]
     assert missing == []

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -209,20 +210,25 @@ def _dump_json(data, path: str | None):
 # solve
 
 
+def _check_plot_step(step: Fraction, lo, hi) -> None:
+    """Refuse a step that is not positive, an unbounded [lo, hi], or too many rows."""
+    if step <= 0:
+        raise CliError(EXIT_PARSE, f"plot step must be positive, got {step}")
+    if lo == NEG_INF or hi == POS_INF:
+        raise CliError(EXIT_PARSE, "plot emission needs a finite interval")
+    samples = (hi - lo) // step + 1
+    if samples > PLOT_MAX_ROWS:
+        raise CliError(EXIT_CAP, f"plot step {step} gives {samples} rows, above the cap {PLOT_MAX_ROWS}")
+
+
 def emit_plot_data(solution: InterdictionSolution, step: Fraction) -> str:
     """Tabular (lambda, y, f_star) samples at the given step.
 
     Every changepoint appears as an explicit row even when the step
     would jump over it.
     """
-    if step <= 0:
-        raise CliError(EXIT_PARSE, f"plot step must be positive, got {step}")
     lo, hi = solution.envelope.lo, solution.envelope.hi
-    if lo == NEG_INF or hi == POS_INF:
-        raise CliError(EXIT_PARSE, "plot emission needs a finite interval")
-    samples = (hi - lo) // step + 1
-    if samples > PLOT_MAX_ROWS:
-        raise CliError(EXIT_CAP, f"plot step {step} gives {samples} rows, above the cap {PLOT_MAX_ROWS}")
+    _check_plot_step(step, lo, hi)
     points = {lo, hi}
     lam = lo
     while lam <= hi:
@@ -279,11 +285,18 @@ def _cmd_solve(args) -> int:
     instance = parse_instance(args.instance)
     if args.algorithm not in ALGORITHMS:
         raise CliError(EXIT_PARSE, f"unknown algorithm {args.algorithm!r}")
+    if args.emit_plot:  # a bad step must not wait for the solve
+        step = parse_rational(args.step, "--step")
+        _check_plot_step(step, instance.interval.lo, instance.interval.hi)
     solution, data, code = run(instance, args.algorithm, args.verify, args.samples, args.seed)
     if args.emit_plot:
-        step = parse_rational(args.step, "--step")
         _write(args.emit_plot, emit_plot_data(solution, step))
-    _dump_json(data, args.output)
+    try:
+        _dump_json(data, args.output)
+    except CliError:
+        if args.emit_plot:  # leave no half of the output behind
+            os.remove(args.emit_plot)
+        raise
     if code == EXIT_VERIFY:
         print("verification FAILED:", file=sys.stderr)
         for line in data["meta"]["verification"]["failures"]:

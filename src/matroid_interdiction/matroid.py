@@ -6,11 +6,24 @@ only).  Elements are dense integer ids 0..m-1.  Deletion returns a new
 view sharing the family; matroid objects never mutate after
 construction, so they are safe to share across solver runs.
 
-A graphic query costs O(|subset| + touched vertices): the family
-renumbers the vertices its edges touch once, and each query runs one
-union-find over those alone, so isolated vertices cost nothing.
-Matroid.greedy is the one greedy scan of the solvers (minimum bases
-and rank); only the enumeration oracle keeps its own, as a reference.
+Two kinds of independence test share one oracle-call counter.  A
+one-shot query, Matroid.is_independent, tests a whole set from nothing:
+a graphic query costs O(|subset| + touched vertices), because the
+family renumbers the vertices its edges touch once and each query runs
+one fresh union-find over those alone.  An augment test asks whether
+one more element keeps a growing independent set independent.  Every
+family keeps that set in an augment state, scan(), with add(e) (grow
+if still independent) and fits(e) (test only): graphic keeps one
+union-find with path halving, grown Kruskal style, partition the room
+left in each block, uniform a count, explicit the set itself for its
+one-shot test.  A graphic augment test then costs two near-constant
+root finds instead of a union-find over the whole set.  Each augment
+test counts as one oracle call, as the one-shot query it replaces did.
+
+Matroid.greedy (minimum bases and rank) grows one state along an
+order, and Matroid.first_fit (replacement searches) grows one over a
+base and asks fits() of each candidate.  The enumeration oracle keeps
+its own greedy on one-shot queries, as a reference.
 """
 
 from __future__ import annotations
@@ -54,6 +67,45 @@ class _GraphicFamily:
             parent[u] = v
         return True
 
+    def scan(self) -> "_GraphicScan":
+        return _GraphicScan(self)
+
+
+class _GraphicScan:
+    """One union-find over the touched vertices, grown edge by edge."""
+
+    __slots__ = ("members", "_ends", "_parent")
+
+    def __init__(self, family: _GraphicFamily):
+        self.members: set[int] = set()
+        self._ends = family._ends
+        self._parent = list(range(family._touched))
+
+    def _roots(self, e: int) -> tuple[int, int]:
+        parent = self._parent
+        u, v = self._ends[e]
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return u, v
+
+    def fits(self, e: int) -> bool:
+        if e in self.members:
+            return True
+        u, v = self._roots(e)
+        return u != v
+
+    def add(self, e: int) -> bool:
+        if e in self.members:
+            return True
+        u, v = self._roots(e)
+        if u == v:  # closes a cycle (self-loops included)
+            return False
+        self._parent[u] = v
+        self.members.add(e)
+        return True
+
 
 class _UniformFamily:
     kind = "uniform"
@@ -66,6 +118,9 @@ class _UniformFamily:
 
     def independent(self, subset: frozenset[int]) -> bool:
         return len(subset) <= self.k
+
+    def scan(self) -> "_UniformScan":
+        return _UniformScan(self)
 
 
 class _PartitionFamily:
@@ -92,6 +147,33 @@ class _PartitionFamily:
                 return False
         return True
 
+    def scan(self) -> "_PartitionScan":
+        return _PartitionScan(self)
+
+
+class _PartitionScan:
+    """The room left in each block."""
+
+    __slots__ = ("members", "_blocks", "_room")
+
+    def __init__(self, family: _PartitionFamily):
+        self.members: set[int] = set()
+        self._blocks = family.blocks
+        self._room = list(family.capacities)
+
+    def fits(self, e: int) -> bool:
+        return e in self.members or self._room[self._blocks[e]] > 0
+
+    def add(self, e: int) -> bool:
+        if e in self.members:
+            return True
+        b = self._blocks[e]
+        if not self._room[b]:
+            return False
+        self._room[b] -= 1
+        self.members.add(e)
+        return True
+
 
 class _ExplicitFamily:
     kind = "explicit"
@@ -113,6 +195,41 @@ class _ExplicitFamily:
 
     def independent(self, subset: frozenset[int]) -> bool:
         return any(subset <= b for b in self.bases)
+
+    def scan(self) -> "_OneShotScan":
+        return _OneShotScan(self)
+
+
+class _OneShotScan:
+    """The generic augment state: the set itself, tested by one-shot queries."""
+
+    __slots__ = ("members", "_independent")
+
+    def __init__(self, family):
+        self.members: set[int] = set()
+        self._independent = family.independent
+
+    def fits(self, e: int) -> bool:
+        return e in self.members or self._independent(self.members | {e})
+
+    def add(self, e: int) -> bool:
+        if not self.fits(e):
+            return False
+        self.members.add(e)
+        return True
+
+
+class _UniformScan(_OneShotScan):
+    """A count: the set grows while it holds fewer than k elements."""
+
+    __slots__ = ("_k",)
+
+    def __init__(self, family: _UniformFamily):
+        super().__init__(family)
+        self._k = family.k
+
+    def fits(self, e: int) -> bool:
+        return e in self.members or len(self.members) < self._k
 
 
 class Matroid:
@@ -151,10 +268,10 @@ class Matroid:
         return Matroid(self._family, self.deleted, [0])
 
     def is_independent(self, subset: Iterable[int]) -> bool:
-        s = frozenset(subset)
-        bad = s & self.deleted
-        if bad:
-            raise ValueError(f"subset touches deleted elements {sorted(bad)}")
+        """One-shot query: one oracle call on the whole subset."""
+        s = subset if isinstance(subset, (set, frozenset)) else frozenset(subset)
+        if not self.deleted.isdisjoint(s):
+            raise _touches_deleted(s, self.deleted)
         self._counter[0] += 1
         return self._family.independent(s)
 
@@ -164,18 +281,43 @@ class Matroid:
     def greedy(self, order: Iterable[int], stop_at: int | None = None) -> frozenset[int]:
         """The independent set grown greedily along order.
 
-        Each element tried costs one oracle call.  The scan stops,
-        spending no further call, once the set holds stop_at elements.
-        Along a weight order this is the minimum basis.
+        One augment state is grown along order, and each element tried
+        costs one oracle call (an element already chosen is a no-op
+        test, still counted).  The scan stops, spending no further call,
+        once the set holds stop_at elements.  Along a weight order this
+        is the minimum basis.
         """
-        chosen: set[int] = set()
+        scan = self._family.scan()
+        add, chosen = scan.add, scan.members
+        deleted, counter = self.deleted, self._counter
         for e in order:
             if len(chosen) == stop_at:
                 break
-            chosen.add(e)
-            if not self.is_independent(chosen):
-                chosen.discard(e)
+            if e in deleted:
+                raise _touches_deleted({e}, deleted)
+            counter[0] += 1
+            add(e)
         return frozenset(chosen)
+
+    def first_fit(self, base: Iterable[int], candidates: Iterable[int]) -> int | None:
+        """The first candidate c with base + c independent, or None.
+
+        One augment state is grown over base, uncounted, and each
+        candidate tried costs one oracle call.  A dependent base fits no
+        candidate, and every candidate is still charged.
+        """
+        deleted, counter = self.deleted, self._counter
+        if not deleted.isdisjoint(base):
+            raise _touches_deleted(base, deleted)
+        scan = self._family.scan()
+        fits = scan.fits if all(scan.add(e) for e in base) else None
+        for c in candidates:
+            if c in deleted:
+                raise _touches_deleted({c}, deleted)
+            counter[0] += 1
+            if fits is not None and fits(c):
+                return c
+        return None
 
     def rank(self, stop_at: int | None = None) -> int:
         """min(rank, stop_at): the size of the greedy set grown by id."""
@@ -183,6 +325,10 @@ class Matroid:
 
     def __repr__(self) -> str:
         return f"Matroid({self._family.kind}, m={self.ground_size}, deleted={sorted(self.deleted)})"
+
+
+def _touches_deleted(subset, deleted: frozenset[int]) -> ValueError:
+    return ValueError(f"subset touches deleted elements {sorted(deleted.intersection(subset))}")
 
 
 def graphic(num_vertices: int, edges: Sequence[tuple[int, int]]) -> Matroid:

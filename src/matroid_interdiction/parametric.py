@@ -235,12 +235,9 @@ def replacement_element(
     if e not in basis:
         raise ValueError(f"element {e} is not in the basis")
     pool = matroid.available if among is None else among
-    rest = set(basis) - {e}
     rank = _ground_order(weights, lam)[1]
-    for r in sorted((r for r in pool if r not in basis), key=rank.__getitem__):
-        if matroid.is_independent(rest | {r}):
-            return r
-    return None
+    candidates = sorted((r for r in pool if r not in basis), key=rank.__getitem__)
+    return matroid.first_fit(basis - {e}, candidates)
 
 
 def most_vital_element(

@@ -351,6 +351,37 @@ def test_emit_plot_row_cap_exits_4(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "step, interval, code",
+    [
+        ("abc", {"lo": "-2", "hi": "2"}, 2),
+        ("0", {"lo": "-2", "hi": "2"}, 2),
+        ("-1/2", {"lo": "-2", "hi": "2"}, 2),
+        ("1", {"lo": "-inf", "hi": "2"}, 2),
+        ("1/1000000000", {"lo": "-2", "hi": "2"}, 4),
+    ],
+)
+def test_bad_plot_step_exits_before_solving(tmp_path, monkeypatch, capsys, step, interval, code):
+    def no_solve(*_args):
+        raise AssertionError("solved before the plot step was checked")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    inst = write_instance(tmp_path, {**DIAMOND, "interval": interval})
+    plot, out = tmp_path / "plot.tsv", tmp_path / "sol.json"
+    assert main(["solve", inst, "--emit-plot", str(plot), f"--step={step}", "-o", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert not plot.exists() and not out.exists()
+
+
+def test_failed_solution_write_removes_the_plot(tmp_path, capsys):
+    plot, out = tmp_path / "plot.tsv", tmp_path / "missing" / "sol.json"
+    argv = ["solve", write_instance(tmp_path), "--emit-plot", str(plot), "-o", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+    assert not plot.exists()
+
+
 # ---------------------------------------------------------------------------
 # bench
 

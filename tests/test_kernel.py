@@ -162,6 +162,9 @@ KERNEL = {
     "_ground_order",
     "weight_order",
     "greedy",
+    # augment states: the oracle stays on one-shot is_independent queries
+    "first_fit",
+    "scan",
     "greedy_min_basis",
     "basis_line",
     "envelope_of_lines",

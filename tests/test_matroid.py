@@ -243,12 +243,16 @@ def test_partition_matches_counting(blocks, caps):
 
 
 def reference_greedy(mat: Matroid, order, stop_at):
-    """The greedy scan written out: one oracle call per element tried."""
+    """The greedy scan written out: one one-shot query per element tried.
+
+    An element already chosen is tried again at the cost of one call
+    and changes nothing.
+    """
     chosen: list[int] = []
     for e in order:
         if len(chosen) == stop_at:
             break
-        if mat.is_independent([*chosen, e]):
+        if mat.is_independent([*chosen, e]) and e not in chosen:
             chosen.append(e)
     return frozenset(chosen)
 
@@ -274,14 +278,53 @@ def _uniform_st():
     return st.integers(1, 9).flatmap(lambda m: st.integers(0, m).map(lambda k: uniform(m, k)))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(_graphic_st(), _partition_st(), _uniform_st()), st.data())
+def _bases_of(mat: Matroid):
+    m = mat.ground_size
+    independent = [s for r in range(m + 1) for s in combinations(range(m), r) if mat.is_independent(s)]
+    k = max(map(len, independent))
+    return explicit(m, [s for s in independent if len(s) == k])
+
+
+def _explicit_st():
+    # the basis list of a small graphic or partition matroid
+    return st.one_of(_graphic_st(), _partition_st()).filter(lambda mat: mat.ground_size <= 7).map(_bases_of)
+
+
+ANY_FAMILY = st.one_of(_graphic_st(), _partition_st(), _uniform_st(), _explicit_st())
+
+
+@settings(max_examples=200, deadline=None)
+@given(ANY_FAMILY, st.data())
+def test_scan_agrees_with_the_one_shot_query(mat, data):
+    # random insertion orders with repeated ids; fits() must not grow the set
+    family = mat._family
+    m = mat.ground_size
+    steps = data.draw(st.lists(st.tuples(st.integers(0, m - 1), st.booleans()), max_size=2 * m + 2))
+    scan = family.scan()
+    chosen: set[int] = set()
+    for e, grow in steps:
+        fits = family.independent(frozenset(chosen | {e}))
+        assert scan.fits(e) == fits
+        if grow:
+            assert scan.add(e) == fits
+            if fits:
+                chosen.add(e)
+        assert scan.members == chosen
+
+
+@settings(max_examples=200, deadline=None)
+@given(ANY_FAMILY, st.data())
 def test_greedy_matches_the_reference_scan(mat, data):
     m = mat.ground_size
     deleted = data.draw(st.sets(st.integers(0, m - 1), max_size=m - 1), label="deleted")
     view = mat.delete(deleted)
     order = data.draw(st.permutations(view.available), label="order")
     order = order[: data.draw(st.integers(0, len(order)), label="prefix")]
+    if order and data.draw(st.booleans(), label="repeat"):
+        # an id tried a second time: a counted no-op that spends no room
+        i = data.draw(st.integers(0, len(order) - 1), label="repeated")
+        j = data.draw(st.integers(i + 1, len(order)), label="again at")
+        order.insert(j, order[i])
     stop_at = data.draw(st.none() | st.integers(0, m + 1), label="stop_at")
     a, b = view.with_fresh_counter(), view.with_fresh_counter()
     assert a.greedy(order, stop_at) == reference_greedy(b, order, stop_at)

@@ -429,6 +429,58 @@ def test_sweep_cell_at():
 
 
 # ---------------------------------------------------------------------------
+# the replacement search against one-shot queries
+
+
+def reference_replacement(matroid, weights, basis, e, lam, among=None):
+    """The replacement search written out: one one-shot query per candidate."""
+    pool = matroid.available if among is None else among
+    rest = set(basis) - {e}
+    for r in sorted((r for r in pool if r not in basis), key=lambda r: (weight_at(weights[r], lam), r)):
+        if matroid.is_independent(rest | {r}):
+            return r
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=arrangement_cases(), lam=rationals, data=st.data())
+def test_replacement_element_matches_the_reference_search(case, lam, data):
+    # same element, same oracle calls, same refusal: on greedy bases and
+    # on arbitrary (possibly dependent) ones, with and without among=,
+    # whose pool may hold deleted elements
+    mat, weights, _interval, deleted = case
+    view = mat.delete(deleted)
+    if not view.available:
+        return
+    if data.draw(st.booleans(), label="greedy basis"):
+        basis = greedy_min_basis(view.with_fresh_counter(), weights, lam)
+    else:
+        basis = frozenset(data.draw(st.sets(st.sampled_from(view.available), min_size=1), label="basis"))
+    if not basis:
+        return
+    e = data.draw(st.sampled_from(sorted(basis)), label="e")
+    among = data.draw(st.none() | st.sets(st.integers(0, mat.ground_size - 1)), label="among")
+    fast, slow = view.with_fresh_counter(), view.with_fresh_counter()
+    try:
+        want = reference_replacement(slow, weights, basis, e, lam, among)
+    except ValueError:
+        with pytest.raises(ValueError, match="deleted"):
+            replacement_element(fast, weights, basis, e, lam, among)
+    else:
+        assert replacement_element(fast, weights, basis, e, lam, among) == want
+    assert fast.oracle_calls == slow.oracle_calls
+
+
+def test_replacement_element_charges_every_candidate_of_a_dependent_basis():
+    # basis - {3} = {0, 1, 2} is a triangle, so no candidate completes it
+    mat = graphic(3, [(0, 1), (1, 2), (0, 2), (0, 1), (1, 2), (0, 2)])
+    weights = [pw(i, 0) for i in range(6)]
+    counted = mat.with_fresh_counter()
+    assert replacement_element(counted, weights, frozenset({0, 1, 2, 3}), 3, F(0)) is None
+    assert counted.oracle_calls == 2  # candidates 4 and 5
+
+
+# ---------------------------------------------------------------------------
 # instances
 
 

@@ -13,13 +13,16 @@ interdicted basis.
   every cell between consecutive crossings.
 
 Each solve builds one crossing arrangement, whose cells carry the probe
-lam where every solver evaluates them.  uset and tree share one cell loop,
-_solve_by_cells.  A generator cell_lines(mat, instance, cells) yields
-per cell the (value line, SegmentLabel) entries of its candidate
-deletion sets, or None on a rank kill; it is resumed only after the
-previous cell's envelope is taken, so independence tests run in sweep
-order, and it keeps its own state across cells (uset's layered bases
-and tracked family) as locals.  brute stays on upper_envelope over
+lam where every solver evaluates them.  uset and tree differ only in the
+deletion sets they consider per cell, and share one cell loop,
+_solve_by_cells.  A generator cell_bases(mat, instance, cells) yields
+per cell a dict {F: interdicted basis} of its candidate deletion sets,
+or None on a rank kill; it is resumed only after the previous cell's
+envelope is taken, so independence tests run in sweep order, and it
+keeps its own state across cells (uset's layered bases and tracked
+family) as locals.  The cell loop is the one place where a pair becomes
+an envelope entry, (basis_line, SegmentLabel), reusing the previous
+cell's entry for the same pair.  brute stays on upper_envelope over
 whole per-deletion sweeps, an independent reference for the shared loop.
 
 A deletion that kills the matroid rank makes y identically +inf; the
@@ -305,18 +308,27 @@ def _flat_solution(mat, instance, algorithm, killer=None) -> InterdictionSolutio
     return InterdictionSolution(env, (), algorithm, mat.oracle_calls)
 
 
-def _solve_by_cells(instance: MatroidInstance, algorithm: str, cell_lines) -> InterdictionSolution:
-    """Envelope of cell_lines' candidates per crossing cell, concatenated."""
+def _solve_by_cells(instance: MatroidInstance, algorithm: str, cell_bases) -> InterdictionSolution:
+    """Envelope of cell_bases' deletion sets per crossing cell, concatenated.
+
+    cell_bases(mat, instance, cells) yields per cell a dict {F: basis} of
+    candidate deletion sets and their interdicted bases, or None on a
+    rank kill.  This loop alone turns a pair into an envelope entry
+    (basis_line, SegmentLabel); an entry the previous cell made for the
+    same (F, basis) is reused, and older ones are dropped.
+    """
     mat = instance.matroid.with_fresh_counter()
     if instance.rank == 0:
         return _flat_solution(mat, instance, algorithm)
     weights, interval = instance.weights, instance.interval
     cells = crossing_cells(interval, all_equality_points(weights, interval, mat.available))
     cell_envs: list[PiecewiseLinearFunction] = []
-    for (lo, hi, _probe, _crossings), entries in zip(cells, cell_lines(mat, instance, cells)):
-        if entries is None:
+    made: dict = {}  # the previous cell's entries, keyed by (F, basis)
+    for (lo, hi, _probe, _crossings), bases in zip(cells, cell_bases(mat, instance, cells)):
+        if bases is None:
             return _flat_solution(mat, instance, algorithm)
-        cell_envs.append(envelope_of_lines(entries, lo, hi))
+        made = {fb: made.get(fb) or (basis_line(weights, fb[1]), _label(*fb)) for fb in bases.items()}
+        cell_envs.append(envelope_of_lines(list(made.values()), lo, hi))
     env = concatenate(cell_envs)
     return InterdictionSolution(env, _classify(env), algorithm, mat.oracle_calls)
 
@@ -356,8 +368,8 @@ def solve_uset(instance: MatroidInstance) -> InterdictionSolution:
     Per lone crossing, the union and every tracked (F, basis) pair
     update in a few independence tests each; coincident crossings and
     crossings that reshape the union rebuild the tracked family from
-    scratch.  Per cell the envelope of the tracked value lines is
-    taken, and the cells concatenate to y.
+    scratch.  Per cell the tracked family, F -> basis, goes to the
+    shared cell loop, which takes the envelope of its value lines.
     """
     return _solve_by_cells(instance, "uset", _uset_cells)
 
@@ -376,11 +388,7 @@ def _uset_cells(mat, instance, cells):
             new_lb = update_u(mat, weights, lb, ev, probe)
             u1, u2 = lb.union, new_lb.union
             if u2 == u1 or u2 == u1 - {ev.leaving} | {ev.entering}:
-                new_tracked = {}
-                for F, (basis, line) in tracked.items():
-                    F2, B2 = update_interdicted_set(mat, F, basis, ev, u1, u2)
-                    new_tracked[F2] = (B2, line if B2 == basis else basis_line(weights, B2))
-                tracked = new_tracked
+                tracked = dict(update_interdicted_set(mat, F, B, ev, u1, u2) for F, B in tracked.items())
                 lb = new_lb
             else:
                 rebuild = True
@@ -390,7 +398,7 @@ def _uset_cells(mat, instance, cells):
             if tracked is None:
                 yield None
                 return
-        yield [(line, _label(F, basis)) for F, (basis, line) in tracked.items()]
+        yield tracked
 
 
 def _track_family(mat, weights, probe, union, ell, k):
@@ -398,12 +406,12 @@ def _track_family(mat, weights, probe, union, ell, k):
     if len(union) < ell:
         return None  # everything outside the union is a loop; deleting the union kills
     _check_cap(comb(len(union), ell))
-    tracked: dict[frozenset[int], tuple[frozenset[int], Line]] = {}
+    tracked: dict[frozenset[int], frozenset[int]] = {}
     for F in combinations(sorted(union), ell):
         basis = greedy_min_basis(mat.delete(F), weights, probe)
         if len(basis) < k:
             return None
-        tracked[frozenset(F)] = (basis, basis_line(weights, basis))
+        tracked[frozenset(F)] = basis
     return tracked
 
 
@@ -416,18 +424,18 @@ def candidate_tree(
     weights: Sequence[ParametricWeight],
     lam: Fraction,
     ell: int,
-) -> list[tuple[frozenset[int], Line | None, frozenset[int]]]:
+) -> list[tuple[frozenset[int], frozenset[int] | None]]:
     """All relevant deletion candidates at lam, with multiplicity.
 
-    Returns (F, value line, interdicted basis) triples; a missing
-    replacement yields a +inf candidate (line None).  Every level grows
+    Returns (F, interdicted basis) pairs; a missing replacement yields a
+    rank-killing candidate (basis None).  Every level grows
     children by _tree_child; the last one expands all k basis elements
     of each of the C(k + ell - 2, ell - 1) nodes, forbidden ones too, so
     a full-rank instance gives exactly _tree_candidates(k, ell).
     """
     root = layered_bases(matroid, weights, lam, ell + 1)
     k = len(root.layers[0])
-    out: list[tuple[frozenset[int], Line | None, frozenset[int]]] = []
+    out: list[tuple[frozenset[int], frozenset[int] | None]] = []
     if k == 0:
         return out
     nodes: list[tuple[frozenset[int], frozenset[int], tuple[frozenset[int], ...]]] = [
@@ -442,9 +450,9 @@ def candidate_tree(
                 child_f = F | {e}
                 child = _tree_child(matroid, weights, lam, child_f, layers, e)
                 if child is None:
-                    out.append((child_f, None, frozenset()))
+                    out.append((child_f, None))
                 elif leaf:
-                    out.append((child_f, basis_line(weights, child[0]), child[0]))
+                    out.append((child_f, child[0]))
                 else:
                     nxt.append((child_f, frozenset(taken), child))
                 taken.add(e)
@@ -493,21 +501,20 @@ def _tree_child(matroid, weights, lam, child_f, layers, e):
 
 
 def solve_tree(instance: MatroidInstance) -> InterdictionSolution:
-    """Per cell, grow the candidate tree (refused above the cap) and take the envelope of its lines."""
+    """Per cell, grow the candidate tree (refused above the cap); its deletion sets go to the cell loop."""
     _check_cap(_tree_candidates(instance.rank, instance.ell))
     return _solve_by_cells(instance, "tree", _tree_cells)
 
 
 def _tree_cells(mat, instance, cells):
     for _lo, _hi, probe, _crossings in cells:
-        candidates = candidate_tree(mat, instance.weights, probe, instance.ell)
-        if any(line is None for _F, line, _b in candidates):
-            yield None
-            return
-        unique: dict[frozenset[int], tuple[Line, frozenset[int]]] = {}
-        for F, line, basis in candidates:
-            unique.setdefault(F, (line, basis))
-        yield [(line, _label(F, basis)) for F, (line, basis) in unique.items()]
+        bases: dict[frozenset[int], frozenset[int]] = {}
+        for F, basis in candidate_tree(mat, instance.weights, probe, instance.ell):
+            if basis is None:
+                yield None
+                return
+            bases.setdefault(F, basis)
+        yield bases
 
 
 ALGORITHMS = {

@@ -362,6 +362,9 @@ class MatroidInstance:
     interval: Interval
 
     def __post_init__(self):
+        # a tuple, so the frozen instance holds no mutable list and its
+        # weights hit the order memo, which serves tuples only
+        object.__setattr__(self, "weights", tuple(self.weights))
         m = self.matroid.ground_size
         if len(self.weights) != m:
             raise ValueError(f"expected {m} weights, got {len(self.weights)}")

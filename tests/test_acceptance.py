@@ -182,10 +182,10 @@ def test_criterion_4_combinatorial_bounds(corpus, solved_corpus):
             cands = candidate_tree(mat, weights, interior_point(lo, hi), ell)
             assert len(cands) == expected, (name, lo, hi, len(cands), expected)
             unique = {}
-            for fset, line, basis in cands:
-                unique.setdefault(fset, (line, basis))
+            for fset, basis in cands:
+                unique.setdefault(fset, basis)
             env = envelope_of_lines(
-                [(line, tuple(sorted(fset))) for fset, (line, _b) in unique.items()], lo, hi
+                [(basis_line(weights, b), tuple(sorted(fset))) for fset, b in unique.items()], lo, hi
             )
             non_dominated = {p.label for p in env.pieces}
             assert len(non_dominated) <= cap_after, (name, lo, hi)

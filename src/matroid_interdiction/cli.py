@@ -30,7 +30,7 @@ from .interdiction import (
 )
 from .matroid import Matroid, explicit, graphic, partition, uniform
 from .oracle import verify_solution
-from .parametric import Interval, MatroidInstance, pw, rat
+from .parametric import Interval, MatroidInstance, pw
 
 EXIT_OK = 0
 EXIT_PARSE = 2

@@ -13,7 +13,8 @@ interdicted basis.
   every cell between consecutive crossings.
 
 Each solve builds one crossing arrangement, whose cells carry the probe
-lam where every solver evaluates them.  uset and tree differ only in the
+where every solver evaluates them: its lam and the weight order there,
+sorted at most once per solve.  uset and tree differ only in the
 deletion sets they consider per cell, and share one cell loop,
 _solve_by_cells.  A generator cell_bases(mat, instance, cells) yields
 per cell a dict {F: interdicted basis} of its candidate deletion sets,
@@ -42,7 +43,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 from operator import attrgetter
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .envelope import (
     Changepoint,
@@ -57,9 +58,8 @@ from .envelope import (
 from .matroid import Matroid
 from .parametric import (
     EqualityPoint,
-    Interval,
     MatroidInstance,
-    ParametricWeight,
+    Probe,
     all_equality_points,
     basis_line,
     crossing_cells,
@@ -67,6 +67,7 @@ from .parametric import (
     greedy_min_basis,
     parametric_sweep,
     replacement_element,
+    weight_columns,
 )
 
 DEFAULT_ENUM_CAP = 200_000
@@ -184,12 +185,7 @@ class LayeredBases:
         return None
 
 
-def layered_bases(
-    matroid: Matroid,
-    weights: Sequence[ParametricWeight],
-    lam: Fraction,
-    depth: int,
-) -> LayeredBases:
+def layered_bases(matroid: Matroid, probe: Probe, *, depth: int) -> LayeredBases:
     if depth < 1:
         raise ValueError("layered bases need depth >= 1")
     layers: list[frozenset[int]] = []
@@ -198,7 +194,7 @@ def layered_bases(
         if layers and not layers[-1]:
             layers.append(frozenset())  # rank exhausted, stays empty
             continue
-        basis = greedy_min_basis(cur, weights, lam)
+        basis = greedy_min_basis(cur, probe)
         layers.append(basis)
         cur = cur.delete(basis)
     return LayeredBases(tuple(layers))
@@ -206,10 +202,9 @@ def layered_bases(
 
 def update_u(
     matroid: Matroid,
-    weights: Sequence[ParametricWeight],
     lb: LayeredBases,
     event: EqualityPoint,
-    next_probe: Fraction,
+    next_probe: Probe,
 ) -> LayeredBases:
     """Layered bases valid right of the event, from those valid left of it.
 
@@ -231,7 +226,7 @@ def update_u(
     if jf is not None and jf <= je:  # f already preferred, or same layer
         return lb
     if lb.truncated:
-        return layered_bases(matroid, weights, next_probe, lb.depth)
+        return layered_bases(matroid, next_probe, depth=lb.depth)
     layers = lb.layers
     swapped = exchange(matroid, layers[je], event)
     if swapped == layers[je]:
@@ -242,9 +237,7 @@ def update_u(
     deleted: set[int] = set()
     for layer in prefix:
         deleted |= layer
-    suffix = layered_bases(
-        matroid.delete(deleted), weights, next_probe, len(layers) - je - 1
-    )
+    suffix = layered_bases(matroid.delete(deleted), next_probe, depth=len(layers) - je - 1)
     return LayeredBases(tuple(prefix) + suffix.layers)
 
 
@@ -308,6 +301,13 @@ def _flat_solution(mat, instance, algorithm, killer=None) -> InterdictionSolutio
     return InterdictionSolution(env, (), algorithm, mat.oracle_calls)
 
 
+def _arrangement(mat, instance) -> list[tuple]:
+    """The solve's crossing cells over the available elements, one set of weight columns."""
+    weights, interval = instance.weights, instance.interval
+    events = all_equality_points(weights, interval, mat.available)
+    return crossing_cells(interval, events, weight_columns(mat, weights))
+
+
 def _solve_by_cells(instance: MatroidInstance, algorithm: str, cell_bases) -> InterdictionSolution:
     """Envelope of cell_bases' deletion sets per crossing cell, concatenated.
 
@@ -320,14 +320,13 @@ def _solve_by_cells(instance: MatroidInstance, algorithm: str, cell_bases) -> In
     mat = instance.matroid.with_fresh_counter()
     if instance.rank == 0:
         return _flat_solution(mat, instance, algorithm)
-    weights, interval = instance.weights, instance.interval
-    cells = crossing_cells(interval, all_equality_points(weights, interval, mat.available))
+    cells = _arrangement(mat, instance)
     cell_envs: list[PiecewiseLinearFunction] = []
     made: dict = {}  # the previous cell's entries, keyed by (F, basis)
-    for (lo, hi, _probe, _crossings), bases in zip(cells, cell_bases(mat, instance, cells)):
+    for (lo, hi, probe, _crossings), bases in zip(cells, cell_bases(mat, instance, cells)):
         if bases is None:
             return _flat_solution(mat, instance, algorithm)
-        made = {fb: made.get(fb) or (basis_line(weights, fb[1]), _label(*fb)) for fb in bases.items()}
+        made = {fb: made.get(fb) or (basis_line(probe.columns, fb[1]), _label(*fb)) for fb in bases.items()}
         cell_envs.append(envelope_of_lines(list(made.values()), lo, hi))
     env = concatenate(cell_envs)
     return InterdictionSolution(env, _classify(env), algorithm, mat.oracle_calls)
@@ -344,16 +343,15 @@ def solve_brute(instance: MatroidInstance) -> InterdictionSolution:
     k = instance.rank
     if k == 0:
         return _flat_solution(mat, instance, "brute")
-    weights, interval = instance.weights, instance.interval
-    cells = crossing_cells(interval, all_equality_points(weights, interval, mat.available))
+    cells = _arrangement(mat, instance)
     funcs = []
     for F in combinations(mat.available, instance.ell):
-        sweep = parametric_sweep(mat.delete(F), weights, cells)
+        sweep = parametric_sweep(mat.delete(F), cells)
         if len(sweep.pieces[0].label) < k:
             # first killing set in enumeration order is the smallest one
             return _flat_solution(mat, instance, "brute", killer=F)
         pieces = tuple(Piece(p.lo, p.hi, p.line, _label(F, p.label)) for p in sweep.pieces)
-        funcs.append(PiecewiseLinearFunction(interval.lo, interval.hi, pieces))
+        funcs.append(PiecewiseLinearFunction(sweep.lo, sweep.hi, pieces))
     env = upper_envelope(funcs)
     return InterdictionSolution(env, _classify(env), "brute", mat.oracle_calls)
 
@@ -375,7 +373,7 @@ def solve_uset(instance: MatroidInstance) -> InterdictionSolution:
 
 
 def _uset_cells(mat, instance, cells):
-    weights, ell, k = instance.weights, instance.ell, instance.rank
+    ell, k = instance.ell, instance.rank
     lb = tracked = None
     for _lo, _hi, probe, crossings in cells:
         # the one-test updates assume the crossing is a lone adjacent
@@ -385,7 +383,7 @@ def _uset_cells(mat, instance, cells):
         rebuild = len(crossings) != 1
         if not rebuild:
             (ev,) = crossings
-            new_lb = update_u(mat, weights, lb, ev, probe)
+            new_lb = update_u(mat, lb, ev, probe)
             u1, u2 = lb.union, new_lb.union
             if u2 == u1 or u2 == u1 - {ev.leaving} | {ev.entering}:
                 tracked = dict(update_interdicted_set(mat, F, B, ev, u1, u2) for F, B in tracked.items())
@@ -393,22 +391,22 @@ def _uset_cells(mat, instance, cells):
             else:
                 rebuild = True
         if rebuild:
-            lb = layered_bases(mat, weights, probe, ell)
-            tracked = _track_family(mat, weights, probe, lb.union, ell, k)
+            lb = layered_bases(mat, probe, depth=ell)
+            tracked = _track_family(mat, probe, lb.union, ell, k)
             if tracked is None:
                 yield None
                 return
         yield tracked
 
 
-def _track_family(mat, weights, probe, union, ell, k):
+def _track_family(mat, probe, union, ell, k):
     """Greedy bases for every ell-subset of the union; None on rank kill."""
     if len(union) < ell:
         return None  # everything outside the union is a loop; deleting the union kills
     _check_cap(comb(len(union), ell))
     tracked: dict[frozenset[int], frozenset[int]] = {}
     for F in combinations(sorted(union), ell):
-        basis = greedy_min_basis(mat.delete(F), weights, probe)
+        basis = greedy_min_basis(mat.delete(F), probe)
         if len(basis) < k:
             return None
         tracked[frozenset(F)] = basis
@@ -421,11 +419,10 @@ def _track_family(mat, weights, probe, union, ell, k):
 
 def candidate_tree(
     matroid: Matroid,
-    weights: Sequence[ParametricWeight],
-    lam: Fraction,
+    probe: Probe,
     ell: int,
 ) -> list[tuple[frozenset[int], frozenset[int] | None]]:
-    """All relevant deletion candidates at lam, with multiplicity.
+    """All relevant deletion candidates at the probe, with multiplicity.
 
     Returns (F, interdicted basis) pairs; a missing replacement yields a
     rank-killing candidate (basis None).  Every level grows
@@ -433,7 +430,7 @@ def candidate_tree(
     of each of the C(k + ell - 2, ell - 1) nodes, forbidden ones too, so
     a full-rank instance gives exactly _tree_candidates(k, ell).
     """
-    root = layered_bases(matroid, weights, lam, ell + 1)
+    root = layered_bases(matroid, probe, depth=ell + 1)
     k = len(root.layers[0])
     out: list[tuple[frozenset[int], frozenset[int] | None]] = []
     if k == 0:
@@ -448,7 +445,7 @@ def candidate_tree(
             taken: set[int] = set(forbidden)
             for e in sorted(layers[0] if leaf else layers[0] - forbidden):
                 child_f = F | {e}
-                child = _tree_child(matroid, weights, lam, child_f, layers, e)
+                child = _tree_child(matroid, probe, child_f, layers, e)
                 if child is None:
                     out.append((child_f, None))
                 elif leaf:
@@ -460,7 +457,7 @@ def candidate_tree(
     return out
 
 
-def _tree_child(matroid, weights, lam, child_f, layers, e):
+def _tree_child(matroid, probe, child_f, layers, e):
     """Layers of the child reached by deleting e, repaired by chains.
 
     child_f is the child's deletion set, e included.  Each repaired
@@ -484,7 +481,7 @@ def _tree_child(matroid, weights, lam, child_f, layers, e):
             pool = set(matroid.available) - child_f - layer
             for q in range(p):
                 pool -= child_layers[q]
-        r = replacement_element(matroid, weights, layer, x, lam, among=pool)
+        r = replacement_element(matroid, probe, layer, x, among=pool)
         if r is None:
             if p == 0:
                 return None
@@ -509,7 +506,7 @@ def solve_tree(instance: MatroidInstance) -> InterdictionSolution:
 def _tree_cells(mat, instance, cells):
     for _lo, _hi, probe, _crossings in cells:
         bases: dict[frozenset[int], frozenset[int]] = {}
-        for F, basis in candidate_tree(mat, instance.weights, probe, instance.ell):
+        for F, basis in candidate_tree(mat, probe, instance.ell):
             if basis is None:
                 yield None
                 return

@@ -11,36 +11,31 @@ The equality points cut the interval into cells of fixed weight order:
 the arrangement, built once per solve by crossing_cells.  Every deleted
 view of a ground set sweeps the same cells (see parametric_sweep).
 
-The hot paths run on plain ints instead of Fractions.  Each weights
-sequence is written once in integer form: a common denominator d (the
-lcm of every a and b denominator) and numerator columns A, B with
-w(e, lam) = (A[e] + lam * B[e]) / d.  At lam = p/q (q > 0) the weight
-order is then the order of the ints A[e] * q + B[e] * p, and a basis
-line is (sum of B, sum of A) / d: basis_line builds its two Fractions
-from integer sums, so Fractions appear only where a line or a lam
-leaves this module.
+The hot paths run on plain ints instead of Fractions.  Each solve writes
+the weights once in integer form, as columns (weight_columns): a common
+denominator d (the lcm of every a and b denominator) and numerator
+columns A, B with w(e, lam) = (A[e] + lam * B[e]) / d.  At lam = p/q
+(q > 0) the weight order is then the order of the ints A[e] * q + B[e] * p,
+and a basis line is (sum of B, sum of A) / d: basis_line builds its two
+Fractions from integer sums, so Fractions appear only where a line or a
+lam leaves this module.
 
-The solvers ask for that order at the same lam hundreds of times (one
-greedy basis per tracked deletion set, one replacement search per tree
-node), so the whole ground set is sorted once per (weights, lam) and
-memoized: the order itself, plus each element's integer rank in it.
-weight_order filters the memoized order by the matroid's deleted set,
-and replacement_element sorts its pool by rank, so both visit elements
-exactly as a fresh sort would and make the same oracle calls.  The
-memo also holds the tuple's integer columns.  It is keyed on the
-identity of the weights tuple and holds a strong reference to it, so
-the id cannot be reused by another object while the entries live.  A
-different tuple replaces the memo, and a miss with _ORDER_MEMO_CAP lam
-values already kept empties its orders (one solve of the benchmark
-workloads probes at most 81 distinct lam).  Only tuples are memoized: a
-list or any other Sequence may be mutated between calls, so its
-columns and orders are computed afresh every time.
+Each cell of the arrangement carries a Probe: its lam, the solve's
+columns, and the ground set's order at lam with each element's rank in
+it.  The order is sorted on first use, so a cell is sorted at most once
+per solve however many greedy bases and replacement searches read it.
+The layer functions take the probe in place of (weights, lam);
+greedy_min_basis filters its order by the matroid's deleted set, and
+replacement_element sorts its pool by rank, so both visit elements
+exactly as a fresh sort would and make the same oracle calls.  probe_at
+builds the probe of a single lam.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import groupby
 from math import lcm
 from operator import attrgetter
@@ -134,100 +129,86 @@ def all_equality_points(
     return events
 
 
-def crossing_cells(interval: Interval, events: Sequence[EqualityPoint]):
-    """The cells between consecutive distinct crossing lams, left to right.
-
-    Each cell is (lo, hi, probe, crossings): probe = interior_point(lo, hi)
-    is where solvers evaluate the cell, and crossings are the sorted events
-    at lo, all events sharing a lam in one group (none for the first cell).
-    """
-    cells, lo, crossings = [], interval.lo, ()
-    for lam, group in groupby(events, key=attrgetter("lam")):
-        cells.append((lo, lam, interior_point(lo, lam), crossings))
-        lo, crossings = lam, tuple(group)
-    cells.append((lo, interval.hi, interior_point(lo, interval.hi), crossings))
-    return cells
-
-
-_ORDER_MEMO_CAP = 128
-# (weights tuple, its integer columns, {lam: (order, rank)}); swapped
-# whole when the tuple changes
-_order_memo: tuple[tuple, tuple, dict] = ((), (1, [], []), {})
-
-
-def _integer_weights(weights: Sequence[ParametricWeight]) -> tuple[int, list[int], list[int]]:
-    """(d, A, B) with w(e, lam) = (A[e] + lam * B[e]) / d, all ints."""
+def weight_columns(matroid: Matroid, weights: Sequence[ParametricWeight]) -> tuple:
+    """(d, A, B) with w(e, lam) = (A[e] + lam * B[e]) / d, all ints, one per ground element."""
+    if len(weights) != matroid.ground_size:
+        raise ValueError(f"expected {matroid.ground_size} weights, got {len(weights)}")
     d = lcm(*(x.denominator for w in weights for x in w))
     return (
         d,
-        [w.a.numerator * (d // w.a.denominator) for w in weights],
-        [w.b.numerator * (d // w.b.denominator) for w in weights],
+        tuple(w.a.numerator * (d // w.a.denominator) for w in weights),
+        tuple(w.b.numerator * (d // w.b.denominator) for w in weights),
     )
 
 
-def _kernel(weights: Sequence[ParametricWeight]) -> tuple[tuple, dict | None]:
-    """The integer columns of the weights and, for a tuple, its order memo."""
-    global _order_memo
-    if not isinstance(weights, tuple):
-        return _integer_weights(weights), None
-    held, columns, entries = _order_memo
-    if held is not weights:
-        columns, entries = _integer_weights(weights), {}
-        _order_memo = (weights, columns, entries)
-    return columns, entries
-
-
-def _sort_ground(columns, lam: Fraction):
+def _sort_ground(columns, lam: Fraction) -> tuple[int, ...]:
     _d, A, B = columns
     p, q = lam.numerator, lam.denominator
     # d * q * w(e, lam) = A[e] * q + B[e] * p with d, q > 0; the stable
     # sort of ascending ids breaks equal weights by id
-    order = sorted(range(len(A)), key=[a * q + b * p for a, b in zip(A, B)].__getitem__)
-    rank = [0] * len(order)
-    for i, e in enumerate(order):
-        rank[e] = i
-    return tuple(order), tuple(rank)
+    return tuple(sorted(range(len(A)), key=[a * q + b * p for a, b in zip(A, B)].__getitem__))
 
 
-def _ground_order(weights: Sequence[ParametricWeight], lam: Fraction):
-    """Every element id by (weight at lam, id), and each id's rank in that order."""
-    columns, entries = _kernel(weights)
-    if entries is None:
-        return _sort_ground(columns, lam)
-    hit = entries.get(lam)
-    if hit is None:
-        if len(entries) >= _ORDER_MEMO_CAP:
-            entries.clear()
-        hit = entries[lam] = _sort_ground(columns, lam)
-    return hit
+@dataclass(frozen=True)
+class Probe:
+    """A lam where solvers evaluate a cell, with the weight columns of the solve."""
+
+    lam: Fraction
+    columns: tuple
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        """Every element id by (weight at lam, id), sorted on first use."""
+        return _sort_ground(self.columns, self.lam)
+
+    @cached_property
+    def rank(self) -> tuple[int, ...]:
+        """Each element id's position in order."""
+        rank = [0] * len(self.order)
+        for i, e in enumerate(self.order):
+            rank[e] = i
+        return tuple(rank)
 
 
-def weight_order(matroid: Matroid, weights: Sequence[ParametricWeight], lam: Fraction) -> list[int]:
-    """Available elements sorted by (weight at lam, id)."""
-    if len(weights) != matroid.ground_size:
-        raise ValueError(f"expected {matroid.ground_size} weights, got {len(weights)}")
-    deleted = matroid.deleted
-    return [e for e in _ground_order(weights, lam)[0] if e not in deleted]
+def probe_at(matroid: Matroid, weights: Sequence[ParametricWeight], lam: Fraction) -> Probe:
+    """The probe of one lam, outside any arrangement."""
+    return Probe(lam, weight_columns(matroid, weights))
 
 
-def greedy_min_basis(matroid: Matroid, weights: Sequence[ParametricWeight], lam: Fraction) -> frozenset[int]:
-    """Minimum-weight maximal independent set at lam.
+def crossing_cells(interval: Interval, events: Sequence[EqualityPoint], columns: tuple):
+    """The cells between consecutive distinct crossing lams, left to right.
+
+    Each cell is (lo, hi, probe, crossings): probe is the Probe at
+    interior_point(lo, hi), where solvers evaluate the cell, over the
+    given weight columns, and crossings are the sorted events at lo, all
+    events sharing a lam in one group (none for the first cell).
+    """
+    cells, lo, crossings = [], interval.lo, ()
+    for lam, group in groupby(events, key=attrgetter("lam")):
+        cells.append((lo, lam, Probe(interior_point(lo, lam), columns), crossings))
+        lo, crossings = lam, tuple(group)
+    cells.append((lo, interval.hi, Probe(interior_point(lo, interval.hi), columns), crossings))
+    return cells
+
+
+def greedy_min_basis(matroid: Matroid, probe: Probe) -> frozenset[int]:
+    """Minimum-weight maximal independent set at the probe.
 
     May be smaller than the full-rank basis when deletions have reduced
     the rank; callers treat that as the infinite-value case.
     """
-    return matroid.greedy(weight_order(matroid, weights, lam))
+    deleted = matroid.deleted
+    return matroid.greedy([e for e in probe.order if e not in deleted])
 
 
 def replacement_element(
     matroid: Matroid,
-    weights: Sequence[ParametricWeight],
+    probe: Probe,
     basis: frozenset[int],
     e: int,
-    lam: Fraction,
     among: Iterable[int] | None = None,
 ) -> int | None:
-    """Cheapest element restoring the basis after e leaves, or None.
+    """Cheapest element at the probe restoring the basis after e leaves, or None.
 
     `among` restricts the search space (used when a containing layer is
     known); by default every available non-basis element is considered.
@@ -235,8 +216,7 @@ def replacement_element(
     if e not in basis:
         raise ValueError(f"element {e} is not in the basis")
     pool = matroid.available if among is None else among
-    rank = _ground_order(weights, lam)[1]
-    candidates = sorted((r for r in pool if r not in basis), key=rank.__getitem__)
+    candidates = sorted((r for r in pool if r not in basis), key=probe.rank.__getitem__)
     return matroid.first_fit(basis - {e}, candidates)
 
 
@@ -251,10 +231,11 @@ def most_vital_element(
     A missing replacement counts as an infinite increase; ties go to the
     smaller element id.
     """
+    probe = probe_at(matroid, weights, lam)
     best_e = None
     best_delta = None
     for e in sorted(basis):
-        r = replacement_element(matroid, weights, basis, e, lam)
+        r = replacement_element(matroid, probe, basis, e)
         delta = POS_INF if r is None else weight_at(weights[r], lam) - weight_at(weights[e], lam)
         if best_delta is None or delta > best_delta:
             best_e, best_delta = e, delta
@@ -277,11 +258,12 @@ def interdicted_basis_via_replacement(
     killed the rank (the infinite-value case).
     """
     order = sorted(F) if order is None else list(order)
+    probe = probe_at(matroid, weights, lam)
     cur_m = matroid
     cur_b = frozenset(basis)
     for e in order:
         if e in cur_b:
-            r = replacement_element(cur_m, weights, cur_b, e, lam)
+            r = replacement_element(cur_m, probe, cur_b, e)
             if r is None:
                 return None
             cur_b = cur_b - {e} | {r}
@@ -305,9 +287,9 @@ def exchange(matroid: Matroid, basis: frozenset[int], ev: EqualityPoint) -> froz
     return basis
 
 
-def basis_line(weights: Sequence[ParametricWeight], basis: Iterable[int]) -> Line:
-    """The value line lam -> sum of w(e, lam) over the basis, from integer sums."""
-    (d, A, B), _entries = _kernel(weights)
+def basis_line(columns: tuple, basis: Iterable[int]) -> Line:
+    """The value line lam -> sum of w(e, lam) over the basis, from weight_columns() sums."""
+    d, A, B = columns
     slope = intercept = 0
     for e in basis:
         slope += B[e]
@@ -317,7 +299,6 @@ def basis_line(weights: Sequence[ParametricWeight], basis: Iterable[int]) -> Lin
 
 def parametric_sweep(
     matroid: Matroid,
-    weights: Sequence[ParametricWeight],
     cells: Sequence[tuple],
 ) -> PiecewiseLinearFunction:
     """Minimum-basis value over the cells' span, one piece per basis.
@@ -333,7 +314,8 @@ def parametric_sweep(
     bases and oracle calls match a sweep over the matroid's own cells.
     """
     deleted = matroid.deleted
-    basis = greedy_min_basis(matroid, weights, cells[0][2])
+    columns = cells[0][2].columns
+    basis = greedy_min_basis(matroid, cells[0][2])
     pieces: list[Piece] = []
     lo = cells[0][0]
     for lam, _hi, probe, crossings in cells[1:]:
@@ -343,12 +325,12 @@ def parametric_sweep(
         if len(live) == 1:
             nxt = exchange(matroid, basis, live[0])
         else:
-            nxt = greedy_min_basis(matroid, weights, probe)
+            nxt = greedy_min_basis(matroid, probe)
         if nxt != basis:
-            pieces.append(Piece(lo, lam, basis_line(weights, basis), basis))
+            pieces.append(Piece(lo, lam, basis_line(columns, basis), basis))
             lo, basis = lam, nxt
     hi = cells[-1][1]
-    pieces.append(Piece(lo, hi, basis_line(weights, basis), basis))
+    pieces.append(Piece(lo, hi, basis_line(columns, basis), basis))
     return PiecewiseLinearFunction(cells[0][0], hi, tuple(pieces))
 
 
@@ -362,8 +344,7 @@ class MatroidInstance:
     interval: Interval
 
     def __post_init__(self):
-        # a tuple, so the frozen instance holds no mutable list and its
-        # weights hit the order memo, which serves tuples only
+        # a tuple, so the frozen instance holds no mutable list
         object.__setattr__(self, "weights", tuple(self.weights))
         m = self.matroid.ground_size
         if len(self.weights) != m:

@@ -25,6 +25,7 @@ from matroid_interdiction.oracle import verify_solution
 from matroid_interdiction.parametric import (
     Interval,
     MatroidInstance,
+    Probe,
     all_equality_points,
     basis_line,
     crossing_cells,
@@ -32,8 +33,10 @@ from matroid_interdiction.parametric import (
     interdicted_basis_via_replacement,
     most_vital_element,
     parametric_sweep,
+    probe_at,
     pw,
     replacement_element,
+    weight_columns,
 )
 from matroid_interdiction.cli import generate_random, instance_from_dict
 
@@ -68,33 +71,34 @@ def test_criterion_1_worked_example():
     mat, weights = instance.matroid, instance.weights
 
     # greedy basis at lam = 3 is {a, b, c, e, g}
-    assert greedy_min_basis(mat, weights, F(3)) == frozenset({A, B_, C, E, G})
+    assert greedy_min_basis(mat, probe_at(mat, weights, F(3))) == frozenset({A, B_, C, E, G})
 
     # replacement chain g -> r -> f -> p, each step in the matroid with
     # the earlier deletions applied; the chain is probed strictly inside
     # the cell (at 7/2) because at the endpoints 2 and 3 the chain's
     # first replacement ties with f and the id order picks f instead
-    probe = F(7, 2)
-    b_star = greedy_min_basis(mat, weights, probe)
+    probe = probe_at(mat, weights, F(7, 2))
+    b_star = greedy_min_basis(mat, probe)
     assert b_star == frozenset({A, B_, C, E, G})
-    assert replacement_element(mat, weights, b_star, G, probe) == R
+    assert replacement_element(mat, probe, b_star, G) == R
     m1 = mat.delete({G})
     b_g = b_star - {G} | {R}
-    assert replacement_element(m1, weights, b_g, R, probe) == F_
+    assert replacement_element(m1, probe, b_g, R) == F_
     m2 = m1.delete({R})
     b_gr = b_g - {R} | {F_}
-    assert replacement_element(m2, weights, b_gr, F_, probe) == P
+    assert replacement_element(m2, probe, b_gr, F_) == P
 
     # y_F for F = {g, r, f} is 7 + 2*lam left of 4; for F = {g, r, e}
     # it is 12 + lam right of 4; both checked at two probes per side
+    columns = weight_columns(mat, weights)
     for lam in (F(5, 2), F(7, 2)):
-        basis = greedy_min_basis(mat.delete({G, R, F_}), weights, lam)
+        basis = greedy_min_basis(mat.delete({G, R, F_}), probe_at(mat, weights, lam))
         assert basis == frozenset({A, B_, C, E, P})
-        assert basis_line(weights, basis) == (F(2), F(7))
+        assert basis_line(columns, basis) == (F(2), F(7))
     for lam in (F(9, 2), F(5)):
-        basis = greedy_min_basis(mat.delete({G, R, E}), weights, lam)
+        basis = greedy_min_basis(mat.delete({G, R, E}), probe_at(mat, weights, lam))
         assert basis == frozenset({A, B_, C, F_, Q})
-        assert basis_line(weights, basis) == (F(1), F(12))
+        assert basis_line(columns, basis) == (F(1), F(12))
     assert F(7) + 2 * F(4) == 15
     assert F(12) + F(4) == 16
 
@@ -178,14 +182,15 @@ def test_criterion_4_combinatorial_bounds(corpus, solved_corpus):
         boundaries = [interval.lo, *lams, interval.hi]
         expected = k * comb(k + ell - 2, ell - 1)
         cap_after = comb(k * ell, ell)
+        columns = weight_columns(mat, weights)
         for lo, hi in zip(boundaries, boundaries[1:]):
-            cands = candidate_tree(mat, weights, interior_point(lo, hi), ell)
+            cands = candidate_tree(mat, probe_at(mat, weights, interior_point(lo, hi)), ell)
             assert len(cands) == expected, (name, lo, hi, len(cands), expected)
             unique = {}
             for fset, basis in cands:
                 unique.setdefault(fset, basis)
             env = envelope_of_lines(
-                [(basis_line(weights, b), tuple(sorted(fset))) for fset, b in unique.items()], lo, hi
+                [(basis_line(columns, b), tuple(sorted(fset))) for fset, b in unique.items()], lo, hi
             )
             non_dominated = {p.label for p in env.pieces}
             assert len(non_dominated) <= cap_after, (name, lo, hi)
@@ -208,33 +213,36 @@ def _first_probe(instance):
 
 
 def _check_replacement_lemma(instance, probe):
-    mat, weights = instance.matroid, instance.weights
-    base = greedy_min_basis(mat, weights, probe)
+    mat = instance.matroid
+    at = probe_at(mat, instance.weights, probe)
+    base = greedy_min_basis(mat, at)
     for e in sorted(base):
-        r = replacement_element(mat, weights, base, e, probe)
-        scratch = greedy_min_basis(mat.delete({e}), weights, probe)
+        r = replacement_element(mat, at, base, e)
+        scratch = greedy_min_basis(mat.delete({e}), at)
         assert r is not None and scratch == base - {e} | {r}, (e, r, scratch)
 
 
 def _check_sweep_cells(instance):
     mat, weights, interval = instance.matroid, instance.weights, instance.interval
-    cells = crossing_cells(interval, all_equality_points(weights, interval, mat.available))
-    sweep = parametric_sweep(mat, weights, cells)
+    columns = weight_columns(mat, weights)
+    cells = crossing_cells(interval, all_equality_points(weights, interval, mat.available), columns)
+    sweep = parametric_sweep(mat, cells)
     for piece in sweep.pieces:
-        probe = interior_point(piece.lo, piece.hi)
-        assert greedy_min_basis(mat, weights, probe) == piece.label
-        assert basis_line(weights, piece.label) == piece.line
+        probe = Probe(interior_point(piece.lo, piece.hi), columns)
+        assert greedy_min_basis(mat, probe) == piece.label
+        assert basis_line(columns, piece.label) == piece.line
 
 
 def _check_most_vital(instance, probe):
     mat, weights = instance.matroid, instance.weights
-    base = greedy_min_basis(mat, weights, probe)
+    at = probe_at(mat, weights, probe)
+    base = greedy_min_basis(mat, at)
     k = len(base)
 
     def deleted_value(x):
-        b = greedy_min_basis(mat.delete({x}), weights, probe)
+        b = greedy_min_basis(mat.delete({x}), at)
         assert len(b) == k
-        return basis_line(weights, b).value_at(probe)
+        return basis_line(at.columns, b).value_at(probe)
 
     best = max(deleted_value(x) for x in mat.available)
     vital = most_vital_element(mat, weights, base, probe)
@@ -244,22 +252,24 @@ def _check_most_vital(instance, probe):
 
 def _check_order_independence(instance, probe, f_star):
     mat, weights = instance.matroid, instance.weights
-    base = greedy_min_basis(mat, weights, probe)
+    at = probe_at(mat, weights, probe)
+    base = greedy_min_basis(mat, at)
     results = {
         interdicted_basis_via_replacement(mat, weights, base, f_star, probe, order=perm)
         for perm in permutations(f_star)
     }
     assert len(results) == 1
     got = results.pop()
-    assert got == greedy_min_basis(mat.delete(f_star), weights, probe)
+    assert got == greedy_min_basis(mat.delete(f_star), at)
 
 
 def _check_partition_property(instance, probe, f_star):
-    mat, weights = instance.matroid, instance.weights
+    mat = instance.matroid
+    at = probe_at(mat, instance.weights, probe)
     remaining = set(f_star)
     deleted: set[int] = set()
     while remaining:
-        basis = greedy_min_basis(mat.delete(deleted) if deleted else mat, weights, probe)
+        basis = greedy_min_basis(mat.delete(deleted), at)
         grab = remaining & basis
         assert grab, (f_star, deleted, basis)
         deleted |= grab
@@ -271,6 +281,7 @@ def _check_completion_property(instance, solution):
     k = instance.rank
     for piece in solution.envelope.pieces:
         mid = interior_point(piece.lo, piece.hi)
+        at = probe_at(mat, weights, mid)
         target = solution.envelope.evaluate(mid)
         f_star = set(piece.label.f_star)
         for x in f_star:
@@ -279,9 +290,9 @@ def _check_completion_property(instance, solution):
             for e in mat.available:
                 if e in base:
                     continue
-                b = greedy_min_basis(mat.delete(base | {e}), weights, mid)
+                b = greedy_min_basis(mat.delete(base | {e}), at)
                 assert len(b) == k
-                v = basis_line(weights, b).value_at(mid)
+                v = basis_line(at.columns, b).value_at(mid)
                 if best is None or v > best:
                     best = v
             assert best == target, (piece.label.f_star, x, best, target)
@@ -297,20 +308,19 @@ def _check_incremental_updates(instance, sample_sets):
     if not events:
         return
     lams = sorted({ev.lam for ev in events})
-    probe = interior_point(interval.lo, lams[0])
-    lb = layered_bases(mat, weights, probe, ell)
-    tracked = {
-        fs: greedy_min_basis(mat.delete(fs), weights, probe) for fs in sample_sets
-    }
+    probe = probe_at(mat, weights, interior_point(interval.lo, lams[0]))
+    lb = layered_bases(mat, probe, depth=ell)
+    tracked = {fs: greedy_min_basis(mat.delete(fs), probe) for fs in sample_sets}
     idx = 0
     for i, lam in enumerate(lams):
-        next_probe = interior_point(lam, lams[i + 1] if i + 1 < len(lams) else interval.hi)
+        hi = lams[i + 1] if i + 1 < len(lams) else interval.hi
+        next_probe = probe_at(mat, weights, interior_point(lam, hi))
         group = [ev for ev in events[idx:] if ev.lam == lam]
         idx += len(group)
         fast = len(group) == 1
         if fast:
             ev = group[0]
-            new_lb = update_u(mat, weights, lb, ev, next_probe)
+            new_lb = update_u(mat, lb, ev, next_probe)
             u1, u2 = lb.union, new_lb.union
             if u2 == u1 or u2 == u1 - {ev.leaving} | {ev.entering}:
                 tracked = {
@@ -323,18 +333,15 @@ def _check_incremental_updates(instance, sample_sets):
             else:
                 fast = False
             lb = new_lb
-        scratch = layered_bases(mat, weights, next_probe, ell)
+        scratch = layered_bases(mat, next_probe, depth=ell)
         if fast:
             assert lb.layers == scratch.layers, (lam, lb.layers, scratch.layers)
             for fs, basis in tracked.items():
-                again = greedy_min_basis(mat.delete(fs), weights, next_probe)
+                again = greedy_min_basis(mat.delete(fs), next_probe)
                 assert basis == again, (lam, fs, basis, again)
         else:
             lb = scratch
-            tracked = {
-                fs: greedy_min_basis(mat.delete(fs), weights, next_probe)
-                for fs in tracked
-            }
+            tracked = {fs: greedy_min_basis(mat.delete(fs), next_probe) for fs in tracked}
         assert all(len(b) == k for b in tracked.values())
 
 

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matroid_interdiction import parametric
 from matroid_interdiction.cli import generate_random, instance_from_dict
 from matroid_interdiction.envelope import NEG_INF, POS_INF, Line, interior_point
 from matroid_interdiction.interdiction import (
     ALGORITHMS,
     EnumerationCapExceeded,
-    LayeredBases,
     SegmentLabel,
     candidate_tree,
     canonical_infinite_label,
@@ -33,6 +33,7 @@ from matroid_interdiction.parametric import (
     all_equality_points,
     basis_line,
     greedy_min_basis,
+    probe_at,
     pw,
 )
 
@@ -64,7 +65,7 @@ def test_changepoint_bound_values():
 def test_layered_bases_structure():
     mat = uniform(6, 2)
     weights = [pw(i, 0) for i in range(6)]
-    lb = layered_bases(mat, weights, F(0), 3)
+    lb = layered_bases(mat, probe_at(mat, weights, F(0)), depth=3)
     assert lb.layers == (frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5}))
     assert lb.union == frozenset(range(6))
     assert not lb.truncated
@@ -75,25 +76,26 @@ def test_layered_bases_structure():
 def test_layered_bases_each_layer_is_greedy_of_remainder():
     mat = graphic(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
     weights = [pw(i % 4, (-1) ** i) for i in range(6)]
-    lam = F(1, 2)
-    lb = layered_bases(mat, weights, lam, 2)
+    probe = probe_at(mat, weights, F(1, 2))
+    lb = layered_bases(mat, probe, depth=2)
     deleted = frozenset()
     for layer in lb.layers:
-        assert layer == greedy_min_basis(mat.delete(deleted) if deleted else mat, weights, lam)
+        assert layer == greedy_min_basis(mat.delete(deleted), probe)
         deleted |= layer
 
 
 def test_layered_bases_truncation():
     mat = uniform(3, 2)
     weights = [pw(i, 0) for i in range(3)]
-    lb = layered_bases(mat, weights, F(0), 3)
+    lb = layered_bases(mat, probe_at(mat, weights, F(0)), depth=3)
     assert lb.layers == (frozenset({0, 1}), frozenset({2}), frozenset())
     assert lb.truncated
 
 
 def test_layered_bases_depth_validation():
     with pytest.raises(ValueError):
-        layered_bases(uniform(2, 1), [pw(0, 0)] * 2, F(0), 0)
+        mat = uniform(2, 1)
+        layered_bases(mat, probe_at(mat, [pw(0, 0)] * 2, F(0)), depth=0)
 
 
 # ---------------------------------------------------------------------------
@@ -103,25 +105,25 @@ def test_layered_bases_depth_validation():
 def test_update_u_ignores_outside_element():
     mat = uniform(6, 2)
     weights = [pw(i, 0) for i in range(6)]
-    lb = layered_bases(mat, weights, F(0), 2)  # {0,1}, {2,3}
+    lb = layered_bases(mat, probe_at(mat, weights, F(0)), depth=2)  # {0,1}, {2,3}
     ev = EqualityPoint(F(1), 5, 4)  # neither is in the union
-    assert update_u(mat, weights, lb, ev, F(2)) is lb
+    assert update_u(mat, lb, ev, probe_at(mat, weights, F(2))) is lb
 
 
 def test_update_u_ignores_already_preferred():
     mat = uniform(6, 2)
     weights = [pw(i, 0) for i in range(6)]
-    lb = layered_bases(mat, weights, F(0), 2)
+    lb = layered_bases(mat, probe_at(mat, weights, F(0)), depth=2)
     ev = EqualityPoint(F(1), 3, 0)  # f sits in an earlier layer than e
-    assert update_u(mat, weights, lb, ev, F(2)) is lb
+    assert update_u(mat, lb, ev, probe_at(mat, weights, F(2))) is lb
 
 
 def test_update_u_last_layer_absorbs_outsider():
     mat = uniform(6, 2)
     weights = [pw(0, 0), pw(1, 0), pw(2, 0), pw(3, 1), pw(4, 0), pw(5, 0)]
-    lb = layered_bases(mat, weights, F(0), 2)  # {0,1}, {2,3}
+    lb = layered_bases(mat, probe_at(mat, weights, F(0)), depth=2)  # {0,1}, {2,3}
     ev = EqualityPoint(F(1), 3, 4)  # 3 leaves the last layer for outsider 4
-    new = update_u(mat, weights, lb, ev, F(2))
+    new = update_u(mat, lb, ev, probe_at(mat, weights, F(2)))
     assert new.layers == (frozenset({0, 1}), frozenset({2, 4}))
 
 
@@ -130,18 +132,18 @@ def test_update_u_inner_layer_swap_refused():
     # 1 in layer 0 because {0, 2} closes a cycle, so nothing changes
     mat = graphic(3, [(0, 1), (1, 2), (0, 1), (0, 1), (1, 2)])
     weights = [pw(0, 0), pw(2, 1), pw(3, -1), pw(1, 0), pw(10, 0)]
-    lb = layered_bases(mat, weights, F(1, 4), 2)
+    lb = layered_bases(mat, probe_at(mat, weights, F(1, 4)), depth=2)
     assert lb.layers == (frozenset({0, 1}), frozenset({3, 4}))
     ev = EqualityPoint(F(1, 2), 1, 2)
-    assert update_u(mat, weights, lb, ev, F(5, 4)) is lb
+    assert update_u(mat, lb, ev, probe_at(mat, weights, F(5, 4))) is lb
 
 
 def test_update_u_adjacent_layers_trade():
     mat = uniform(6, 2)
     weights = [pw(0, 0), pw(1, 1), pw(2, 0), pw(3, 0), pw(4, 0), pw(5, 0)]
-    lb = layered_bases(mat, weights, F(0), 2)  # {0,1}, {2,3}
+    lb = layered_bases(mat, probe_at(mat, weights, F(0)), depth=2)  # {0,1}, {2,3}
     ev = EqualityPoint(F(1), 1, 2)  # 1 (layer 0) crosses 2 (layer 1)
-    new = update_u(mat, weights, lb, ev, F(2))
+    new = update_u(mat, lb, ev, probe_at(mat, weights, F(2)))
     assert new.layers == (frozenset({0, 2}), frozenset({1, 3}))
     assert new.union == lb.union
 
@@ -152,11 +154,11 @@ def test_update_u_adjacent_crossing_ripples_through_deeper_layers():
     # is rebuilt wholesale and even the union changes
     mat = graphic(3, [(1, 2), (0, 2), (0, 1), (0, 1), (1, 2)])
     weights = [pw(1, 0), pw(10, 1), pw(12, -1), pw(14, 0), pw(15, 0)]
-    lb = layered_bases(mat, weights, F(1, 2), 2)
+    lb = layered_bases(mat, probe_at(mat, weights, F(1, 2)), depth=2)
     assert lb.layers == (frozenset({0, 1}), frozenset({2, 4}))
     ev = EqualityPoint(F(1), 1, 2)
-    new = update_u(mat, weights, lb, ev, F(2))
-    assert new.layers == layered_bases(mat, weights, F(2), 2).layers
+    new = update_u(mat, lb, ev, probe_at(mat, weights, F(2)))
+    assert new.layers == layered_bases(mat, probe_at(mat, weights, F(2)), depth=2).layers
     assert new.layers == (frozenset({0, 2}), frozenset({1, 3}))
     assert new.union != lb.union
 
@@ -164,11 +166,11 @@ def test_update_u_adjacent_crossing_ripples_through_deeper_layers():
 def test_update_u_truncated_recomputes_from_scratch():
     mat = uniform(3, 2)
     weights = [pw(0, 1), pw(1, 0), pw(2, 0)]
-    lb = layered_bases(mat, weights, F(0), 3)
+    lb = layered_bases(mat, probe_at(mat, weights, F(0)), depth=3)
     assert lb.truncated
     ev = EqualityPoint(F(1), 0, 1)
-    new = update_u(mat, weights, lb, ev, F(2))
-    assert new.layers == layered_bases(mat, weights, F(2), 3).layers
+    new = update_u(mat, lb, ev, probe_at(mat, weights, F(2)))
+    assert new.layers == layered_bases(mat, probe_at(mat, weights, F(2)), depth=3).layers
 
 
 def test_update_interdicted_set_rename_follows_deletion():
@@ -222,12 +224,13 @@ def test_candidate_tree_count_and_bases():
     mat = uniform(8, 3)
     weights = [pw(i, (-1) ** i) for i in range(8)]
     ell = 2
-    cands = candidate_tree(mat, weights, F(1, 3), ell)
+    probe = probe_at(mat, weights, F(1, 3))
+    cands = candidate_tree(mat, probe, ell)
     k = 3
     assert len(cands) == k * comb(k + ell - 2, ell - 1)
     for fset, basis in cands:
         assert len(fset) == ell
-        assert basis == greedy_min_basis(mat.delete(fset), weights, F(1, 3))
+        assert basis == greedy_min_basis(mat.delete(fset), probe)
 
 
 def test_candidate_tree_contains_optimum_per_cell():
@@ -238,18 +241,18 @@ def test_candidate_tree_contains_optimum_per_cell():
     events = all_equality_points(weights, inst.interval, mat.available)
     lams = sorted({ev.lam for ev in events})
     for lo, hi in zip([inst.interval.lo, *lams], [*lams, inst.interval.hi]):
-        probe = interior_point(lo, hi)
+        probe = probe_at(mat, weights, interior_point(lo, hi))
         best = max(
-            basis_line(weights, basis).value_at(probe)
-            for _f, basis in candidate_tree(mat, weights, probe, 2)
+            basis_line(probe.columns, basis).value_at(probe.lam)
+            for _f, basis in candidate_tree(mat, probe, 2)
         )
-        assert best == brute.envelope.evaluate(probe)
+        assert best == brute.envelope.evaluate(probe.lam)
 
 
 def test_candidate_tree_flags_killing_sets():
     mat = uniform(4, 2)
     weights = [pw(i, 0) for i in range(4)]
-    cands = candidate_tree(mat, weights, F(0), 3)
+    cands = candidate_tree(mat, probe_at(mat, weights, F(0)), 3)
     assert any(basis is None for _f, basis in cands)
 
 
@@ -500,6 +503,26 @@ def test_oracle_calls_are_pinned(spec, expected):
     assert got == expected
 
 
+@pytest.mark.parametrize("spec", [spec for spec, _ in ORACLE_CALL_PINS], ids=[spec[0] for spec, _ in ORACLE_CALL_PINS])
+def test_each_cell_is_sorted_at_most_once_per_solve(monkeypatch, spec):
+    # tree grows a candidate tree in every cell; brute and uset sort only
+    # the cells where they need a greedy basis; nothing outlives a solve
+    sorted_at = []
+    sort = parametric._sort_ground
+    monkeypatch.setattr(parametric, "_sort_ground", lambda columns, lam: sorted_at.append(lam) or sort(columns, lam))
+    inst = instance_from_dict(generate_random(*spec))
+    cells = len({ev.lam for ev in all_equality_points(inst.weights, inst.interval)}) + 1
+    for name in ALGORITHMS:
+        sorts = []
+        for _ in range(2):
+            sorted_at.clear()
+            solve(inst, name)
+            assert len(set(sorted_at)) == len(sorted_at), name
+            sorts.append(len(sorted_at))
+        assert sorts[0] == cells if name == "tree" else sorts[0] <= cells, (name, sorts[0], cells)
+        assert sorts[1] == sorts[0], name
+
+
 def test_brute_equals_direct_enumeration_small():
     from itertools import combinations
 
@@ -508,8 +531,9 @@ def test_brute_equals_direct_enumeration_small():
     for lam in (F(-3), F(-1), F(0), F(1, 2), F(3)):
         best = None
         for fs in combinations(range(5), 2):
-            basis = greedy_min_basis(inst.matroid.with_fresh_counter().delete(fs), inst.weights, lam)
-            v = basis_line(inst.weights, basis).value_at(lam)
+            probe = probe_at(inst.matroid, inst.weights, lam)
+            basis = greedy_min_basis(inst.matroid.with_fresh_counter().delete(fs), probe)
+            v = basis_line(probe.columns, basis).value_at(lam)
             best = v if best is None else max(best, v)
         assert sol.value_at(lam) == best
 
@@ -522,5 +546,5 @@ def test_layered_bases_union_confines_winners():
     sol = solve_brute(inst)
     for piece in sol.envelope.pieces:
         probe = interior_point(piece.lo, piece.hi)
-        union = layered_bases(mat, weights, probe, inst.ell).union
+        union = layered_bases(mat, probe_at(mat, weights, probe), depth=inst.ell).union
         assert set(piece.label.f_star) <= set(union)

@@ -1,13 +1,18 @@
 """The integer kernel against plain Fraction arithmetic.
 
-weight_order, greedy_min_basis and basis_line run on the integer
-columns of the weights, and envelope_of_lines on its lines scaled to
-integers.  Each is compared here with the same computation done in
-Fractions: a sort keyed on the Fraction weight, a Fraction sum, and
-upper_envelope, which never leaves Fractions.  The strategies favour
-ties, equal slopes, duplicate lines under different labels, point and
-unbounded domains, negative lam and large coprime denominators, where
-an integer rewrite can go wrong.
+A Probe's weight order, greedy_min_basis and basis_line run on the
+integer columns of the weights (weight_columns), and envelope_of_lines
+on its lines scaled to integers.  Each is compared here with the same
+computation done in Fractions: a sort keyed on the Fraction weight, a
+Fraction sum, and upper_envelope, which never leaves Fractions.  The
+strategies favour ties, equal slopes, duplicate lines under different
+labels, point and unbounded domains, negative lam and large coprime
+denominators, where an integer rewrite can go wrong.
+
+The verifier must not share this kernel: KERNEL names every kernel
+helper (the columns, the Probe with its constructors and sort, the
+greedy scans and augment states, basis_line and envelope_of_lines), and
+oracle.py may reference none of them.
 """
 
 import ast
@@ -32,8 +37,9 @@ from matroid_interdiction.parametric import (
     basis_line,
     equality_point,
     greedy_min_basis,
+    probe_at,
     weight_at,
-    weight_order,
+    weight_columns,
 )
 
 F = Fraction
@@ -132,12 +138,10 @@ def fraction_greedy(matroid, weights, lam):
 def test_weight_order_and_greedy_match_fraction_sort(data, weights, deleted):
     lam = data.draw(probe_lams(weights))
     for base in (uniform(5, 3), graphic(4, K4_MINUS)):
+        probe = probe_at(base, weights, lam)
+        assert list(probe.order) == fraction_order(weights, lam, range(5))
         mat = base.delete(deleted)
-        want_order = fraction_order(weights, lam, mat.available)
-        want_basis = fraction_greedy(mat, weights, lam)
-        for ws in (tuple(weights), list(weights)):
-            assert weight_order(mat, ws, lam) == want_order
-            assert greedy_min_basis(mat, ws, lam) == want_basis
+        assert greedy_min_basis(mat, probe) == fraction_greedy(mat, weights, lam)
 
 
 @settings(max_examples=200, deadline=None)
@@ -145,22 +149,21 @@ def test_weight_order_and_greedy_match_fraction_sort(data, weights, deleted):
 def test_basis_line_matches_fraction_sum(weights, basis, lam):
     slope = sum((weights[e].b for e in basis), F(0))
     intercept = sum((weights[e].a for e in basis), F(0))
-    for ws in (tuple(weights), list(weights)):
-        line = basis_line(ws, basis)
-        assert line == Line(slope, intercept)
-        assert line.value_at(lam) == sum((weight_at(weights[e], lam) for e in basis), F(0))
+    line = basis_line(weight_columns(uniform(5, 0), weights), basis)
+    assert line == Line(slope, intercept)
+    assert line.value_at(lam) == sum((weight_at(weights[e], lam) for e in basis), F(0))
 
 
 # ---------------------------------------------------------------------------
 # the oracle stays outside the kernel
 
 KERNEL = {
-    "_kernel",
-    "_integer_weights",
-    "_order_memo",
+    "weight_columns",
+    # probes carry the integer weight order: crossing_cells builds them
+    "Probe",
+    "probe_at",
+    "crossing_cells",
     "_sort_ground",
-    "_ground_order",
-    "weight_order",
     "greedy",
     # augment states: the oracle stays on one-shot is_independent queries
     "first_fit",

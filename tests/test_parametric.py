@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matroid_interdiction import parametric
 from matroid_interdiction.envelope import NEG_INF, POS_INF, interior_point
 from matroid_interdiction.matroid import graphic, partition, uniform
 from matroid_interdiction.parametric import (
@@ -23,11 +22,12 @@ from matroid_interdiction.parametric import (
     interdicted_basis_via_replacement,
     most_vital_element,
     parametric_sweep,
+    probe_at,
     pw,
     rat,
     replacement_element,
     weight_at,
-    weight_order,
+    weight_columns,
 )
 
 F = Fraction
@@ -141,20 +141,14 @@ def brute_min_basis_weight(mat, weights, lam):
 def test_greedy_min_basis_known_tie():
     mat = uniform(3, 1)
     weights = [pw(5, 0)] * 3
-    assert greedy_min_basis(mat, weights, F(0)) == frozenset({0})
-
-
-def test_weight_order_breaks_ties_by_id():
-    mat = uniform(3, 2)
-    weights = [pw(1, 0), pw(0, 1), pw(1, 0)]
-    assert weight_order(mat, weights, F(1)) == [0, 1, 2]
+    assert greedy_min_basis(mat, probe_at(mat, weights, F(0))) == frozenset({0})
 
 
 @settings(max_examples=80, deadline=None)
 @given(weights=small_weights(6), lam=rationals)
 def test_greedy_matches_brute_minimum(weights, lam):
     mat = graphic(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
-    basis = greedy_min_basis(mat, weights, lam)
+    basis = greedy_min_basis(mat, probe_at(mat, weights, lam))
     assert mat.is_independent(basis) and len(basis) == 3
     got = sum(weight_at(weights[e], lam) for e in basis)
     assert got == brute_min_basis_weight(mat, weights, lam)
@@ -162,27 +156,28 @@ def test_greedy_matches_brute_minimum(weights, lam):
 
 def test_replacement_element_picks_cheapest_then_smallest_id():
     mat = uniform(4, 2)
-    weights = [pw(0, 0), pw(1, 0), pw(5, 0), pw(5, 0)]
+    probe = probe_at(mat, [pw(0, 0), pw(1, 0), pw(5, 0), pw(5, 0)], F(0))
     basis = frozenset({0, 1})
-    assert replacement_element(mat, weights, basis, 0, F(0)) == 2  # tie 2 vs 3 by id
-    assert replacement_element(mat, weights, basis, 0, F(0), among=[3]) == 3
+    assert replacement_element(mat, probe, basis, 0) == 2  # tie 2 vs 3 by id
+    assert replacement_element(mat, probe, basis, 0, among=[3]) == 3
 
 
 def test_replacement_element_none_on_bridge():
     mat = graphic(3, [(0, 1), (1, 2)])
     weights = [pw(0, 0), pw(1, 0)]
     basis = frozenset({0, 1})
-    assert replacement_element(mat, weights, basis, 1, F(0)) is None
+    assert replacement_element(mat, probe_at(mat, weights, F(0)), basis, 1) is None
 
 
 @settings(max_examples=80, deadline=None)
 @given(weights=small_weights(6), lam=rationals)
 def test_replacement_equals_scratch_recompute(weights, lam):
     mat = graphic(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
-    basis = greedy_min_basis(mat, weights, lam)
+    probe = probe_at(mat, weights, lam)
+    basis = greedy_min_basis(mat, probe)
     for e in sorted(basis):
-        r = replacement_element(mat, weights, basis, e, lam)
-        scratch = greedy_min_basis(mat.delete({e}), weights, lam)
+        r = replacement_element(mat, probe, basis, e)
+        scratch = greedy_min_basis(mat.delete({e}), probe)
         assert r is not None
         assert scratch == basis - {e} | {r}
 
@@ -191,7 +186,7 @@ def test_most_vital_prefers_missing_replacement():
     # edge 1 bridges to vertex 2; deleting it kills the rank
     mat = graphic(3, [(0, 1), (1, 2), (0, 1)])
     weights = [pw(0, 0), pw(1, 0), pw(5, 0)]
-    basis = greedy_min_basis(mat, weights, F(0))
+    basis = greedy_min_basis(mat, probe_at(mat, weights, F(0)))
     assert basis == frozenset({0, 1})
     assert most_vital_element(mat, weights, basis, F(0)) == 1
 
@@ -199,7 +194,7 @@ def test_most_vital_prefers_missing_replacement():
 def test_most_vital_tie_takes_smaller_id():
     mat = uniform(4, 2)
     weights = [pw(0, 0), pw(0, 0), pw(9, 0), pw(9, 0)]
-    basis = greedy_min_basis(mat, weights, F(0))
+    basis = greedy_min_basis(mat, probe_at(mat, weights, F(0)))
     assert most_vital_element(mat, weights, basis, F(0)) == 0
 
 
@@ -207,7 +202,8 @@ def test_most_vital_tie_takes_smaller_id():
 @given(weights=small_weights(7), lam=rationals, data=st.data())
 def test_interdicted_basis_order_independent(weights, lam, data):
     mat = graphic(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3), (0, 3)])
-    basis = greedy_min_basis(mat, weights, lam)
+    probe = probe_at(mat, weights, lam)
+    basis = greedy_min_basis(mat, probe)
     fset = tuple(data.draw(st.sets(st.sampled_from(range(7)), min_size=1, max_size=3)))
     outcomes = {
         interdicted_basis_via_replacement(mat, weights, basis, fset, lam, order=p)
@@ -215,7 +211,7 @@ def test_interdicted_basis_order_independent(weights, lam, data):
     }
     assert len(outcomes) == 1
     got = outcomes.pop()
-    scratch = greedy_min_basis(mat.delete(fset), weights, lam)
+    scratch = greedy_min_basis(mat.delete(fset), probe)
     if got is None:
         assert len(scratch) < len(basis)
     else:
@@ -223,7 +219,7 @@ def test_interdicted_basis_order_independent(weights, lam, data):
 
 
 # ---------------------------------------------------------------------------
-# the per-lam order memo
+# the probe's weight order
 
 K4 = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)]
 
@@ -232,68 +228,46 @@ def fresh_order(weights, lam, elements):
     return sorted(elements, key=lambda e: (weight_at(weights[e], lam), e))
 
 
+def test_weight_order_breaks_ties_by_id():
+    mat = uniform(3, 2)
+    weights = [pw(1, 0), pw(0, 1), pw(1, 0)]
+    assert probe_at(mat, weights, F(1)).order == (0, 1, 2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(weights=small_weights(6), lam=rationals, drop=st.sampled_from(range(6)))
-def test_memoized_tuple_matches_list(weights, lam, drop):
+def test_probe_order_matches_a_fresh_sort(weights, lam, drop):
+    # one probe serves every deleted view of its ground set
     mat = graphic(4, K4)
-    as_tuple, as_list = tuple(weights), list(weights)
+    probe = probe_at(mat, weights, lam)
+    assert list(probe.order) == fresh_order(weights, lam, range(6))
+    assert [probe.rank[e] for e in probe.order] == list(range(6))
     for view in (mat, mat.delete({drop})):
-        order = weight_order(view, as_tuple, lam)
-        assert order == weight_order(view, as_list, lam)
-        assert order == fresh_order(weights, lam, view.available)
-        basis = greedy_min_basis(view, as_tuple, lam)
-        assert basis == greedy_min_basis(view, as_list, lam)
-        for e in sorted(basis):
-            for among in (None, [r for r in range(6) if r != drop]):
-                assert replacement_element(view, as_tuple, basis, e, lam, among) == (
-                    replacement_element(view, as_list, basis, e, lam, among)
-                )
+        want = view.greedy(fresh_order(weights, lam, view.available))
+        assert greedy_min_basis(view, probe) == want
 
 
 def test_mutated_weights_list_is_not_served_stale():
+    # a probe holds the columns of the weights it was built from, so an
+    # edit of the list shows in the next probe and never in an earlier one
     mat = uniform(4, 2)
     weights = [pw(0, 0), pw(1, 0), pw(2, 0), pw(3, 0)]
-    assert weight_order(mat, weights, F(0)) == [0, 1, 2, 3]
-    assert greedy_min_basis(mat, weights, F(0)) == frozenset({0, 1})
+    before = probe_at(mat, weights, F(0))
+    assert greedy_min_basis(mat, before) == frozenset({0, 1})
     weights[0], weights[3] = pw(9, 0), pw(-1, 0)
-    assert weight_order(mat, weights, F(0)) == [3, 1, 2, 0]
-    assert greedy_min_basis(mat, weights, F(0)) == frozenset({3, 1})
-    assert replacement_element(mat, weights, frozenset({3, 1}), 3, F(0)) == 2
-
-
-def test_alternating_weight_tuples_keep_their_own_orders():
-    mat = uniform(4, 2)
-    up = tuple(pw(i, 0) for i in range(4))
-    down = tuple(pw(-i, 0) for i in range(4))
-    for _ in range(3):
-        assert weight_order(mat, up, F(1)) == [0, 1, 2, 3]
-        assert weight_order(mat, down, F(1)) == [3, 2, 1, 0]
-        assert replacement_element(mat, up, frozenset({0, 1}), 0, F(1)) == 2
-        assert replacement_element(mat, down, frozenset({3, 2}), 3, F(1)) == 1
-    # short-lived tuples built in turn: a freed tuple's id may be reused,
-    # which must never serve the previous tuple's order
-    for shift in range(20):
-        weights = tuple(pw((i + shift) % 4, 0) for i in range(4))
-        assert weight_order(mat, weights, F(0)) == fresh_order(weights, F(0), range(4))
-
-
-def test_order_memo_stays_within_its_cap():
-    mat = uniform(5, 2)
-    weights = tuple(pw(i, (-1) ** i * i) for i in range(5))
-    cap = parametric._ORDER_MEMO_CAP
-    for j in range(3 * cap):
-        lam = F(j - cap, 7)
-        assert weight_order(mat, weights, lam) == fresh_order(weights, lam, range(5))
-        held, _columns, entries = parametric._order_memo
-        assert held is weights and 1 <= len(entries) <= cap
+    after = probe_at(mat, weights, F(0))
+    assert after.order == (3, 1, 2, 0)
+    assert greedy_min_basis(mat, after) == frozenset({3, 1})
+    assert replacement_element(mat, after, frozenset({3, 1}), 3) == 2
+    assert before.order == (0, 1, 2, 3)
 
 
 def test_weight_order_rejects_a_wrong_weight_count():
-    # the memo sorts every index of the weights, so extra weights would
+    # a probe sorts every index of the weights, so extra weights would
     # otherwise leak ids outside the ground set into the order
     for weights in ((pw(0, 0),) * 4, (pw(0, 0),) * 6):
         with pytest.raises(ValueError, match="expected 5 weights"):
-            weight_order(uniform(5, 2), weights, F(0))
+            probe_at(uniform(5, 2), weights, F(0))
 
 
 # ---------------------------------------------------------------------------
@@ -324,20 +298,22 @@ def test_equality_points_sort_in_sweep_order():
 
 
 def own_cells(mat, weights, interval):
-    return crossing_cells(interval, all_equality_points(weights, interval, mat.available))
+    events = all_equality_points(weights, interval, mat.available)
+    return crossing_cells(interval, events, weight_columns(mat, weights))
 
 
 def check_sweep(mat, weights, interval):
-    sweep = parametric_sweep(mat, weights, own_cells(mat, weights, interval))
+    sweep = parametric_sweep(mat, own_cells(mat, weights, interval))
     pieces = sweep.pieces
+    columns = weight_columns(mat, weights)
     assert pieces[0].lo == interval.lo and pieces[-1].hi == interval.hi
     for a, b in zip(pieces, pieces[1:]):
         assert a.hi == b.lo
     slopes = []
     for piece in pieces:
-        probe = interior_point(piece.lo, piece.hi)
-        assert greedy_min_basis(mat, weights, probe) == piece.label
-        assert basis_line(weights, piece.label) == piece.line
+        probe = probe_at(mat, weights, interior_point(piece.lo, piece.hi))
+        assert greedy_min_basis(mat, probe) == piece.label
+        assert basis_line(columns, piece.label) == piece.line
         slopes.append(piece.line.slope)
     assert slopes == sorted(slopes, reverse=True), "min-basis value must be concave"
     return sweep
@@ -360,9 +336,9 @@ def test_sweep_unbounded_interval():
 def test_sweep_point_interval():
     mat = uniform(3, 2)
     weights = [pw(0, 1), pw(4, -1), pw(2, 0)]
-    sweep = parametric_sweep(mat, weights, own_cells(mat, weights, Interval(F(2), F(2))))
+    sweep = parametric_sweep(mat, own_cells(mat, weights, Interval(F(2), F(2))))
     assert len(sweep.pieces) == 1
-    assert sweep.pieces[0].label == greedy_min_basis(mat, weights, F(2))
+    assert sweep.pieces[0].label == greedy_min_basis(mat, probe_at(mat, weights, F(2)))
 
 
 small_ints = st.tuples(st.integers(-3, 3), st.integers(-2, 2))
@@ -410,19 +386,19 @@ def test_sweep_over_the_full_arrangement_matches_its_own(case):
     full = own_cells(mat, weights, interval)
     view = mat.delete(deleted)
     shared_view, own_view = view.with_fresh_counter(), view.with_fresh_counter()
-    shared = parametric_sweep(shared_view, weights, full)
-    own = parametric_sweep(own_view, weights, own_cells(view, weights, interval))
+    shared = parametric_sweep(shared_view, full)
+    own = parametric_sweep(own_view, own_cells(view, weights, interval))
     assert shared.pieces == own.pieces
     assert shared_view.oracle_calls == own_view.oracle_calls
     for lo, hi, probe, crossings in full:
-        assert probe == lo if lo == hi else lo < probe < hi
+        assert probe.lam == lo if lo == hi else lo < probe.lam < hi
         assert all(ev.lam == lo for ev in crossings)
 
 
 def test_sweep_cell_at():
     mat = uniform(3, 2)
     weights = [pw(0, 1), pw(4, -1), pw(2, 0)]
-    sweep = parametric_sweep(mat, weights, own_cells(mat, weights, Interval(F(0), F(5))))
+    sweep = parametric_sweep(mat, own_cells(mat, weights, Interval(F(0), F(5))))
     assert sweep.piece_at(F(5)) == sweep.pieces[-1]
     with pytest.raises(ValueError):
         sweep.piece_at(F(6))
@@ -452,8 +428,9 @@ def test_replacement_element_matches_the_reference_search(case, lam, data):
     view = mat.delete(deleted)
     if not view.available:
         return
+    probe = probe_at(mat, weights, lam)
     if data.draw(st.booleans(), label="greedy basis"):
-        basis = greedy_min_basis(view.with_fresh_counter(), weights, lam)
+        basis = greedy_min_basis(view.with_fresh_counter(), probe)
     else:
         basis = frozenset(data.draw(st.sets(st.sampled_from(view.available), min_size=1), label="basis"))
     if not basis:
@@ -465,9 +442,9 @@ def test_replacement_element_matches_the_reference_search(case, lam, data):
         want = reference_replacement(slow, weights, basis, e, lam, among)
     except ValueError:
         with pytest.raises(ValueError, match="deleted"):
-            replacement_element(fast, weights, basis, e, lam, among)
+            replacement_element(fast, probe, basis, e, among)
     else:
-        assert replacement_element(fast, weights, basis, e, lam, among) == want
+        assert replacement_element(fast, probe, basis, e, among) == want
     assert fast.oracle_calls == slow.oracle_calls
 
 
@@ -476,7 +453,7 @@ def test_replacement_element_charges_every_candidate_of_a_dependent_basis():
     mat = graphic(3, [(0, 1), (1, 2), (0, 2), (0, 1), (1, 2), (0, 2)])
     weights = [pw(i, 0) for i in range(6)]
     counted = mat.with_fresh_counter()
-    assert replacement_element(counted, weights, frozenset({0, 1, 2, 3}), 3, F(0)) is None
+    assert replacement_element(counted, probe_at(counted, weights, F(0)), frozenset({0, 1, 2, 3}), 3) is None
     assert counted.oracle_calls == 2  # candidates 4 and 5
 
 

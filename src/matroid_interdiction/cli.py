@@ -96,17 +96,37 @@ def _load_json(path: str):
         raise CliError(EXIT_PARSE, f"{path}: malformed JSON: {exc}")
 
 
+def _integer(raw, where: str) -> int:
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise CliError(EXIT_PARSE, f"{where} must be an integer, got {raw!r}")
+    return raw
+
+
+def _integers(raw, where: str, item=_integer) -> list:
+    """A JSON list whose entries pass `item`, integers by default."""
+    if not isinstance(raw, list):
+        raise CliError(EXIT_PARSE, f"{where} must be a list, got {raw!r}")
+    return [item(x, f"{where}[{i}]") for i, x in enumerate(raw)]
+
+
 def _build_matroid(spec, where: str) -> Matroid:
     kind = _expect(spec, "type", where)
+
+    def field(key, parse=_integer):
+        return parse(_expect(spec, key, where), f"{where}: {key}")
+
+    def rows(raw, at):
+        return _integers(raw, at, _integers)
+
     try:
         if kind == "graphic":
-            return graphic(int(_expect(spec, "num_vertices", where)), _expect(spec, "edges", where))
+            return graphic(field("num_vertices"), field("edges", rows))
         if kind == "uniform":
-            return uniform(int(_expect(spec, "m", where)), int(_expect(spec, "k", where)))
+            return uniform(field("m"), field("k"))
         if kind == "partition":
-            return partition(_expect(spec, "blocks", where), _expect(spec, "capacities", where))
+            return partition(field("blocks", _integers), field("capacities", _integers))
         if kind == "explicit":
-            return explicit(int(_expect(spec, "m", where)), _expect(spec, "bases", where))
+            return explicit(field("m"), field("bases", rows))
     except (ValueError, TypeError) as exc:
         raise CliError(EXIT_PARSE, f"{where}: {exc}")
     raise CliError(EXIT_PARSE, f"{where}: unknown matroid family {kind!r}")
@@ -123,9 +143,7 @@ def instance_from_dict(data, where: str = "<instance>") -> MatroidInstance:
         a = parse_rational(_expect(entry, "a", f"{where}: weights[{i}]"), f"{where}: weights[{i}].a")
         b = parse_rational(_expect(entry, "b", f"{where}: weights[{i}]"), f"{where}: weights[{i}].b")
         weights.append(pw(a, b))
-    ell = _expect(data, "ell", where)
-    if isinstance(ell, bool) or not isinstance(ell, int):
-        raise CliError(EXIT_PARSE, f"{where}: ell must be an integer")
+    ell = _integer(_expect(data, "ell", where), f"{where}: ell")
     raw_interval = _expect(data, "interval", where)
     lo = parse_rational(_expect(raw_interval, "lo", f"{where}: interval"), f"{where}: interval.lo", allow_infinite=True)
     hi = parse_rational(_expect(raw_interval, "hi", f"{where}: interval"), f"{where}: interval.hi", allow_infinite=True)
@@ -430,6 +448,8 @@ def bench(paths, algorithms) -> tuple[list[dict], int]:
 
 def _cmd_bench(args) -> int:
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
+    if not algorithms:
+        raise CliError(EXIT_PARSE, "no algorithm given")
     for a in algorithms:
         if a not in ALGORITHMS:
             raise CliError(EXIT_PARSE, f"unknown algorithm {a!r}")

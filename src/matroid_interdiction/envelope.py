@@ -10,7 +10,9 @@ ties are resolved toward the smallest label, with unlabeled pieces
 losing against labeled ones.
 
 upper_envelope, the general merge that the brute-force solver uses,
-computes in Fractions throughout.  envelope_of_lines, the per-cell
+computes in Fractions throughout: it merges the inputs pairwise, each
+merge one two-pointer walk over both piece lists that picks the winner
+on either side of a crossing by slope.  envelope_of_lines, the per-cell
 envelope of the other two solvers, scales its lines by the lcm of their
 denominators and works on those integers: deduplication, the
 equal-slope filter, the sort and the hull test compare ints and
@@ -135,57 +137,53 @@ def _normalize(lo, hi, pieces: list[Piece]) -> PiecewiseLinearFunction:
     return PiecewiseLinearFunction(lo, hi, tuple(out))
 
 
-def _piece_covering(pieces: Sequence[Piece], x0, x1) -> Piece:
-    for p in pieces:
-        if p.lo <= x0 and x1 <= p.hi:
-            return p
-    raise AssertionError("refined sub-interval not covered by any piece")
-
-
 def _sub_pieces(x0, x1, pa: Piece, pb: Piece) -> list[Piece]:
-    """Envelope of two single-line pieces on [x0, x1]."""
+    """Envelope of two single-line pieces on [x0, x1]: the flatter line
+    left of their crossing, the steeper one right of it."""
     la, lb = pa.line, pb.line
     if la == lb:
         return [Piece(x0, x1, la, min(pa.label, pb.label, key=_label_key))]
-    if la.slope != lb.slope:
-        cross = (lb.intercept - la.intercept) / (la.slope - lb.slope)
-        if x0 < cross < x1:
-            left = _winner(x0, cross, pa, pb)
-            right = _winner(cross, x1, pa, pb)
-            return [Piece(x0, cross, left.line, left.label), Piece(cross, x1, right.line, right.label)]
-    w = _winner(x0, x1, pa, pb)
-    return [Piece(x0, x1, w.line, w.label)]
-
-
-def _winner(x0, x1, pa: Piece, pb: Piece) -> Piece:
-    rep = interior_point(x0, x1)
-    va, vb = pa.value_at(rep), pb.value_at(rep)
-    if va > vb:
-        return pa
-    if vb > va:
-        return pb
-    return pa if _label_key(pa.label) <= _label_key(pb.label) else pb
+    if la.slope == lb.slope:
+        w = pa if la.intercept > lb.intercept else pb
+        return [Piece(x0, x1, w.line, w.label)]
+    flat, steep = (pa, pb) if la.slope < lb.slope else (pb, pa)
+    cross = (lb.intercept - la.intercept) / (la.slope - lb.slope)
+    if cross <= x0:
+        return [Piece(x0, x1, steep.line, steep.label)]
+    if cross >= x1:
+        return [Piece(x0, x1, flat.line, flat.label)]
+    return [Piece(x0, cross, flat.line, flat.label), Piece(cross, x1, steep.line, steep.label)]
 
 
 def _merge(f: PiecewiseLinearFunction, g: PiecewiseLinearFunction) -> PiecewiseLinearFunction:
+    """Envelope of two functions in one walk over both piece lists: each
+    step ends where the nearer of the two current pieces ends."""
     if (f.lo, f.hi) != (g.lo, g.hi):
         raise ValueError("envelope inputs must share one domain")
     if f.lo == f.hi:
         return _normalize(f.lo, f.hi, list(f.pieces) + list(g.pieces))
-    bounds = sorted({f.lo, f.hi, *f.breakpoints(), *g.breakpoints()})
     out: list[Piece] = []
-    for x0, x1 in zip(bounds, bounds[1:]):
-        pa = _piece_covering(f.pieces, x0, x1)
-        pb = _piece_covering(g.pieces, x0, x1)
+    i = j = 0
+    x0 = f.lo
+    while x0 != f.hi:
+        pa, pb = f.pieces[i], g.pieces[j]
+        x1 = min(pa.hi, pb.hi)
         out.extend(_sub_pieces(x0, x1, pa, pb))
+        if pa.hi == x1:
+            i += 1
+        if pb.hi == x1:
+            j += 1
+        x0 = x1
     return _normalize(f.lo, f.hi, out)
 
 
 def upper_envelope(fs: Sequence[PiecewiseLinearFunction]) -> PiecewiseLinearFunction:
     """Pointwise maximum of the inputs, labels riding along.
 
-    Divide-and-conquer pairwise merging; ties resolve to the smallest
-    label independent of merge order.
+    Divide-and-conquer pairwise merging; each merge walks both piece
+    lists once with two pointers and splits a sub-interval only where
+    its two lines cross.  Ties resolve to the smallest label independent
+    of merge order.
     """
     if not fs:
         raise ValueError("upper envelope of an empty family")

@@ -229,6 +229,35 @@ def test_malformed_instances_exit_2(tmp_path, capsys, mangle):
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "matroid, field",
+    [
+        ({"type": "uniform", "m": 3, "k": 1.9}, "k"),
+        ({"type": "uniform", "m": 3, "k": True}, "k"),
+        ({"type": "uniform", "m": 3.0, "k": 1}, "m"),
+        ({"type": "graphic", "num_vertices": 2.5, "edges": [[0, 1]] * 3}, "num_vertices"),
+        ({"type": "graphic", "num_vertices": 2, "edges": [[0, 1], [0, 1.7], [0, 1]]}, "edges[1][1]"),
+        ({"type": "graphic", "num_vertices": 2, "edges": [[0, 1], [0, 1], [False, 1]]}, "edges[2][0]"),
+        ({"type": "graphic", "num_vertices": 2, "edges": "0-1"}, "edges"),
+        ({"type": "partition", "blocks": "011", "capacities": [1, 1]}, "blocks"),
+        ({"type": "partition", "blocks": [0.5, 1, 1], "capacities": [1, 1]}, "blocks[0]"),
+        ({"type": "partition", "blocks": [0, 1, 1], "capacities": [1, "1"]}, "capacities[1]"),
+        ({"type": "explicit", "m": 3, "bases": [[0], [1.0]]}, "bases[1][0]"),
+        ({"type": "explicit", "m": 3, "bases": [[0], 2]}, "bases[1]"),
+    ],
+)
+def test_non_integer_matroid_fields_exit_2(tmp_path, capsys, matroid, field):
+    payload = {
+        "matroid": matroid,
+        "weights": [{"a": str(i), "b": "1"} for i in range(3)],
+        "ell": 1,
+        "interval": {"lo": "-1", "hi": "1"},
+    }
+    assert main(["solve", write_instance(tmp_path, payload)]) == 2
+    err = capsys.readouterr().err
+    assert f"matroid: {field} must be " in err and "Traceback" not in err
+
+
 def test_unreadable_and_unparsable_files_exit_2(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
@@ -426,6 +455,14 @@ def test_bench_rank_zero_instance(tmp_path):
 def test_bench_unknown_algorithm_exits_2(tmp_path, capsys):
     assert main(["bench", write_instance(tmp_path), "--algorithms", "brute,warp"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("algorithms", [",", "", " , "])
+def test_bench_without_algorithm_exits_2(tmp_path, capsys, algorithms):
+    out = tmp_path / "bench.json"
+    assert main(["bench", write_instance(tmp_path), "--algorithms", algorithms, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: no algorithm given\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

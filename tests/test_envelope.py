@@ -116,6 +116,78 @@ def test_upper_envelope_multi_piece_inputs():
     assert env.breakpoints() == [F(-1), F(1)]
 
 
+DOMAINS = [(F(-6), F(6)), (NEG_INF, F(3)), (F(-3), POS_INF), (NEG_INF, POS_INF)]
+
+
+@st.composite
+def piecewise_families(draw):
+    """2-6 piecewise-linear functions on one domain, shuffled labels.
+
+    Breakpoints come partly from a pool the functions share.  Most pool
+    lines pass through one point above the first shared breakpoint, so
+    pooled pieces cross exactly there.  A function is continuous (each
+    line meets the previous one at the cut), pooled (its pieces repeat
+    pool lines: equal lines under different labels) or a copy of an
+    earlier function under its own label.
+    """
+    lo, hi = draw(st.sampled_from(DOMAINS))
+    inside = st.fractions(max(lo, F(-20)), min(hi, F(20)), max_denominator=5).filter(lambda x: lo < x < hi)
+    shared = draw(st.lists(inside, max_size=4, unique=True))
+    anchor_x, anchor_y = (shared[0] if shared else F(0)), draw(small_fracs)
+    slopes = draw(st.lists(small_fracs, min_size=1, max_size=4))
+    pool = [Line(s, anchor_y - s * anchor_x) for s in slopes] + draw(st.lists(lines, max_size=2))
+    labels = draw(st.permutations(range(draw(st.integers(2, 6)))))
+    fs = []
+    for label in labels:
+        if fs and draw(st.integers(0, 4)) == 0:
+            twin = draw(st.sampled_from(fs))
+            pieces = tuple(Piece(p.lo, p.hi, p.line, label) for p in twin.pieces)
+            fs.append(PiecewiseLinearFunction(lo, hi, pieces))
+            continue
+        own = draw(st.lists(inside, max_size=3))
+        cuts = sorted({*own, *(x for x in shared if draw(st.booleans()))})
+        if draw(st.booleans()):
+            ls = [draw(st.sampled_from(pool))]
+            for x in cuts:
+                s = draw(small_fracs)
+                ls.append(Line(s, ls[-1].value_at(x) - s * x))
+        else:
+            ls = [draw(st.sampled_from(pool)) for _ in range(len(cuts) + 1)]
+        bounds = [lo, *cuts, hi]
+        pieces = tuple(Piece(a, b, l, label) for a, b, l in zip(bounds, bounds[1:], ls))
+        fs.append(PiecewiseLinearFunction(lo, hi, pieces))
+    return fs
+
+
+def _probe_points(fs):
+    """Every finite piece end and one interior point of every piece."""
+    out = set()
+    for f in fs:
+        for p in f.pieces:
+            out.update(x for x in (p.lo, p.hi) if x not in (NEG_INF, POS_INF))
+            out.add(interior_point(p.lo, p.hi))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(piecewise_families())
+def test_upper_envelope_of_multi_piece_inputs(fs):
+    env = upper_envelope(fs)
+    assert (env.lo, env.hi) == (fs[0].lo, fs[0].hi)
+    points = _probe_points([*fs, env])
+    for lam in points:
+        assert env.evaluate(lam) == max(f.evaluate(lam) for f in fs)
+    # away from every breakpoint each line that attains the maximum is the
+    # output piece's line, so the piece's label must be the smallest of theirs
+    cuts = {x for f in [*fs, env] for x in f.breakpoints()}
+    for lam in points - cuts:
+        top = env.evaluate(lam)
+        covering = [f.piece_at(lam) for f in fs]
+        assert env.piece_at(lam).label == min(p.label for p in covering if p.value_at(lam) == top)
+    for left, right in zip(env.pieces, env.pieces[1:]):
+        assert (left.line, left.label) != (right.line, right.label)
+
+
 # ---------------------------------------------------------------------------
 # envelopes of plain lines (the solvers' fast path)
 

@@ -109,6 +109,13 @@ def _integers(raw, where: str, item=_integer) -> list:
     return [item(x, f"{where}[{i}]") for i, x in enumerate(raw)]
 
 
+def _edge(raw, where: str) -> list:
+    ends = _integers(raw, where)
+    if len(ends) != 2:
+        raise CliError(EXIT_PARSE, f"{where} must hold 2 endpoints, got {raw!r}")
+    return ends
+
+
 def _build_matroid(spec, where: str) -> Matroid:
     kind = _expect(spec, "type", where)
 
@@ -118,9 +125,12 @@ def _build_matroid(spec, where: str) -> Matroid:
     def rows(raw, at):
         return _integers(raw, at, _integers)
 
+    def edges(raw, at):
+        return _integers(raw, at, _edge)
+
     try:
         if kind == "graphic":
-            return graphic(field("num_vertices"), field("edges", rows))
+            return graphic(field("num_vertices"), field("edges", edges))
         if kind == "uniform":
             return uniform(field("m"), field("k"))
         if kind == "partition":

@@ -10,7 +10,9 @@ interdicted basis.
   deletion sets, updating them with a few oracle calls per crossing and
   falling back to scratch recomputation when a crossing ripples.
 * solve_tree regrows a candidate search tree of replacement chains in
-  every cell between consecutive crossings.
+  every cell between consecutive crossings; each distinct layer it
+  searches gets one exchange state per cell, shared by every
+  replacement search on that layer and dropped when the cell ends.
 
 Each solve builds one crossing arrangement, whose cells carry the probe
 where every solver evaluates them: its lam and the weight order there,
@@ -18,13 +20,15 @@ sorted at most once per solve.  uset and tree differ only in the
 deletion sets they consider per cell, and share one cell loop,
 _solve_by_cells.  A generator cell_bases(mat, instance, cells) yields
 per cell a dict {F: interdicted basis} of its candidate deletion sets,
-or None on a rank kill; it is resumed only after the previous cell's
-envelope is taken, so independence tests run in sweep order, and it
-keeps its own state across cells (uset's layered bases and tracked
-family) as locals.  The cell loop is the one place where a pair becomes
-an envelope entry, (basis_line, SegmentLabel), reusing the previous
-cell's entry for the same pair.  brute stays on upper_envelope over
-whole per-deletion sweeps, an independent reference for the shared loop.
+or None on a rank kill; it is resumed cell by cell, so independence
+tests run in sweep order, and it keeps its own state across cells
+(uset's layered bases and tracked family) as locals.  Consecutive cells
+with equal dicts form a run, and the loop takes one envelope per run,
+over the run's whole span.  The cell loop is the one place where a pair
+becomes an envelope entry, (basis_line, SegmentLabel), made when a run
+starts and reusing the previous run's entry for the same pair.  brute
+stays on upper_envelope over whole per-deletion sweeps, an independent
+reference for the shared loop.
 
 A deletion that kills the matroid rank makes y identically +inf; the
 reported witness is then always the lexicographically smallest killing
@@ -55,7 +59,7 @@ from .envelope import (
     envelope_of_lines,
     upper_envelope,
 )
-from .matroid import Matroid
+from .matroid import Exchanges, Matroid
 from .parametric import (
     EqualityPoint,
     MatroidInstance,
@@ -309,26 +313,38 @@ def _arrangement(mat, instance) -> list[tuple]:
 
 
 def _solve_by_cells(instance: MatroidInstance, algorithm: str, cell_bases) -> InterdictionSolution:
-    """Envelope of cell_bases' deletion sets per crossing cell, concatenated.
+    """Envelope of cell_bases' deletion sets per run of equal maps, concatenated.
 
     cell_bases(mat, instance, cells) yields per cell a dict {F: basis} of
     candidate deletion sets and their interdicted bases, or None on a
-    rank kill.  This loop alone turns a pair into an envelope entry
-    (basis_line, SegmentLabel); an entry the previous cell made for the
-    same (F, basis) is reused, and older ones are dropped.
+    rank kill.  Consecutive cells with equal maps form one run, and each
+    run takes one envelope over its whole span: the envelope's tie rule
+    (equal lines keep the smallest label) does not depend on the span,
+    and concatenate merges equal neighbouring pieces, so the segments
+    are those of one envelope per cell.  This loop alone turns a pair
+    into an envelope entry (basis_line, SegmentLabel), when a run
+    starts; an entry the previous run made for the same (F, basis) is
+    reused, and older ones are dropped.
     """
     mat = instance.matroid.with_fresh_counter()
     if instance.rank == 0:
         return _flat_solution(mat, instance, algorithm)
     cells = _arrangement(mat, instance)
-    cell_envs: list[PiecewiseLinearFunction] = []
-    made: dict = {}  # the previous cell's entries, keyed by (F, basis)
+    run_envs: list[PiecewiseLinearFunction] = []
+    made: dict = {}  # the open run's entries, keyed by (F, basis)
+    run_lo = run_hi = run_bases = None
     for (lo, hi, probe, _crossings), bases in zip(cells, cell_bases(mat, instance, cells)):
         if bases is None:
             return _flat_solution(mat, instance, algorithm)
+        if bases == run_bases:
+            run_hi = hi
+            continue
+        if run_bases is not None:
+            run_envs.append(envelope_of_lines(list(made.values()), run_lo, run_hi))
         made = {fb: made.get(fb) or (basis_line(probe.columns, fb[1]), _label(*fb)) for fb in bases.items()}
-        cell_envs.append(envelope_of_lines(list(made.values()), lo, hi))
-    env = concatenate(cell_envs)
+        run_lo, run_hi, run_bases = lo, hi, bases
+    run_envs.append(envelope_of_lines(list(made.values()), run_lo, run_hi))
+    env = concatenate(run_envs)
     return InterdictionSolution(env, _classify(env), algorithm, mat.oracle_calls)
 
 
@@ -438,6 +454,7 @@ def candidate_tree(
     nodes: list[tuple[frozenset[int], frozenset[int], tuple[frozenset[int], ...]]] = [
         (frozenset(), frozenset(), root.layers)
     ]
+    states: dict[frozenset[int], Exchanges] = {}  # one exchange state per distinct layer
     for level in range(ell):
         leaf = level == ell - 1
         nxt = []
@@ -445,7 +462,7 @@ def candidate_tree(
             taken: set[int] = set(forbidden)
             for e in sorted(layers[0] if leaf else layers[0] - forbidden):
                 child_f = F | {e}
-                child = _tree_child(matroid, probe, child_f, layers, e)
+                child = _tree_child(matroid, probe, child_f, layers, e, states)
                 if child is None:
                     out.append((child_f, None))
                 elif leaf:
@@ -457,7 +474,7 @@ def candidate_tree(
     return out
 
 
-def _tree_child(matroid, probe, child_f, layers, e):
+def _tree_child(matroid, probe, child_f, layers, e, states):
     """Layers of the child reached by deleting e, repaired by chains.
 
     child_f is the child's deletion set, e included.  Each repaired
@@ -467,8 +484,9 @@ def _tree_child(matroid, probe, child_f, layers, e):
     large as the repaired one it must contain the replacement
     (replacement elements fall through exactly one layer), so the search
     is restricted to it; otherwise it covers every element below the
-    repaired layers.  Returns None when e has no replacement at all
-    (child_f kills the rank).
+    repaired layers.  Each search runs on the searched layer's exchange
+    state in states, built on the layer's first search.  Returns None
+    when e has no replacement at all (child_f kills the rank).
     """
     child_depth = len(layers) - 1
     child_layers = list(layers[:child_depth])
@@ -481,7 +499,9 @@ def _tree_child(matroid, probe, child_f, layers, e):
             pool = set(matroid.available) - child_f - layer
             for q in range(p):
                 pool -= child_layers[q]
-        r = replacement_element(matroid, probe, layer, x, among=pool)
+        if layer not in states:
+            states[layer] = matroid.exchanges(layer)
+        r = replacement_element(matroid, probe, layer, x, among=pool, exchanges=states[layer])
         if r is None:
             if p == 0:
                 return None

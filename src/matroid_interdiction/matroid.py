@@ -21,9 +21,21 @@ root finds instead of a union-find over the whole set.  Each augment
 test counts as one oracle call, as the one-shot query it replaces did.
 
 Matroid.greedy (minimum bases and rank) grows one state along an
-order, and Matroid.first_fit (replacement searches) grows one over a
-base and asks fits() of each candidate.  The enumeration oracle keeps
-its own greedy on one-shot queries, as a reference.
+order.  The enumeration oracle keeps its own greedy on one-shot
+queries, as a reference.
+
+A replacement search asks, for an independent basis B and some x in
+it, which candidates c make B - x + c independent.  Matroid.exchanges
+builds one exchange state per basis, uncounted, that answers this for
+every x in B: graphic roots the forest B once and records each
+vertex's tree and the basis edges on its root path, so c fits when its
+ends lie in different trees or x lies on the tree path between them
+(exactly one end lies below x); partition keeps the room left in each
+block, so c fits when its block has room or is x's block; uniform fits
+every c.  Explicit families and dependent bases fall back to a one-shot
+test of B - x + c.  A caller that searches one basis for several x, or
+several times, keeps its state; each candidate tried costs one oracle
+call.
 """
 
 from __future__ import annotations
@@ -69,6 +81,51 @@ class _GraphicFamily:
 
     def scan(self) -> "_GraphicScan":
         return _GraphicScan(self)
+
+    def exchanges(self, basis: frozenset[int]):
+        state = _ForestExchanges(self, basis)
+        return state if state.independent else _OneShotExchanges(self, basis)
+
+
+class _ForestExchanges:
+    """The forest B rooted once: per vertex its tree and its root path.
+
+    path[w] holds, as bits, the basis edges between w and its root, so
+    the tree path between u and v holds the bits of path[u] ^ path[v].
+    Removing x from B separates u from v exactly when x lies on that
+    path, that is, when exactly one of them lies below x.
+    """
+
+    __slots__ = ("independent", "_ends", "_tree", "_path")
+
+    def __init__(self, family: _GraphicFamily, basis: frozenset[int]):
+        ends, n = family._ends, family._touched
+        adjacent: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for e in basis:
+            u, v = ends[e]
+            adjacent[u].append((v, e))
+            adjacent[v].append((u, e))
+        tree, path = [-1] * n, [0] * n
+        reached = 0  # vertices reached from a root, one basis edge each
+        for root in range(n):
+            if tree[root] >= 0:
+                continue
+            tree[root], stack = root, [root]
+            while stack:
+                u = stack.pop()
+                for v, e in adjacent[u]:
+                    if tree[v] < 0:
+                        tree[v], path[v] = root, path[u] | 1 << e
+                        stack.append(v)
+                        reached += 1
+        # any other basis edge closes a cycle
+        self.independent = reached == len(basis)
+        self._ends, self._tree, self._path = ends, tree, path
+
+    def fits(self, x: int, c: int) -> bool:
+        u, v = self._ends[c]
+        tree, path = self._tree, self._path
+        return tree[u] != tree[v] or bool((path[u] ^ path[v]) >> x & 1)
 
 
 class _GraphicScan:
@@ -122,6 +179,9 @@ class _UniformFamily:
     def scan(self) -> "_UniformScan":
         return _UniformScan(self)
 
+    def exchanges(self, basis: frozenset[int]):
+        return _AlwaysExchanges() if len(basis) <= self.k else _OneShotExchanges(self, basis)
+
 
 class _PartitionFamily:
     kind = "partition"
@@ -149,6 +209,27 @@ class _PartitionFamily:
 
     def scan(self) -> "_PartitionScan":
         return _PartitionScan(self)
+
+    def exchanges(self, basis: frozenset[int]):
+        state = _PartitionExchanges(self, basis)
+        return state if state.independent else _OneShotExchanges(self, basis)
+
+
+class _PartitionExchanges:
+    """The room B leaves in each block; x frees one slot in its own."""
+
+    __slots__ = ("independent", "_blocks", "_room")
+
+    def __init__(self, family: _PartitionFamily, basis: frozenset[int]):
+        self._blocks = blocks = family.blocks
+        self._room = room = list(family.capacities)
+        for e in basis:
+            room[blocks[e]] -= 1
+        self.independent = min(room, default=0) >= 0
+
+    def fits(self, x: int, c: int) -> bool:
+        b = self._blocks[c]
+        return self._room[b] > 0 or b == self._blocks[x]
 
 
 class _PartitionScan:
@@ -199,6 +280,9 @@ class _ExplicitFamily:
     def scan(self) -> "_OneShotScan":
         return _OneShotScan(self)
 
+    def exchanges(self, basis: frozenset[int]) -> "_OneShotExchanges":
+        return _OneShotExchanges(self, basis)
+
 
 class _OneShotScan:
     """The generic augment state: the set itself, tested by one-shot queries."""
@@ -216,6 +300,28 @@ class _OneShotScan:
         if not self.fits(e):
             return False
         self.members.add(e)
+        return True
+
+
+class _OneShotExchanges:
+    """The generic exchange state: one one-shot query of B - x + c per answer."""
+
+    __slots__ = ("_basis", "_independent")
+
+    def __init__(self, family, basis: frozenset[int]):
+        self._basis = basis
+        self._independent = family.independent
+
+    def fits(self, x: int, c: int) -> bool:
+        return self._independent(self._basis - {x} | {c})
+
+
+class _AlwaysExchanges:
+    """Uniform, |B| <= k: B - x + c has |B| elements, so every c fits."""
+
+    __slots__ = ()
+
+    def fits(self, x: int, c: int) -> bool:
         return True
 
 
@@ -299,25 +405,12 @@ class Matroid:
             add(e)
         return frozenset(chosen)
 
-    def first_fit(self, base: Iterable[int], candidates: Iterable[int]) -> int | None:
-        """The first candidate c with base + c independent, or None.
-
-        One augment state is grown over base, uncounted, and each
-        candidate tried costs one oracle call.  A dependent base fits no
-        candidate, and every candidate is still charged.
-        """
-        deleted, counter = self.deleted, self._counter
-        if not deleted.isdisjoint(base):
-            raise _touches_deleted(base, deleted)
-        scan = self._family.scan()
-        fits = scan.fits if all(scan.add(e) for e in base) else None
-        for c in candidates:
-            if c in deleted:
-                raise _touches_deleted({c}, deleted)
-            counter[0] += 1
-            if fits is not None and fits(c):
-                return c
-        return None
+    def exchanges(self, basis: Iterable[int]) -> "Exchanges":
+        """The exchange state of basis in this view, built uncounted."""
+        basis = frozenset(basis)
+        if not self.deleted.isdisjoint(basis):
+            raise _touches_deleted(basis, self.deleted)
+        return Exchanges(self._family.exchanges(basis), self.deleted, self._counter)
 
     def rank(self, stop_at: int | None = None) -> int:
         """min(rank, stop_at): the size of the greedy set grown by id."""
@@ -325,6 +418,37 @@ class Matroid:
 
     def __repr__(self) -> str:
         return f"Matroid({self._family.kind}, m={self.ground_size}, deleted={sorted(self.deleted)})"
+
+
+class Exchanges:
+    """Which candidates c make basis - x + c independent, for any x in basis.
+
+    Built by Matroid.exchanges; every answer is charged to the view's
+    counter, one oracle call per candidate tried.
+    """
+
+    __slots__ = ("_fits", "_deleted", "_counter")
+
+    def __init__(self, state, deleted: frozenset[int], counter: list[int]):
+        self._fits = state.fits
+        self._deleted = deleted
+        self._counter = counter
+
+    def replacement(self, x: int, candidates: Iterable[int]) -> int | None:
+        """The first candidate c with basis - x + c independent, or None.
+
+        Candidates come from outside the basis; a deleted one raises
+        when its turn comes.  A dependent basis may fit no candidate,
+        and every candidate tried is still charged.
+        """
+        fits, deleted, counter = self._fits, self._deleted, self._counter
+        for c in candidates:
+            if c in deleted:
+                raise _touches_deleted({c}, deleted)
+            counter[0] += 1
+            if fits(x, c):
+                return c
+        return None
 
 
 def _touches_deleted(subset, deleted: frozenset[int]) -> ValueError:

@@ -42,7 +42,7 @@ from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .envelope import NEG_INF, POS_INF, Line, Piece, PiecewiseLinearFunction, interior_point
-from .matroid import Matroid
+from .matroid import Exchanges, Matroid
 
 
 def rat(value) -> Fraction:
@@ -207,17 +207,24 @@ def replacement_element(
     basis: frozenset[int],
     e: int,
     among: Iterable[int] | None = None,
+    exchanges: Exchanges | None = None,
 ) -> int | None:
     """Cheapest element at the probe restoring the basis after e leaves, or None.
 
     `among` restricts the search space (used when a containing layer is
     known); by default every available non-basis element is considered.
+    Candidates are tried in probe order against the basis's exchange
+    state, one oracle call each; a caller searching one basis more than
+    once passes the state it keeps, matroid.exchanges(basis), as
+    `exchanges`, and otherwise a fresh one is built.
     """
     if e not in basis:
         raise ValueError(f"element {e} is not in the basis")
     pool = matroid.available if among is None else among
     candidates = sorted((r for r in pool if r not in basis), key=probe.rank.__getitem__)
-    return matroid.first_fit(basis - {e}, candidates)
+    if exchanges is None:
+        exchanges = matroid.exchanges(basis)
+    return exchanges.replacement(e, candidates)
 
 
 def most_vital_element(
@@ -232,10 +239,11 @@ def most_vital_element(
     smaller element id.
     """
     probe = probe_at(matroid, weights, lam)
+    exchanges = matroid.exchanges(basis)
     best_e = None
     best_delta = None
     for e in sorted(basis):
-        r = replacement_element(matroid, probe, basis, e)
+        r = replacement_element(matroid, probe, basis, e, exchanges=exchanges)
         delta = POS_INF if r is None else weight_at(weights[r], lam) - weight_at(weights[e], lam)
         if best_delta is None or delta > best_delta:
             best_e, best_delta = e, delta

@@ -258,6 +258,19 @@ def test_non_integer_matroid_fields_exit_2(tmp_path, capsys, matroid, field):
     assert f"matroid: {field} must be " in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("edge", [[0, 1, 1], [0], []])
+def test_an_edge_without_two_endpoints_exits_2(tmp_path, capsys, edge):
+    payload = {
+        "matroid": {"type": "graphic", "num_vertices": 2, "edges": [[0, 1], [0, 1], edge]},
+        "weights": [{"a": str(i), "b": "1"} for i in range(3)],
+        "ell": 1,
+        "interval": {"lo": "-1", "hi": "1"},
+    }
+    assert main(["solve", write_instance(tmp_path, payload)]) == 2
+    err = capsys.readouterr().err
+    assert f"matroid: edges[2] must hold 2 endpoints, got {edge}" in err and "Traceback" not in err
+
+
 def test_unreadable_and_unparsable_files_exit_2(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"

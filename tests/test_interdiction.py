@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matroid_interdiction import parametric
+from matroid_interdiction import interdiction, parametric
 from matroid_interdiction.cli import generate_random, instance_from_dict
-from matroid_interdiction.envelope import NEG_INF, POS_INF, Line, interior_point
+from matroid_interdiction.envelope import NEG_INF, POS_INF, Line, concatenate, envelope_of_lines, interior_point
 from matroid_interdiction.interdiction import (
     ALGORITHMS,
     EnumerationCapExceeded,
@@ -388,6 +388,35 @@ def test_solvers_agree_in_value_on_degenerate_inputs(inst):
         assert len({env.evaluate(lam) for env in envs}) == 1, lam
 
 
+# the shared cell loop without runs: one envelope_of_lines per cell
+CELL_BASES = {"uset": interdiction._uset_cells, "tree": interdiction._tree_cells}
+
+
+def per_cell_reference(inst, name):
+    """(pieces, oracle calls) of one envelope per crossing cell, concatenated."""
+    mat = inst.matroid.with_fresh_counter()
+    cells = interdiction._arrangement(mat, inst) if inst.rank else []
+    envs = []
+    for (lo, hi, probe, _crossings), bases in zip(cells, CELL_BASES[name](mat, inst, cells)):
+        if bases is None:  # a rank kill
+            envs = []
+            break
+        labels = [SegmentLabel(tuple(sorted(F)), tuple(sorted(B))) for F, B in bases.items()]
+        envs.append(envelope_of_lines([(basis_line(probe.columns, l.basis), l) for l in labels], lo, hi))
+    if not envs:  # rank 0 or a rank kill
+        flat = interdiction._flat_solution(mat, inst, name)
+        return flat.envelope.pieces, flat.oracle_calls
+    return concatenate(envs).pieces, mat.oracle_calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(degenerate_instances())
+def test_one_envelope_per_run_gives_the_per_cell_segments(inst):
+    for name in CELL_BASES:
+        sol = solve(inst, name)
+        assert (sol.envelope.pieces, sol.oracle_calls) == per_cell_reference(inst, name), name
+
+
 # ---------------------------------------------------------------------------
 # caps and the solution wrapper
 
@@ -501,6 +530,28 @@ def test_oracle_calls_are_pinned(spec, expected):
     inst = instance_from_dict(generate_random(*spec))
     got = {name: solve(inst, name).oracle_calls for name in expected}
     assert got == expected
+
+
+# Per pinned spec: crossing cells, then the runs of equal {F: basis} maps
+# that uset and tree hand the cell loop.
+ENVELOPE_RUN_PINS = [(6, {"uset": 1, "tree": 1}), (52, {"uset": 17, "tree": 17}), (37, {"uset": 23, "tree": 13})]
+PINNED_SPECS = [spec for spec, _ in ORACLE_CALL_PINS]
+
+
+@pytest.mark.parametrize("spec,pin", zip(PINNED_SPECS, ENVELOPE_RUN_PINS), ids=[spec[0] for spec in PINNED_SPECS])
+def test_one_envelope_per_run_of_equal_maps(monkeypatch, spec, pin):
+    inst = instance_from_dict(generate_random(*spec))
+    cells, expected = pin
+    envelope = interdiction.envelope_of_lines
+    for name, cell_bases in CELL_BASES.items():
+        mat = inst.matroid.with_fresh_counter()
+        maps = list(cell_bases(mat, inst, interdiction._arrangement(mat, inst)))
+        runs = 1 + sum(a != b for a, b in zip(maps, maps[1:]))
+        calls = []
+        monkeypatch.setattr(interdiction, "envelope_of_lines", lambda *a: calls.append(a) or envelope(*a))
+        solve(inst, name)
+        monkeypatch.undo()
+        assert (len(maps), len(calls)) == (cells, runs) == (cells, expected[name]), name
 
 
 @pytest.mark.parametrize("spec", [spec for spec, _ in ORACLE_CALL_PINS], ids=[spec[0] for spec, _ in ORACLE_CALL_PINS])

@@ -11,8 +11,8 @@ denominators, where an integer rewrite can go wrong.
 
 The verifier must not share this kernel: KERNEL names every kernel
 helper (the columns, the Probe with its constructors and sort, the
-greedy scans and augment states, basis_line and envelope_of_lines), and
-oracle.py may reference none of them.
+greedy scans, augment and exchange states, basis_line and
+envelope_of_lines), and oracle.py may reference none of them.
 """
 
 import ast
@@ -165,9 +165,11 @@ KERNEL = {
     "crossing_cells",
     "_sort_ground",
     "greedy",
-    # augment states: the oracle stays on one-shot is_independent queries
-    "first_fit",
+    # augment and exchange states: the oracle stays on one-shot
+    # is_independent queries
     "scan",
+    "exchanges",
+    "Exchanges",
     "greedy_min_basis",
     "basis_line",
     "envelope_of_lines",

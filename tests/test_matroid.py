@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from matroid_interdiction.matroid import (
     Matroid,
+    _OneShotExchanges,
     explicit,
     graphic,
     partition,
@@ -310,6 +311,28 @@ def test_scan_agrees_with_the_one_shot_query(mat, data):
             if fits:
                 chosen.add(e)
         assert scan.members == chosen
+
+
+@settings(max_examples=300, deadline=None)
+@given(ANY_FAMILY, st.data())
+def test_exchange_state_agrees_with_the_one_shot_query(mat, data):
+    # every x in the basis and every c outside it; the basis is a maximal
+    # independent set, any independent set or any set at all
+    family = mat._family
+    m = mat.ground_size
+    basis = frozenset(data.draw(st.sets(st.integers(0, m - 1), min_size=1), label="basis"))
+    shape = data.draw(st.sampled_from(["maximal", "independent", "any"]), label="shape")
+    if shape == "maximal":
+        basis = mat.greedy(data.draw(st.permutations(range(m)), label="order"))
+    elif shape == "independent":
+        basis = mat.greedy(sorted(basis))
+    state = family.exchanges(basis)
+    independent = family.independent(basis)
+    # the one-shot fallback serves explicit families and dependent bases only
+    assert isinstance(state, _OneShotExchanges) == (family.kind == "explicit" or not independent)
+    for x in basis:
+        for c in set(range(m)) - basis:
+            assert state.fits(x, c) == family.independent(basis - {x} | {c}), (sorted(basis), x, c)
 
 
 @settings(max_examples=200, deadline=None)

@@ -17,6 +17,7 @@ import os
 import random
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 from .envelope import NEG_INF, POS_INF
@@ -30,7 +31,7 @@ from .interdiction import (
 )
 from .matroid import Matroid, explicit, graphic, partition, uniform
 from .oracle import verify_solution
-from .parametric import Interval, MatroidInstance, pw
+from .parametric import Interval, MatroidInstance, pw, rat
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -52,11 +53,17 @@ class CliError(Exception):
 
 
 def format_rational(x) -> str:
+    """The exact "p/q" (or integer) string of x, at any length."""
     if x == NEG_INF:
         return "-inf"
     if x == POS_INF:
         return "inf"
-    return str(Fraction(x))
+    x = Fraction(x)
+    try:
+        return str(x)
+    except ValueError:  # past the digit limit on integer strings, which Decimal does not apply
+        p, q = Decimal(x.numerator), Decimal(x.denominator)
+        return str(p) if q == 1 else f"{p}/{q}"
 
 
 def parse_rational(raw, where: str, allow_infinite: bool = False):
@@ -68,7 +75,7 @@ def parse_rational(raw, where: str, allow_infinite: bool = False):
             value = NEG_INF
         else:
             try:
-                value = Fraction(text)
+                value = rat(text)
             except (ValueError, ZeroDivisionError) as exc:
                 raise CliError(EXIT_PARSE, f"{where}: not a rational: {raw!r} ({exc})")
     elif isinstance(raw, bool) or not isinstance(raw, int):
@@ -92,7 +99,7 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise CliError(EXIT_PARSE, f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an int literal past the digit limit
         raise CliError(EXIT_PARSE, f"{path}: malformed JSON: {exc}")
 
 

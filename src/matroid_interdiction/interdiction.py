@@ -59,7 +59,7 @@ from .envelope import (
     envelope_of_lines,
     upper_envelope,
 )
-from .matroid import Exchanges, Matroid
+from .matroid import Matroid
 from .parametric import (
     EqualityPoint,
     MatroidInstance,
@@ -250,20 +250,21 @@ def update_interdicted_set(
     F: frozenset[int],
     basis: frozenset[int],
     event: EqualityPoint,
-    u1: frozenset[int],
-    u2: frozenset[int],
+    renamed: bool,
 ) -> tuple[frozenset[int], frozenset[int]]:
     """Deletion set and interdicted basis right of the event.
 
-    When the union update renamed e to f and e was deleted, the deletion
-    set follows the rename; the basis swaps back e for f exactly when f
-    was serving as e's replacement (f in basis).  With f absent the
-    basis stays put: e only ever entered the picture through f, so a
-    basis that never needed f cannot profit from e's return.  Without a
-    rename the basis obeys the sweep's exchange(), unless f is deleted.
+    renamed says whether the crossing renamed e to f in the layered-bases
+    union, decided once per crossing by the caller.  When it did and e
+    was deleted, the deletion set follows the rename; the basis swaps
+    back e for f exactly when f was serving as e's replacement (f in
+    basis).  With f absent the basis stays put: e only ever entered the
+    picture through f, so a basis that never needed f cannot profit
+    from e's return.  Without a rename the basis obeys the sweep's
+    exchange(), unless f is deleted.
     """
     e, f = event.leaving, event.entering
-    if u2 != u1 and e in F:
+    if renamed and e in F:
         new_f = F - {e} | {f}
         if f in basis:
             return new_f, basis - {f} | {e}
@@ -401,8 +402,9 @@ def _uset_cells(mat, instance, cells):
             (ev,) = crossings
             new_lb = update_u(mat, lb, ev, probe)
             u1, u2 = lb.union, new_lb.union
-            if u2 == u1 or u2 == u1 - {ev.leaving} | {ev.entering}:
-                tracked = dict(update_interdicted_set(mat, F, B, ev, u1, u2) for F, B in tracked.items())
+            renamed = u2 != u1
+            if not renamed or u2 == u1 - {ev.leaving} | {ev.entering}:
+                tracked = dict(update_interdicted_set(mat, F, B, ev, renamed) for F, B in tracked.items())
                 lb = new_lb
             else:
                 rebuild = True
@@ -454,7 +456,7 @@ def candidate_tree(
     nodes: list[tuple[frozenset[int], frozenset[int], tuple[frozenset[int], ...]]] = [
         (frozenset(), frozenset(), root.layers)
     ]
-    states: dict[frozenset[int], Exchanges] = {}  # one exchange state per distinct layer
+    states: dict = {}  # one exchange state per distinct layer
     for level in range(ell):
         leaf = level == ell - 1
         nxt = []

@@ -10,32 +10,32 @@ Two kinds of independence test share one oracle-call counter.  A
 one-shot query, Matroid.is_independent, tests a whole set from nothing:
 a graphic query costs O(|subset| + touched vertices), because the
 family renumbers the vertices its edges touch once and each query runs
-one fresh union-find over those alone.  An augment test asks whether
-one more element keeps a growing independent set independent.  Every
-family keeps that set in an augment state, scan(), with add(e) (grow
-if still independent) and fits(e) (test only): graphic keeps one
-union-find with path halving, grown Kruskal style, partition the room
-left in each block, uniform a count, explicit the set itself for its
-one-shot test.  A graphic augment test then costs two near-constant
-root finds instead of a union-find over the whole set.  Each augment
-test counts as one oracle call, as the one-shot query it replaces did.
+one fresh union-find over those alone.  The other tests run on a
+family state that answers one question, and only the Matroid view
+loops over them, counting one oracle call per element tried and
+refusing a deleted one, as the one-shot query it replaces did.
 
-Matroid.greedy (minimum bases and rank) grows one state along an
-order.  The enumeration oracle keeps its own greedy on one-shot
-queries, as a reference.
+Matroid.greedy (minimum bases and rank) grows an augment state, scan(),
+along an order.  The state answers add(e): does the set grown so far
+stay independent with e, an element it does not hold yet, and if so it
+takes e.  Graphic keeps one union-find with path halving, grown Kruskal
+style, so an augment test costs two near-constant root finds; partition
+keeps the room left in each block, uniform a count, explicit the set
+itself for its one-shot test.  The view keeps the chosen set, so an id
+tried twice is a counted no-op.  The enumeration oracle keeps its own
+greedy on one-shot queries, as a reference.
 
-A replacement search asks, for an independent basis B and some x in
-it, which candidates c make B - x + c independent.  Matroid.exchanges
-builds one exchange state per basis, uncounted, that answers this for
-every x in B: graphic roots the forest B once and records each
-vertex's tree and the basis edges on its root path, so c fits when its
-ends lie in different trees or x lies on the tree path between them
-(exactly one end lies below x); partition keeps the room left in each
-block, so c fits when its block has room or is x's block; uniform fits
-every c.  Explicit families and dependent bases fall back to a one-shot
-test of B - x + c.  A caller that searches one basis for several x, or
-several times, keeps its state; each candidate tried costs one oracle
-call.
+Matroid.replacement searches, for an independent basis B and some x in
+it, for the first candidate c that makes B - x + c independent.  It
+runs on an exchange state, Matroid.exchanges(B), built once per basis
+and uncounted, that answers fits(x, c) for every x in B: graphic roots
+the forest B once and records each vertex's tree and the basis edges on
+its root path, so c fits when its ends lie in different trees or x lies
+on the tree path between them (exactly one end lies below x); partition
+keeps the room left in each block, so c fits when its block has room or
+is x's block; uniform fits every c.  Explicit families and dependent
+bases fall back to a one-shot test of B - x + c.  A caller that
+searches one basis for several x, or several times, keeps its state.
 """
 
 from __future__ import annotations
@@ -131,36 +131,22 @@ class _ForestExchanges:
 class _GraphicScan:
     """One union-find over the touched vertices, grown edge by edge."""
 
-    __slots__ = ("members", "_ends", "_parent")
+    __slots__ = ("_ends", "_parent")
 
     def __init__(self, family: _GraphicFamily):
-        self.members: set[int] = set()
         self._ends = family._ends
         self._parent = list(range(family._touched))
 
-    def _roots(self, e: int) -> tuple[int, int]:
+    def add(self, e: int) -> bool:
         parent = self._parent
         u, v = self._ends[e]
         while parent[u] != u:
             parent[u] = u = parent[parent[u]]
         while parent[v] != v:
             parent[v] = v = parent[parent[v]]
-        return u, v
-
-    def fits(self, e: int) -> bool:
-        if e in self.members:
-            return True
-        u, v = self._roots(e)
-        return u != v
-
-    def add(self, e: int) -> bool:
-        if e in self.members:
-            return True
-        u, v = self._roots(e)
         if u == v:  # closes a cycle (self-loops included)
             return False
-        self._parent[u] = v
-        self.members.add(e)
+        parent[u] = v
         return True
 
 
@@ -181,6 +167,21 @@ class _UniformFamily:
 
     def exchanges(self, basis: frozenset[int]):
         return _AlwaysExchanges() if len(basis) <= self.k else _OneShotExchanges(self, basis)
+
+
+class _UniformScan:
+    """A count: the set grows while it holds fewer than k elements."""
+
+    __slots__ = ("_room",)
+
+    def __init__(self, family: _UniformFamily):
+        self._room = family.k
+
+    def add(self, e: int) -> bool:
+        if not self._room:
+            return False
+        self._room -= 1
+        return True
 
 
 class _PartitionFamily:
@@ -235,24 +236,17 @@ class _PartitionExchanges:
 class _PartitionScan:
     """The room left in each block."""
 
-    __slots__ = ("members", "_blocks", "_room")
+    __slots__ = ("_blocks", "_room")
 
     def __init__(self, family: _PartitionFamily):
-        self.members: set[int] = set()
         self._blocks = family.blocks
         self._room = list(family.capacities)
 
-    def fits(self, e: int) -> bool:
-        return e in self.members or self._room[self._blocks[e]] > 0
-
     def add(self, e: int) -> bool:
-        if e in self.members:
-            return True
         b = self._blocks[e]
         if not self._room[b]:
             return False
         self._room[b] -= 1
-        self.members.add(e)
         return True
 
 
@@ -287,19 +281,16 @@ class _ExplicitFamily:
 class _OneShotScan:
     """The generic augment state: the set itself, tested by one-shot queries."""
 
-    __slots__ = ("members", "_independent")
+    __slots__ = ("_members", "_independent")
 
     def __init__(self, family):
-        self.members: set[int] = set()
+        self._members: set[int] = set()
         self._independent = family.independent
 
-    def fits(self, e: int) -> bool:
-        return e in self.members or self._independent(self.members | {e})
-
     def add(self, e: int) -> bool:
-        if not self.fits(e):
+        if not self._independent(self._members | {e}):
             return False
-        self.members.add(e)
+        self._members.add(e)
         return True
 
 
@@ -323,19 +314,6 @@ class _AlwaysExchanges:
 
     def fits(self, x: int, c: int) -> bool:
         return True
-
-
-class _UniformScan(_OneShotScan):
-    """A count: the set grows while it holds fewer than k elements."""
-
-    __slots__ = ("_k",)
-
-    def __init__(self, family: _UniformFamily):
-        super().__init__(family)
-        self._k = family.k
-
-    def fits(self, e: int) -> bool:
-        return e in self.members or len(self.members) < self._k
 
 
 class Matroid:
@@ -393,8 +371,8 @@ class Matroid:
         once the set holds stop_at elements.  Along a weight order this
         is the minimum basis.
         """
-        scan = self._family.scan()
-        add, chosen = scan.add, scan.members
+        add = self._family.scan().add
+        chosen: set[int] = set()
         deleted, counter = self.deleted, self._counter
         for e in order:
             if len(chosen) == stop_at:
@@ -402,46 +380,26 @@ class Matroid:
             if e in deleted:
                 raise _touches_deleted({e}, deleted)
             counter[0] += 1
-            add(e)
+            if e not in chosen and add(e):
+                chosen.add(e)
         return frozenset(chosen)
 
-    def exchanges(self, basis: Iterable[int]) -> "Exchanges":
-        """The exchange state of basis in this view, built uncounted."""
+    def exchanges(self, basis: Iterable[int]):
+        """The family's exchange state of basis, built uncounted; see replacement."""
         basis = frozenset(basis)
         if not self.deleted.isdisjoint(basis):
             raise _touches_deleted(basis, self.deleted)
-        return Exchanges(self._family.exchanges(basis), self.deleted, self._counter)
+        return self._family.exchanges(basis)
 
-    def rank(self, stop_at: int | None = None) -> int:
-        """min(rank, stop_at): the size of the greedy set grown by id."""
-        return len(self.greedy(self.available, stop_at))
-
-    def __repr__(self) -> str:
-        return f"Matroid({self._family.kind}, m={self.ground_size}, deleted={sorted(self.deleted)})"
-
-
-class Exchanges:
-    """Which candidates c make basis - x + c independent, for any x in basis.
-
-    Built by Matroid.exchanges; every answer is charged to the view's
-    counter, one oracle call per candidate tried.
-    """
-
-    __slots__ = ("_fits", "_deleted", "_counter")
-
-    def __init__(self, state, deleted: frozenset[int], counter: list[int]):
-        self._fits = state.fits
-        self._deleted = deleted
-        self._counter = counter
-
-    def replacement(self, x: int, candidates: Iterable[int]) -> int | None:
+    def replacement(self, state, x: int, candidates: Iterable[int]) -> int | None:
         """The first candidate c with basis - x + c independent, or None.
 
-        Candidates come from outside the basis; a deleted one raises
-        when its turn comes.  A dependent basis may fit no candidate,
-        and every candidate tried is still charged.
+        state is self.exchanges(basis).  Candidates come from outside
+        the basis, and each one tried costs one oracle call; a deleted
+        one raises when its turn comes, before it is charged.  A
+        dependent basis may fit no candidate.
         """
-        fits, deleted, counter = self._fits, self._deleted, self._counter
+        fits, deleted, counter = state.fits, self.deleted, self._counter
         for c in candidates:
             if c in deleted:
                 raise _touches_deleted({c}, deleted)
@@ -449,6 +407,13 @@ class Exchanges:
             if fits(x, c):
                 return c
         return None
+
+    def rank(self, stop_at: int | None = None) -> int:
+        """min(rank, stop_at): the size of the greedy set grown by id."""
+        return len(self.greedy(self.available, stop_at))
+
+    def __repr__(self) -> str:
+        return f"Matroid({self._family.kind}, m={self.ground_size}, deleted={sorted(self.deleted)})"
 
 
 def _touches_deleted(subset, deleted: frozenset[int]) -> ValueError:

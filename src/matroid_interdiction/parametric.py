@@ -42,15 +42,21 @@ from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .envelope import NEG_INF, POS_INF, Line, Piece, PiecewiseLinearFunction, interior_point
-from .matroid import Exchanges, Matroid
+from .matroid import Matroid
 
 
 def rat(value) -> Fraction:
-    """Coerce ints, decimal strings, and 'p/q' strings to Fraction."""
+    """Coerce ints, decimal strings, and 'p/q' strings to Fraction.
+
+    Exponent notation is refused: '1e3000000' would build a
+    3,000,001-digit int, unchecked by the digit limit on number strings.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         raise TypeError(f"refusing inexact float {value!r}; pass a string or Fraction")
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        raise ValueError(f"refusing exponent notation {value!r}; write an integer, a decimal or p/q")
     return Fraction(value)
 
 
@@ -207,15 +213,15 @@ def replacement_element(
     basis: frozenset[int],
     e: int,
     among: Iterable[int] | None = None,
-    exchanges: Exchanges | None = None,
+    exchanges=None,
 ) -> int | None:
     """Cheapest element at the probe restoring the basis after e leaves, or None.
 
     `among` restricts the search space (used when a containing layer is
     known); by default every available non-basis element is considered.
-    Candidates are tried in probe order against the basis's exchange
-    state, one oracle call each; a caller searching one basis more than
-    once passes the state it keeps, matroid.exchanges(basis), as
+    Candidates are tried in probe order by matroid.replacement, one
+    oracle call each; a caller searching one basis more than once passes
+    the exchange state it keeps, matroid.exchanges(basis), as
     `exchanges`, and otherwise a fresh one is built.
     """
     if e not in basis:
@@ -224,7 +230,7 @@ def replacement_element(
     candidates = sorted((r for r in pool if r not in basis), key=probe.rank.__getitem__)
     if exchanges is None:
         exchanges = matroid.exchanges(basis)
-    return exchanges.replacement(e, candidates)
+    return matroid.replacement(exchanges, e, candidates)
 
 
 def most_vital_element(
@@ -352,8 +358,9 @@ class MatroidInstance:
     interval: Interval
 
     def __post_init__(self):
-        # a tuple, so the frozen instance holds no mutable list
-        object.__setattr__(self, "weights", tuple(self.weights))
+        # a tuple of Fraction pairs, so the frozen instance holds no mutable
+        # list and an int or float component meets rat's rules
+        object.__setattr__(self, "weights", tuple(pw(w.a, w.b) for w in self.weights))
         m = self.matroid.ground_size
         if len(self.weights) != m:
             raise ValueError(f"expected {m} weights, got {len(self.weights)}")

@@ -322,11 +322,12 @@ def _check_incremental_updates(instance, sample_sets):
             ev = group[0]
             new_lb = update_u(mat, lb, ev, next_probe)
             u1, u2 = lb.union, new_lb.union
-            if u2 == u1 or u2 == u1 - {ev.leaving} | {ev.entering}:
+            renamed = u2 != u1
+            if not renamed or u2 == u1 - {ev.leaving} | {ev.entering}:
                 tracked = {
                     fs2: b2
                     for fs2, b2 in (
-                        update_interdicted_set(mat, fs, basis, ev, u1, u2)
+                        update_interdicted_set(mat, fs, basis, ev, renamed)
                         for fs, basis in tracked.items()
                     )
                 }

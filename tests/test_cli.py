@@ -5,6 +5,8 @@ import os
 import shutil
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from importlib.metadata import EntryPoint, entry_points
 from pathlib import Path
 
@@ -17,7 +19,7 @@ from matroid_interdiction.cli import (
     main,
     parse_instance,
 )
-from matroid_interdiction.interdiction import changepoint_bound
+from matroid_interdiction.interdiction import changepoint_bound, solve
 from matroid_interdiction.oracle import VerificationReport
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -229,6 +231,42 @@ def test_malformed_instances_exit_2(tmp_path, capsys, mangle):
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("raw", ["1e-3000000", "1e3000000", "2E1"])
+def test_exponent_notation_exits_2(tmp_path, capsys, raw):
+    # "1e3000000" would build a 3,000,001-digit int before any digit limit applies
+    payload = {
+        "matroid": {"type": "uniform", "m": 3, "k": 1},
+        "weights": [{"a": raw, "b": "0"}, {"a": "1", "b": "1"}, {"a": "2", "b": "2"}],
+        "ell": 1,
+        "interval": {"lo": "-1", "hi": "1"},
+    }
+    assert main(["solve", write_instance(tmp_path, payload)]) == 2
+    err = capsys.readouterr().err
+    assert "weights[0].a" in err and "exponent notation" in err and "Traceback" not in err
+
+
+def test_breakpoints_past_the_digit_limit_are_written_exactly(tmp_path):
+    # 3,002-digit denominators give 6,005-character breakpoints, past the
+    # 4,300-digit limit of str() on ints; Decimal reads them back
+    payload = {
+        "matroid": {"type": "uniform", "m": 3, "k": 1},
+        "weights": [{"a": f"1/{10**3001 + d}", "b": str(i)} for i, d in enumerate((1, 3, 7))],
+        "ell": 1,
+        "interval": {"lo": "-1", "hi": "1"},
+    }
+    out = tmp_path / "sol.json"
+    assert main(["solve", write_instance(tmp_path, payload), "-o", str(out)]) == 0
+    written = [seg["hi"] for seg in json.loads(out.read_text())["segments"]]
+    assert max(map(len, written)) > 6000
+
+    def exact(text):
+        p, _, q = text.partition("/")
+        return Fraction(int(Decimal(p)), int(Decimal(q or "1")))
+
+    want = solve(instance_from_dict(payload), "brute").envelope.pieces
+    assert [exact(hi) for hi in written] == [piece.hi for piece in want]
+
+
 @pytest.mark.parametrize(
     "matroid, field",
     [
@@ -274,9 +312,11 @@ def test_an_edge_without_two_endpoints_exits_2(tmp_path, capsys, edge):
 def test_unreadable_and_unparsable_files_exit_2(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
-    bad.write_text("{nope")
-    assert main(["solve", str(bad)]) == 2
-    capsys.readouterr()
+    for content in (b"{nope", b"\xff\xfe{", b'{"ell": 1' + b"0" * 5000 + b"}"):
+        bad.write_bytes(content)  # not JSON, not UTF-8, an int past the digit limit
+        assert main(["solve", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "malformed JSON" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

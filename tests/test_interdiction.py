@@ -177,9 +177,8 @@ def test_update_interdicted_set_rename_follows_deletion():
     mat = uniform(5, 2)
     F_del = frozenset({3})
     basis = frozenset({0, 1})
-    ev = EqualityPoint(F(1), 3, 4)
-    u1, u2 = frozenset({0, 1, 2, 3}), frozenset({0, 1, 2, 4})
-    new_f, new_b = update_interdicted_set(mat, F_del, basis, ev, u1, u2)
+    ev = EqualityPoint(F(1), 3, 4)  # the union {0, 1, 2, 3} renames 3 to 4
+    new_f, new_b = update_interdicted_set(mat, F_del, basis, ev, renamed=True)
     assert new_f == frozenset({4})
     assert new_b == basis  # f was not serving as the replacement
 
@@ -188,9 +187,8 @@ def test_update_interdicted_set_rename_swaps_back_replacement():
     mat = uniform(5, 2)
     F_del = frozenset({0})
     basis = frozenset({1, 4})  # 4 replaced the deleted 0
-    ev = EqualityPoint(F(1), 0, 4)
-    u1, u2 = frozenset({0, 1, 2, 3}), frozenset({1, 2, 3, 4})
-    new_f, new_b = update_interdicted_set(mat, F_del, basis, ev, u1, u2)
+    ev = EqualityPoint(F(1), 0, 4)  # the union {0, 1, 2, 3} renames 0 to 4
+    new_f, new_b = update_interdicted_set(mat, F_del, basis, ev, renamed=True)
     assert new_f == frozenset({4})
     assert new_b == frozenset({1, 0})
 
@@ -199,9 +197,8 @@ def test_update_interdicted_set_plain_swap():
     mat = uniform(5, 2)
     F_del = frozenset({4})
     basis = frozenset({0, 1})
-    ev = EqualityPoint(F(1), 1, 2)
-    u = frozenset({0, 1, 2, 3})
-    new_f, new_b = update_interdicted_set(mat, F_del, basis, ev, u, u)
+    ev = EqualityPoint(F(1), 1, 2)  # both inside the union {0, 1, 2, 3}
+    new_f, new_b = update_interdicted_set(mat, F_del, basis, ev, renamed=False)
     assert new_f == F_del
     assert new_b == frozenset({0, 2})
 
@@ -211,8 +208,7 @@ def test_update_interdicted_set_respects_deleted_entering():
     F_del = frozenset({2})
     basis = frozenset({0, 1})
     ev = EqualityPoint(F(1), 1, 2)  # entering element is deleted in this view
-    u = frozenset({0, 1, 2, 3})
-    new_f, new_b = update_interdicted_set(mat, F_del, basis, ev, u, u)
+    new_f, new_b = update_interdicted_set(mat, F_del, basis, ev, renamed=False)
     assert (new_f, new_b) == (F_del, basis)
 
 

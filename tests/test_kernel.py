@@ -165,11 +165,11 @@ KERNEL = {
     "crossing_cells",
     "_sort_ground",
     "greedy",
-    # augment and exchange states: the oracle stays on one-shot
-    # is_independent queries
+    # augment and exchange states and the search on them: the oracle
+    # stays on one-shot is_independent queries
     "scan",
     "exchanges",
-    "Exchanges",
+    "replacement",
     "greedy_min_basis",
     "basis_line",
     "envelope_of_lines",

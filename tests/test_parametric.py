@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matroid_interdiction.envelope import NEG_INF, POS_INF, interior_point
+from matroid_interdiction.interdiction import ALGORITHMS, solve
 from matroid_interdiction.matroid import graphic, partition, uniform
 from matroid_interdiction.parametric import (
     EqualityPoint,
     Interval,
     MatroidInstance,
+    ParametricWeight,
     all_equality_points,
     basis_line,
     crossing_cells,
@@ -52,6 +54,8 @@ def test_rat_conversions():
     assert rat("3/7") == F(3, 7)
     assert rat("0.25") == F(1, 4)
     assert rat(F(2, 5)) == F(2, 5)
+    with pytest.raises(ValueError, match="exponent notation"):
+        rat("2.5E-1")
 
 
 def test_rat_refuses_floats():
@@ -472,3 +476,15 @@ def test_instance_validation():
         MatroidInstance(mat, weights, 0, Interval(F(0), F(1)))
     with pytest.raises(ValueError):
         MatroidInstance(mat, weights, 5, Interval(F(0), F(1)))
+    # int components become Fractions: int / int would make a float
+    # crossing, which no solver can order exactly
+    raw = (ParametricWeight(0, 1), ParametricWeight(1, -1), ParametricWeight(2, 0))
+    interval = Interval(F(-2), F(2))
+    inst = MatroidInstance(uniform(3, 1), raw, 1, interval)
+    twin = MatroidInstance(uniform(3, 1), tuple(pw(a, b) for a, b in raw), 1, interval)
+    assert inst.weights == twin.weights
+    assert all(type(x) is Fraction for w in inst.weights for x in w)
+    for algorithm in ALGORITHMS:
+        assert solve(inst, algorithm).envelope == solve(twin, algorithm).envelope
+    with pytest.raises(TypeError, match="inexact float"):
+        MatroidInstance(uniform(3, 1), (ParametricWeight(0.5, 1), *raw[1:]), 1, interval)

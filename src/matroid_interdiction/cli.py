@@ -30,7 +30,7 @@ from .interdiction import (
     solve,
 )
 from .matroid import Matroid, explicit, graphic, partition, uniform
-from .oracle import verify_solution
+from .oracle import check_verification_cap, verify_solution
 from .parametric import Interval, MatroidInstance, pw, rat
 
 EXIT_OK = 0
@@ -287,7 +287,15 @@ def run(
     samples: int = 50,
     seed: int = 0,
 ) -> tuple[InterdictionSolution, dict, int]:
-    """Solve one instance; returns (solution, solution file dict, exit code)."""
+    """Solve one instance; returns (solution, solution file dict, exit code).
+
+    A verification above the enumeration cap is refused before the solve.
+    """
+    if verify:
+        try:
+            check_verification_cap(instance, samples)
+        except EnumerationCapExceeded as exc:
+            raise CliError(EXIT_CAP, f"verification: {exc}")
     start = time.perf_counter()
     try:
         solution = solve(instance, algorithm)
@@ -297,10 +305,7 @@ def run(
     report = None
     code = EXIT_OK
     if verify:
-        try:
-            report = verify_solution(instance, solution, extra_samples=samples, seed=seed)
-        except EnumerationCapExceeded as exc:
-            raise CliError(EXIT_CAP, f"verification: {exc}")
+        report = verify_solution(instance, solution, extra_samples=samples, seed=seed)
         if not report.ok:
             code = EXIT_VERIFY
     return solution, solution_to_dict(solution, wall, report), code

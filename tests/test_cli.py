@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 from importlib.metadata import EntryPoint, entry_points
@@ -147,6 +148,19 @@ def test_negative_samples_exits_2(tmp_path, capsys):
     out = str(tmp_path / "sol.json")
     assert main(["solve", write_instance(tmp_path), "--verify", "--samples", "-3", "-o", out]) == 2
     assert capsys.readouterr().err.startswith("error: --samples must be non-negative")
+    assert not os.path.exists(out)
+
+
+def test_samples_above_the_cap_exit_4_before_the_solve(tmp_path, monkeypatch, capsys):
+    # 10^9 samples * C(5, 1) deletion sets exceed the default cap; drawing
+    # the points alone would take hours, so the check comes first
+    monkeypatch.setattr(cli, "solve", lambda *a: pytest.fail("solved above the verification cap"))
+    out = str(tmp_path / "sol.json")
+    start = time.perf_counter()
+    code = main(["solve", write_instance(tmp_path), "--verify", "--samples", "1000000000", "-o", out])
+    assert time.perf_counter() - start < 1
+    assert code == 4
+    assert capsys.readouterr().err.startswith("error: verification: 5000000000 deletion sets")
     assert not os.path.exists(out)
 
 

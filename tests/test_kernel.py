@@ -12,7 +12,9 @@ denominators, where an integer rewrite can go wrong.
 The verifier must not share this kernel: KERNEL names every kernel
 helper (the columns, the Probe with its constructors and sort, the
 greedy scans, augment and exchange states, basis_line and
-envelope_of_lines), and oracle.py may reference none of them.
+envelope_of_lines), and oracle.py may reference none of them.  The
+oracle keeps its own integer path: it scales the weights at each sample
+lam by the lcm of their denominators, not by the solve's columns.
 """
 
 import ast

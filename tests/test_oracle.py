@@ -1,12 +1,19 @@
 """Brute-force oracle and independent solution verification."""
 
 from fractions import Fraction
+from itertools import combinations
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_kernel import rationals
+
+from matroid_interdiction import oracle
 from matroid_interdiction.envelope import POS_INF, Line, Piece, PiecewiseLinearFunction
-from matroid_interdiction.interdiction import InterdictionSolution, SegmentLabel, solve
-from matroid_interdiction.matroid import graphic, uniform
+from matroid_interdiction.interdiction import EnumerationCapExceeded, InterdictionSolution, SegmentLabel, solve
+from matroid_interdiction.matroid import graphic, partition, uniform
 from matroid_interdiction.oracle import VerificationReport, oracle_value, verify_solution
-from matroid_interdiction.parametric import Interval, MatroidInstance, pw
+from matroid_interdiction.parametric import Interval, MatroidInstance, ParametricWeight, pw, weight_at
 
 F = Fraction
 
@@ -63,23 +70,25 @@ def test_verify_solution_accepts_every_algorithm():
         assert report.failures == ()
 
 
+def tamper(solution, index, line=None, **label):
+    """The solution with piece index's line or label fields replaced."""
+    env = solution.envelope
+    pieces = list(env.pieces)
+    piece = pieces[index]
+    pieces[index] = Piece(piece.lo, piece.hi, piece.line if line is None else line, piece.label._replace(**label))
+    return InterdictionSolution(
+        PiecewiseLinearFunction(env.lo, env.hi, tuple(pieces)),
+        solution.changepoints,
+        solution.algorithm,
+        solution.oracle_calls,
+    )
+
+
 def test_verify_solution_flags_wrong_value():
     inst = diamond_instance()
     sol = solve(inst, "brute")
-    env = sol.envelope
-    first = env.pieces[0]
-    crooked = Piece(
-        first.lo,
-        first.hi,
-        Line(first.line.slope, first.line.intercept + 1),
-        first.label,
-    )
-    broken = InterdictionSolution(
-        PiecewiseLinearFunction(env.lo, env.hi, (crooked,) + env.pieces[1:]),
-        sol.changepoints,
-        sol.algorithm,
-        sol.oracle_calls,
-    )
+    first = sol.envelope.pieces[0].line
+    broken = tamper(sol, 0, line=Line(first.slope, first.intercept + 1))
     report = verify_solution(inst, broken, extra_samples=5, seed=1)
     assert not report
     assert any("claimed value" in msg for msg in report.failures)
@@ -88,26 +97,72 @@ def test_verify_solution_flags_wrong_value():
 def test_verify_solution_flags_wrong_deletion_set():
     inst = diamond_instance()
     sol = solve(inst, "uset")
-    env = sol.envelope
-    pieces = list(env.pieces)
-    target = pieces[0]
-    imposter = (target.label.f_star[0] + 1) % 5
-    pieces[0] = Piece(
-        target.lo,
-        target.hi,
-        target.line,
-        SegmentLabel((imposter,), target.label.basis),
-    )
-    broken = InterdictionSolution(
-        PiecewiseLinearFunction(env.lo, env.hi, tuple(pieces)),
-        sol.changepoints,
-        sol.algorithm,
-        sol.oracle_calls,
-    )
-    report = verify_solution(inst, broken, extra_samples=5, seed=1)
+    imposter = (sol.envelope.pieces[0].label.f_star[0] + 1) % 5
+    report = verify_solution(inst, tamper(sol, 0, f_star=(imposter,)), extra_samples=5, seed=1)
     assert not report
     assert report.failures
     assert all(msg.startswith("lam=") or "suppressed" in msg for msg in report.failures)
+
+
+def test_verify_solution_flags_wrong_basis_label():
+    # the diamond's middle piece, (-1, 1/2), deletes edge 2 and keeps
+    # {0, 3, 4}; {0, 1, 3} is another spanning tree without edge 2
+    inst = diamond_instance()
+    sol = solve(inst, "brute")
+    assert sol.envelope.pieces[1].label == SegmentLabel((2,), (0, 3, 4))
+    report = verify_solution(inst, tamper(sol, 1, basis=(0, 1, 3)), extra_samples=5, seed=1)
+    assert not report and report.failures
+    for msg in report.failures:
+        assert msg.startswith("lam=") and msg.endswith(": claimed basis [0, 1, 3], oracle basis [0, 3, 4]")
+
+
+def test_verify_solution_flags_deletion_set_below_the_line():
+    # deleting edge 0 instead of edge 2 leaves a lighter spanning tree
+    # inside the middle piece: 9 at its midpoint -1/4, where y = 39/4
+    inst = diamond_instance()
+    sol = solve(inst, "brute")
+    report = verify_solution(inst, tamper(sol, 1, f_star=(0,)), extra_samples=5, seed=1)
+    assert not report and report.failures
+    assert "lam=-1/4: claimed deletion set [0] attains 9, not 39/4" in report.failures
+    for msg in report.failures:
+        assert msg.startswith("lam=") and ": claimed deletion set [0] attains " in msg
+
+
+def test_verify_solution_reports_ten_failures_then_suppresses():
+    # lines one above the optimum fail at all 27 samples
+    inst = diamond_instance()
+    sol = solve(inst, "brute")
+    broken = sol
+    for i, piece in enumerate(sol.envelope.pieces):
+        broken = tamper(broken, i, line=Line(piece.line.slope, piece.line.intercept + 1))
+    report = verify_solution(inst, broken, extra_samples=20, seed=1)
+    assert not report and report.samples_checked == 27
+    assert len(report.failures) == 11
+    assert all(": claimed value " in msg for msg in report.failures[:10])
+    assert report.failures[10] == "further failures suppressed"
+
+
+def test_verify_solution_caps_samples_times_deletion_sets(monkeypatch):
+    inst = diamond_instance()
+    sol = solve(inst, "brute")
+    monkeypatch.setenv("INTERDICTION_ENUM_CAP", "100")
+    assert verify_solution(inst, sol, extra_samples=20).ok  # 20 * C(5, 1) = 100 fits
+    monkeypatch.setenv("INTERDICTION_ENUM_CAP", "99")
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        verify_solution(inst, sol, extra_samples=20)
+    assert exc.value.subsets == 100
+    monkeypatch.setenv("INTERDICTION_ENUM_CAP", "4")
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        verify_solution(inst, sol, extra_samples=20)
+    assert exc.value.subsets == 5  # C(m, ell) is checked first
+
+
+def test_verify_solution_checks_the_cap_before_drawing(monkeypatch):
+    # drawing 10^9 points would take hours
+    monkeypatch.setattr(oracle, "_sample_points", lambda *a: pytest.fail("points drawn above the cap"))
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        verify_solution(diamond_instance(), solve(diamond_instance(), "brute"), extra_samples=10**9)
+    assert exc.value.subsets == 5 * 10**9
 
 
 def test_verify_solution_handles_infinite_values():
@@ -130,3 +185,65 @@ def test_verify_solution_is_deterministic():
         two.samples_checked,
         two.failures,
     )
+
+
+# ---------------------------------------------------------------------------
+# the integer oracle against Fraction arithmetic
+
+
+def fraction_oracle_value(instance, lam):
+    """oracle_value done in Fractions: sort by the weight, sum the basis."""
+    mat = instance.matroid.with_fresh_counter()
+    weights = instance.weights
+    k = instance.rank
+    order = sorted(mat.available, key=lambda e: (weight_at(weights[e], lam), e))
+    best = None
+    for f in combinations(mat.available, instance.ell):
+        chosen = set()
+        for e in order:
+            if e not in f and mat.is_independent(chosen | {e}):
+                chosen.add(e)
+        basis = frozenset(chosen)
+        if len(basis) < k:
+            return POS_INF, f, basis
+        value = sum((weight_at(weights[e], lam) for e in basis), F(0))
+        if best is None or value > best[0]:
+            best = (value, f, basis)
+    return best
+
+
+@st.composite
+def oracle_cases(draw):
+    """(instance, lam): small matroids whose weights often tie.
+
+    Graphic matroids may hold loops and parallel edges, partition blocks
+    may have capacity 0, and the budget runs up to m, so deletions often
+    kill the rank.  Weights come from a small pool, so equal weights
+    recur; lam is often the crossing of two weights, where they tie.
+    """
+    family = draw(st.sampled_from(["graphic", "partition", "uniform"]))
+    m = draw(st.integers(1, 7))
+    if family == "graphic":
+        vertices = draw(st.integers(1, 4))
+        ends = st.integers(0, vertices - 1)
+        mat = graphic(vertices, draw(st.lists(st.tuples(ends, ends), min_size=m, max_size=m)))
+    elif family == "partition":
+        blocks = draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+        mat = partition(blocks, draw(st.lists(st.integers(0, 2), min_size=3, max_size=3)))
+    else:
+        mat = uniform(m, draw(st.integers(0, m)))
+    pool = draw(st.lists(st.builds(ParametricWeight, rationals, rationals), min_size=1, max_size=4))
+    weights = draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
+    ell = draw(st.integers(1, m))
+    crossings = [
+        (u.a - w.a) / (w.b - u.b) for u, w in combinations(pool, 2) if u.b != w.b
+    ]
+    lam = draw(st.sampled_from(crossings) | rationals if crossings else rationals)
+    return MatroidInstance(mat, weights, ell, Interval(lam, lam)), lam
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_cases())
+def test_oracle_value_matches_fraction_reference(case):
+    instance, lam = case
+    assert oracle_value(instance, lam) == fraction_oracle_value(instance, lam)

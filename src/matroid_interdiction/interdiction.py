@@ -141,11 +141,6 @@ def changepoint_bound(m: int, k: int, l: int) -> int:
     return comb(m, 2) * _tree_candidates(k, l)
 
 
-def changepoint_bound_secondary(m: int, k: int, l: int) -> int:
-    """Alternative worst-case bound via subsets of the layered-bases union."""
-    return comb(m, 2) * comb(k * (l - 1), l - 1) * k
-
-
 def _classify(env: PiecewiseLinearFunction) -> tuple[Changepoint, ...]:
     # breakpoint vs interdiction point hinges on the deletion set only;
     # the carried basis may swap inside one winner's reign

@@ -168,13 +168,15 @@ def verify_solution(
     Each sample evaluates the weights as scaled ints (see oracle_value)
     for the oracle and once more for the claimed deletion set's greedy.
     The report holds at most ten failures; an eleventh stops the check
-    with "further failures suppressed".
+    with "further failures suppressed", and samples_checked then counts
+    the samples up to that one.
     """
     check_verification_cap(instance, extra_samples)
     mat = instance.matroid.with_fresh_counter()
     samples, boundary = _sample_points(instance, solution, extra_samples, seed)
     failures: list[str] = []
-    for lam in samples:
+    checked = 0
+    for checked, lam in enumerate(samples, 1):
         failure = _sample_failure(instance, mat, solution, lam, lam in boundary)
         if failure is None:
             continue
@@ -182,4 +184,4 @@ def verify_solution(
             failures.append("further failures suppressed")
             break
         failures.append(failure)
-    return VerificationReport(not failures, len(samples), tuple(failures))
+    return VerificationReport(not failures, checked, tuple(failures))

@@ -8,8 +8,9 @@ always broken by the fixed total order (weight at lam, element id
 ascending); there is no pluggable tie order.
 
 The equality points cut the interval into cells of fixed weight order:
-the arrangement, built once per solve by crossing_cells.  Every deleted
-view of a ground set sweeps the same cells (see parametric_sweep).
+the arrangement, built once per solve by crossing_cells, where crossings
+sharing a lam come as adjacent swaps (a symbolic perturbation).  Every
+deleted view of a ground set sweeps the same cells.
 
 The hot paths run on plain ints instead of Fractions.  Each solve writes
 the weights once in integer form, as columns (weight_columns): a common
@@ -119,8 +120,8 @@ def all_equality_points(
 ) -> list[EqualityPoint]:
     """All pairwise crossings strictly inside the interval, in sweep order.
 
-    Events sharing a lam are ordered by (leaving id, entering id), which
-    realizes a symbolic perturbation of coincident crossings.
+    Events sharing a lam are ordered by (leaving id, entering id);
+    crossing_cells reorders each such group into adjacent swaps.
     """
     if elements is None:
         elements = range(len(weights))
@@ -181,18 +182,41 @@ def probe_at(matroid: Matroid, weights: Sequence[ParametricWeight], lam: Fractio
     return Probe(lam, weight_columns(matroid, weights))
 
 
+def _adjacent_swaps(lam: Fraction, group, columns: tuple) -> tuple[EqualityPoint, ...]:
+    """The group of crossings at lam as a chain of adjacent swaps.
+
+    Its elements are insertion-sorted from the order just left of lam,
+    (value at lam, -slope, id), to the one right of it, (value, slope, id).
+    """
+    _d, A, B = columns
+    p, q = lam.numerator, lam.denominator
+    right = {e: (A[e] * q + B[e] * p, B[e], e) for ev in group for e in ev[1:]}
+    order = sorted(right, key=lambda e: (right[e][0], -B[e], e))
+    swaps = []
+    for i, f in enumerate(order):
+        while i and right[order[i - 1]] > right[f]:
+            swaps.append(EqualityPoint(lam, order[i - 1], f))
+            order[i] = order[i - 1]
+            i -= 1
+        order[i] = f
+    return tuple(swaps)
+
+
 def crossing_cells(interval: Interval, events: Sequence[EqualityPoint], columns: tuple):
     """The cells between consecutive distinct crossing lams, left to right.
 
     Each cell is (lo, hi, probe, crossings): probe is the Probe at
     interior_point(lo, hi), where solvers evaluate the cell, over the
-    given weight columns, and crossings are the sorted events at lo, all
-    events sharing a lam in one group (none for the first cell).
+    given weight columns, and crossings are the events at lo, all
+    events sharing a lam in one group (none for the first cell), in
+    _adjacent_swaps order: applied in turn they take the previous
+    probe's order to this one's by adjacent swaps, also on any subset.
     """
     cells, lo, crossings = [], interval.lo, ()
     for lam, group in groupby(events, key=attrgetter("lam")):
         cells.append((lo, lam, Probe(interior_point(lo, lam), columns), crossings))
-        lo, crossings = lam, tuple(group)
+        group = tuple(group)
+        lo, crossings = lam, group if len(group) == 1 else _adjacent_swaps(lam, group, columns)
     cells.append((lo, interval.hi, Probe(interior_point(lo, interval.hi), columns), crossings))
     return cells
 
@@ -233,31 +257,6 @@ def replacement_element(
     return matroid.replacement(exchanges, e, candidates)
 
 
-def most_vital_element(
-    matroid: Matroid,
-    weights: Sequence[ParametricWeight],
-    basis: frozenset[int],
-    lam: Fraction,
-) -> int:
-    """Basis element whose removal raises the min-basis weight the most.
-
-    A missing replacement counts as an infinite increase; ties go to the
-    smaller element id.
-    """
-    probe = probe_at(matroid, weights, lam)
-    exchanges = matroid.exchanges(basis)
-    best_e = None
-    best_delta = None
-    for e in sorted(basis):
-        r = replacement_element(matroid, probe, basis, e, exchanges=exchanges)
-        delta = POS_INF if r is None else weight_at(weights[r], lam) - weight_at(weights[e], lam)
-        if best_delta is None or delta > best_delta:
-            best_e, best_delta = e, delta
-    if best_e is None:
-        raise ValueError("most vital element of an empty basis")
-    return best_e
-
-
 def interdicted_basis_via_replacement(
     matroid: Matroid,
     weights: Sequence[ParametricWeight],
@@ -286,10 +285,10 @@ def interdicted_basis_via_replacement(
 
 
 def exchange(matroid: Matroid, basis: frozenset[int], ev: EqualityPoint) -> frozenset[int]:
-    """The minimum basis just right of a lone crossing, given the one left of it.
+    """The minimum basis after a crossing, given the one before it.
 
-    A lone crossing lam(e -> f) is an adjacent transposition of the
-    weight order, so the basis either keeps its shape or trades e for f:
+    A crossing lam(e -> f) swaps two neighbours of the weight order, so
+    the basis either keeps its shape or trades e for f:
     basis - e + f when e is in the basis, f is not, and the swap stays
     independent (one oracle call), otherwise basis itself.
     """
@@ -321,13 +320,15 @@ def parametric_sweep(
     matroid's available elements.  Pieces are labeled with their basis,
     a frozenset; neighbouring pieces hold different bases.  The first
     cell's probe gets a greedy basis.  Each later cell keeps only its
-    crossings between two available elements: with none the basis
-    stands, one costs at most exchange()'s single independence test, and
-    several coincident ones cost one greedy at the cell's probe.  That
-    probe lies in the matroid's own cell starting at the same lam, so
-    bases and oracle calls match a sweep over the matroid's own cells.
+    crossings between two available elements, adjacent swaps of their
+    order, and replays them with exchange(), at most one independence
+    test each; a group of at least as many crossings as available
+    elements takes one greedy at the probe instead, never dearer.  The
+    basis is the probe's greedy basis either way, so bases and oracle
+    calls match a sweep over the matroid's own cells.
     """
     deleted = matroid.deleted
+    available = matroid.ground_size - len(deleted)
     columns = cells[0][2].columns
     basis = greedy_min_basis(matroid, cells[0][2])
     pieces: list[Piece] = []
@@ -336,8 +337,10 @@ def parametric_sweep(
         live = [ev for ev in crossings if ev.leaving not in deleted and ev.entering not in deleted]
         if not live:
             continue
-        if len(live) == 1:
-            nxt = exchange(matroid, basis, live[0])
+        if len(live) < available:
+            nxt = basis
+            for ev in live:
+                nxt = exchange(matroid, nxt, ev)
         else:
             nxt = greedy_min_basis(matroid, probe)
         if nxt != basis:

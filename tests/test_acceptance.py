@@ -14,7 +14,6 @@ from matroid_interdiction.envelope import envelope_of_lines, interior_point
 from matroid_interdiction.interdiction import (
     candidate_tree,
     changepoint_bound,
-    changepoint_bound_secondary,
     layered_bases,
     solve,
     update_interdicted_set,
@@ -31,7 +30,6 @@ from matroid_interdiction.parametric import (
     crossing_cells,
     greedy_min_basis,
     interdicted_basis_via_replacement,
-    most_vital_element,
     parametric_sweep,
     probe_at,
     pw,
@@ -39,6 +37,7 @@ from matroid_interdiction.parametric import (
     weight_columns,
 )
 from matroid_interdiction.cli import generate_random, instance_from_dict
+from lemmas import changepoint_bound_secondary, most_vital_element
 
 F = Fraction
 

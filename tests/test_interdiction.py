@@ -17,7 +17,6 @@ from matroid_interdiction.interdiction import (
     candidate_tree,
     canonical_infinite_label,
     changepoint_bound,
-    changepoint_bound_secondary,
     layered_bases,
     solve,
     solve_brute,
@@ -36,6 +35,7 @@ from matroid_interdiction.parametric import (
     probe_at,
     pw,
 )
+from lemmas import changepoint_bound_secondary
 
 F = Fraction
 
@@ -289,7 +289,7 @@ def test_bridge_deletion_is_infinite():
     )
     cases = [
         (path, (0,), {"brute": 1, "uset": 4, "tree": 3}),
-        (pendant, (1,), {"brute": 14, "uset": 16, "tree": 19}),
+        (pendant, (1,), {"brute": 11, "uset": 16, "tree": 19}),
     ]
     for inst, f_star, calls in cases:
         for name in ALGORITHMS:
@@ -515,9 +515,9 @@ def test_solution_accessors_and_counter_isolation():
 # solver and family, so a change that alters how many independence tests a
 # solver makes fails here instead of passing unnoticed.
 ORACLE_CALL_PINS = [
-    (("graphic", 15, 5, 2, 4), {"brute": 2927, "uset": 1192, "tree": 558}),
-    (("partition", 12, 3, 2, 5), {"brute": 2343, "uset": 1031, "tree": 2964}),
-    (("uniform", 10, 4, 2, 7), {"brute": 830, "uset": 890, "tree": 1554}),
+    (("graphic", 15, 5, 2, 4), {"brute": 1497, "uset": 1192, "tree": 558}),
+    (("partition", 12, 3, 2, 5), {"brute": 1231, "uset": 1031, "tree": 2964}),
+    (("uniform", 10, 4, 2, 7), {"brute": 596, "uset": 890, "tree": 1554}),
 ]
 
 

@@ -129,17 +129,34 @@ def test_verify_solution_flags_deletion_set_below_the_line():
 
 
 def test_verify_solution_reports_ten_failures_then_suppresses():
-    # lines one above the optimum fail at all 27 samples
+    # lines one above the optimum fail at all 27 samples, so the check
+    # stops at the eleventh
     inst = diamond_instance()
     sol = solve(inst, "brute")
     broken = sol
     for i, piece in enumerate(sol.envelope.pieces):
         broken = tamper(broken, i, line=Line(piece.line.slope, piece.line.intercept + 1))
     report = verify_solution(inst, broken, extra_samples=20, seed=1)
-    assert not report and report.samples_checked == 27
+    assert not report and report.samples_checked == 11
     assert len(report.failures) == 11
     assert all(": claimed value " in msg for msg in report.failures[:10])
     assert report.failures[10] == "further failures suppressed"
+
+
+def test_verify_solution_counts_only_the_samples_it_checked():
+    # the middle piece's line one too high fails only the samples in
+    # [-1, 1/2]: with 20 extra samples 10 of the 27 fail and all are
+    # checked; with 40 the eleventh failure comes at the 24th of 47
+    inst = diamond_instance()
+    sol = solve(inst, "brute")
+    middle = sol.envelope.pieces[1].line
+    broken = tamper(sol, 1, line=Line(middle.slope, middle.intercept + 1))
+    whole = verify_solution(inst, broken, extra_samples=20, seed=1)
+    assert (whole.samples_checked, len(whole.failures)) == (27, 10)
+    assert len(oracle._sample_points(inst, broken, 40, 1)[0]) == 47
+    cut = verify_solution(inst, broken, extra_samples=40, seed=1)
+    assert (cut.samples_checked, len(cut.failures)) == (24, 11)
+    assert cut.failures[10] == "further failures suppressed"
 
 
 def test_verify_solution_caps_samples_times_deletion_sets(monkeypatch):

@@ -22,7 +22,6 @@ from matroid_interdiction.parametric import (
     exchange,
     greedy_min_basis,
     interdicted_basis_via_replacement,
-    most_vital_element,
     parametric_sweep,
     probe_at,
     pw,
@@ -31,6 +30,7 @@ from matroid_interdiction.parametric import (
     weight_at,
     weight_columns,
 )
+from lemmas import most_vital_element
 
 F = Fraction
 
@@ -397,6 +397,79 @@ def test_sweep_over_the_full_arrangement_matches_its_own(case):
     for lo, hi, probe, crossings in full:
         assert probe.lam == lo if lo == hi else lo < probe.lam < hi
         assert all(ev.lam == lo for ev in crossings)
+
+
+def test_coincident_crossings_come_as_a_chain_of_adjacent_swaps():
+    # lines through (0, 0) with slopes 0, 2, 1: sorted by ids, the group
+    # would swap 1 and 0 first, which are not neighbours left of 0
+    mat = uniform(3, 1)
+    weights = [pw(0, 0), pw(0, 2), pw(0, 1)]
+    interval = Interval(F(-1), F(1))
+    assert all_equality_points(weights, interval) == [(0, 1, 0), (0, 1, 2), (0, 2, 0)]
+    (_, _, before, _), (_, _, after, crossings) = own_cells(mat, weights, interval)
+    assert (before.order, after.order) == ((1, 2, 0), (0, 2, 1))
+    assert crossings == ((0, 1, 2), (0, 1, 0), (0, 2, 0))
+
+
+@st.composite
+def pencil_cases(draw):
+    """arrangement_cases with some weight lines redrawn through one
+    point, so that many crossings share a lam, next to identical and
+    parallel lines and the loops of the graphic and partition draws."""
+    mat, weights, interval, deleted = draw(arrangement_cases())
+    x0, y0 = draw(st.integers(-2, 2)), draw(st.integers(-3, 3))
+    through = draw(st.sets(st.sampled_from(range(len(weights)))))
+    weights = tuple(pw(y0 - x0 * w.b, w.b) if e in through else w for e, w in enumerate(weights))
+    return mat, weights, interval, deleted
+
+
+def replay(order, crossings, elements):
+    """order restricted to elements, then the crossings between two of
+    them applied as swaps, each of two neighbours, leaving one first."""
+    order = [e for e in order if e in elements]
+    for ev in crossings:
+        if ev.leaving in elements and ev.entering in elements:
+            i = order.index(ev.leaving)
+            assert order[i + 1] == ev.entering, (order, ev)
+            order[i : i + 2] = [ev.entering, ev.leaving]
+    return order
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=pencil_cases())
+def test_sweep_replays_coincident_crossings_as_adjacent_swaps(case):
+    mat, weights, interval, deleted = case
+    full = own_cells(mat, weights, interval)
+    view = mat.delete(deleted)
+    available = set(view.available)
+    own = {lo: crossings for lo, _hi, _probe, crossings in own_cells(view, weights, interval)[1:]}
+    # the ceiling: one greedy in the first cell, then one test per lone
+    # crossing and one greedy per coincident group
+    ceiling = len(available)
+    for (_, _, before, _), (lo, _, after, crossings) in zip(full, full[1:]):
+        for elements in (set(mat.available), available):
+            assert replay(before.order, crossings, elements) == [e for e in after.order if e in elements]
+        live = tuple(ev for ev in crossings if ev.leaving in available and ev.entering in available)
+        assert live == own.get(lo, ())
+        ceiling += 1 if len(live) == 1 else len(available) if live else 0
+    counted = view.with_fresh_counter()
+    sweep = parametric_sweep(counted, full)
+    assert counted.oracle_calls <= ceiling
+    for _lo, _hi, probe, _crossings in full:
+        assert sweep.piece_at(probe.lam).label == greedy_min_basis(view.with_fresh_counter(), probe)
+
+
+def test_sweep_takes_the_greedy_for_a_group_outnumbering_the_elements():
+    # 8 loops and 8 path edges, all 16 weight lines through (0, 0), the
+    # path edges steeper: one group of 120 crossings, and replaying it
+    # would test every path edge leaving for a loop (639 calls in all)
+    path = graphic(9, [(i, i) for i in range(8)] + [(i, i + 1) for i in range(8)])
+    weights = tuple(pw(0, e) for e in range(16))
+    inst = MatroidInstance(path, weights, 1, Interval(F(-1), F(1)))
+    assert len(own_cells(path, weights, inst.interval)[1][3]) == 120
+    # each of the 9 sweeps, 8 loops and then the first bridge deleted,
+    # takes two greedy bases of its 15 elements
+    assert solve(inst, "brute").oracle_calls == 270
 
 
 def test_sweep_cell_at():

@@ -13,11 +13,11 @@ upper_envelope, the general merge that the brute-force solver uses,
 computes in Fractions throughout: it merges the inputs pairwise, each
 merge one two-pointer walk over both piece lists that picks the winner
 on either side of a crossing by slope.  envelope_of_lines, the per-cell
-envelope of the other two solvers, scales its lines by the lcm of their
-denominators and works on those integers: deduplication, the
-equal-slope filter, the sort and the hull test compare ints and
-cross-multiply, and a Fraction is built only for each breakpoint it
-emits.  The two stay independent, so each checks the other.
+envelope of the other two solvers, takes its lines as int pairs over
+the solve's one denominator d: deduplication, the equal-slope filter,
+the sort and the hull test compare those ints and cross-multiply, and a
+Fraction is built only for each line and breakpoint it emits.  The two
+stay independent, so each checks the other.
 """
 
 from __future__ import annotations
@@ -34,6 +34,11 @@ POS_INF = math.inf
 class Line(NamedTuple):
     slope: Fraction
     intercept: Fraction
+
+    @classmethod
+    def from_ints(cls, d: int, slope: int, intercept: int) -> "Line":
+        """The line (slope / d, intercept / d)."""
+        return cls(Fraction(slope, d), Fraction(intercept, d))
 
     def value_at(self, lam) -> Fraction:
         return self.intercept + lam * self.slope
@@ -196,31 +201,28 @@ def upper_envelope(fs: Sequence[PiecewiseLinearFunction]) -> PiecewiseLinearFunc
     return fs[0]
 
 
-def envelope_of_lines(entries: Sequence[tuple[Line, Any]], lo, hi) -> PiecewiseLinearFunction:
-    """Upper envelope of (line, label) entries on [lo, hi]; fast path for solvers.
+def envelope_of_lines(entries: Sequence[tuple[tuple[int, int], Any]], d: int, lo, hi) -> PiecewiseLinearFunction:
+    """Upper envelope on [lo, hi] of ((slope, intercept), label) entries; fast path for solvers.
 
-    Equal lines keep their smallest label, as in upper_envelope.
+    Each entry's line is (slope / d, intercept / d), two ints over the
+    one denominator d > 0.  Equal lines keep their smallest label, as in
+    upper_envelope.
     """
     if not entries:
         raise ValueError("upper envelope of an empty family")
-    # every line times one common denominator: (slope, intercept) as ints
-    scale = math.lcm(*(x.denominator for line, _label in entries for x in line))
-    best: dict[tuple[int, int], tuple[Line, Any]] = {}
-    for line, label in entries:
-        s, i = line
-        key = (s.numerator * (scale // s.denominator), i.numerator * (scale // i.denominator))
-        held = best.get(key)
-        if held is None or _label_key(label) < _label_key(held[1]):
-            best[key] = (line, label)
+    best: dict[tuple[int, int], Any] = {}
+    for key, label in entries:
+        if key not in best or _label_key(label) < _label_key(best[key]):
+            best[key] = label
 
     if lo == hi:
         p, q = lo.numerator, lo.denominator
         win = None
-        for (s, i), (line, label) in best.items():
-            v = s * p + i * q  # scale * q * value at lo
+        for (s, i), label in best.items():
+            v = s * p + i * q  # d * q * value at lo
             if win is None or v > win[0] or (v == win[0] and _label_key(label) < _label_key(win[2])):
-                win = (v, line, label)
-        return PiecewiseLinearFunction.from_line(lo, hi, win[1], win[2])
+                win = (v, (s, i), label)
+        return PiecewiseLinearFunction.from_line(lo, hi, Line.from_ints(d, *win[1]), win[2])
 
     # by slope; among equal slopes only the highest intercept can ever win
     lines: list[tuple[int, int]] = []
@@ -254,11 +256,10 @@ def envelope_of_lines(entries: Sequence[tuple[Line, Any]], lo, hi) -> PiecewiseL
             last -= 1
     pieces: list[Piece] = []
     start = lo
-    for j in range(first, last):
-        x = Fraction(*xs[j])
-        pieces.append(Piece(start, x, *best[hull[j]]))
+    for j in range(first, last + 1):
+        x = Fraction(*xs[j]) if j < last else hi
+        pieces.append(Piece(start, x, Line.from_ints(d, *hull[j]), best[hull[j]]))
         start = x
-    pieces.append(Piece(start, hi, *best[hull[last]]))
     return PiecewiseLinearFunction(lo, hi, tuple(pieces))
 
 

@@ -162,20 +162,11 @@ class LayeredBases:
     layers: tuple[frozenset[int], ...]
 
     @property
-    def depth(self) -> int:
-        return len(self.layers)
-
-    @property
     def union(self) -> frozenset[int]:
         out: set[int] = set()
         for layer in self.layers:
             out |= layer
         return frozenset(out)
-
-    @property
-    def truncated(self) -> bool:
-        top = len(self.layers[0])
-        return any(len(layer) < top for layer in self.layers)
 
     def layer_of(self, e: int) -> int | None:
         for i, layer in enumerate(self.layers):
@@ -214,8 +205,8 @@ def update_u(
     When it fires higher up, every deeper layer is the greedy basis of a
     minor that just changed (f left it, e returned), and a single trade
     can ripple through them arbitrarily, so they are recomputed at
-    next_probe.  In the truncated regime the whole structure is
-    recomputed.
+    next_probe.  Layers above e's keep their minors and contain neither
+    e nor f, so they stand, however small the layers below them are.
     """
     e, f = event.leaving, event.entering
     je = lb.layer_of(e)
@@ -224,8 +215,6 @@ def update_u(
     jf = lb.layer_of(f)
     if jf is not None and jf <= je:  # f already preferred, or same layer
         return lb
-    if lb.truncated:
-        return layered_bases(matroid, next_probe, depth=lb.depth)
     layers = lb.layers
     swapped = exchange(matroid, layers[je], event)
     if swapped == layers[je]:
@@ -303,9 +292,8 @@ def _flat_solution(mat, instance, algorithm, killer=None) -> InterdictionSolutio
 
 def _arrangement(mat, instance) -> list[tuple]:
     """The solve's crossing cells over the available elements, one set of weight columns."""
-    weights, interval = instance.weights, instance.interval
-    events = all_equality_points(weights, interval, mat.available)
-    return crossing_cells(interval, events, weight_columns(mat, weights))
+    interval, columns = instance.interval, weight_columns(mat, instance.weights)
+    return crossing_cells(interval, all_equality_points(columns, interval, mat.available), columns)
 
 
 def _solve_by_cells(instance: MatroidInstance, algorithm: str, cell_bases) -> InterdictionSolution:
@@ -318,28 +306,30 @@ def _solve_by_cells(instance: MatroidInstance, algorithm: str, cell_bases) -> In
     (equal lines keep the smallest label) does not depend on the span,
     and concatenate merges equal neighbouring pieces, so the segments
     are those of one envelope per cell.  This loop alone turns a pair
-    into an envelope entry (basis_line, SegmentLabel), when a run
-    starts; an entry the previous run made for the same (F, basis) is
-    reused, and older ones are dropped.
+    into an envelope entry (basis_line, SegmentLabel), an int pair over
+    the solve's one denominator, when a run starts; an entry the
+    previous run made for the same (F, basis) is reused, and older ones
+    are dropped.
     """
     mat = instance.matroid.with_fresh_counter()
     if instance.rank == 0:
         return _flat_solution(mat, instance, algorithm)
     cells = _arrangement(mat, instance)
+    columns = cells[0][2].columns
     run_envs: list[PiecewiseLinearFunction] = []
     made: dict = {}  # the open run's entries, keyed by (F, basis)
     run_lo = run_hi = run_bases = None
-    for (lo, hi, probe, _crossings), bases in zip(cells, cell_bases(mat, instance, cells)):
+    for (lo, hi, _probe, _crossings), bases in zip(cells, cell_bases(mat, instance, cells)):
         if bases is None:
             return _flat_solution(mat, instance, algorithm)
         if bases == run_bases:
             run_hi = hi
             continue
         if run_bases is not None:
-            run_envs.append(envelope_of_lines(list(made.values()), run_lo, run_hi))
-        made = {fb: made.get(fb) or (basis_line(probe.columns, fb[1]), _label(*fb)) for fb in bases.items()}
+            run_envs.append(envelope_of_lines(list(made.values()), columns[0], run_lo, run_hi))
+        made = {fb: made.get(fb) or (basis_line(columns, fb[1]), _label(*fb)) for fb in bases.items()}
         run_lo, run_hi, run_bases = lo, hi, bases
-    run_envs.append(envelope_of_lines(list(made.values()), run_lo, run_hi))
+    run_envs.append(envelope_of_lines(list(made.values()), columns[0], run_lo, run_hi))
     env = concatenate(run_envs)
     return InterdictionSolution(env, _classify(env), algorithm, mat.oracle_calls)
 

@@ -12,14 +12,16 @@ the arrangement, built once per solve by crossing_cells, where crossings
 sharing a lam come as adjacent swaps (a symbolic perturbation).  Every
 deleted view of a ground set sweeps the same cells.
 
-The hot paths run on plain ints instead of Fractions.  Each solve writes
+Inside a solve every computation runs on plain ints.  Each solve writes
 the weights once in integer form, as columns (weight_columns): a common
 denominator d (the lcm of every a and b denominator) and numerator
-columns A, B with w(e, lam) = (A[e] + lam * B[e]) / d.  At lam = p/q
-(q > 0) the weight order is then the order of the ints A[e] * q + B[e] * p,
-and a basis line is (sum of B, sum of A) / d: basis_line builds its two
-Fractions from integer sums, so Fractions appear only where a line or a
-lam leaves this module.
+columns A, B with w(e, lam) = (A[e] + lam * B[e]) / d.  The lines of e
+and f cross at lam = (A[f] - A[e]) / (B[e] - B[f]); at lam = p/q (q > 0)
+the weight order is the order of the ints A[e] * q + B[e] * p; and
+basis_line is the int pair (sum of B, sum of A), the basis's value line
+times d.  A Fraction is built only where a value leaves the solve: one
+per crossing lam, which bounds a cell, and the line of each piece the
+sweep emits (Line.from_ints).
 
 Each cell of the arrangement carries a Probe: its lam, the solve's
 columns, and the ground set's order at lam with each element's rank in
@@ -101,37 +103,27 @@ class EqualityPoint(NamedTuple):
     entering: int
 
 
-def equality_point(e: int, f: int, we: ParametricWeight, wf: ParametricWeight) -> EqualityPoint | None:
-    """Crossing point of the weight lines of e and f, or None if parallel."""
-    if e == f:
-        raise ValueError("equality point needs two distinct elements")
-    if we.b == wf.b:
-        return None
-    lam = (wf.a - we.a) / (we.b - wf.b)
-    if we.b > wf.b:  # e grows faster, so e is the cheaper one before lam
-        return EqualityPoint(lam, e, f)
-    return EqualityPoint(lam, f, e)
+def all_equality_points(columns: tuple, interval: Interval, elements: Iterable[int]) -> list[EqualityPoint]:
+    """All crossings of the elements' weight lines strictly inside the interval, in sweep order.
 
-
-def all_equality_points(
-    weights: Sequence[ParametricWeight],
-    interval: Interval,
-    elements: Iterable[int] | None = None,
-) -> list[EqualityPoint]:
-    """All pairwise crossings strictly inside the interval, in sweep order.
-
+    columns are weight_columns(); lines of equal slope never cross.
     Events sharing a lam are ordered by (leaving id, entering id);
     crossing_cells reorders each such group into adjacent swaps.
     """
-    if elements is None:
-        elements = range(len(weights))
+    _d, A, B = columns
+    lo, hi = interval.lo, interval.hi
     elems = sorted(elements)
     events = []
     for i, e in enumerate(elems):
+        ae, be = A[e], B[e]
         for f in elems[i + 1:]:
-            ev = equality_point(e, f, weights[e], weights[f])
-            if ev is not None and interval.lo < ev.lam < interval.hi:
-                events.append(ev)
+            bf = B[f]
+            if be == bf:
+                continue
+            lam = Fraction(A[f] - ae, be - bf)
+            if lo < lam < hi:
+                # the steeper line is the cheaper one before lam, so it leaves
+                events.append(EqualityPoint(lam, e, f) if be > bf else EqualityPoint(lam, f, e))
     events.sort()
     return events
 
@@ -300,14 +292,14 @@ def exchange(matroid: Matroid, basis: frozenset[int], ev: EqualityPoint) -> froz
     return basis
 
 
-def basis_line(columns: tuple, basis: Iterable[int]) -> Line:
-    """The value line lam -> sum of w(e, lam) over the basis, from weight_columns() sums."""
-    d, A, B = columns
+def basis_line(columns: tuple, basis: Iterable[int]) -> tuple[int, int]:
+    """(sum of B, sum of A) over the basis: its value line times the columns' d."""
+    _d, A, B = columns
     slope = intercept = 0
     for e in basis:
         slope += B[e]
         intercept += A[e]
-    return Line(Fraction(slope, d), Fraction(intercept, d))
+    return slope, intercept
 
 
 def parametric_sweep(
@@ -330,6 +322,7 @@ def parametric_sweep(
     deleted = matroid.deleted
     available = matroid.ground_size - len(deleted)
     columns = cells[0][2].columns
+    d = columns[0]
     basis = greedy_min_basis(matroid, cells[0][2])
     pieces: list[Piece] = []
     lo = cells[0][0]
@@ -344,10 +337,10 @@ def parametric_sweep(
         else:
             nxt = greedy_min_basis(matroid, probe)
         if nxt != basis:
-            pieces.append(Piece(lo, lam, basis_line(columns, basis), basis))
+            pieces.append(Piece(lo, lam, Line.from_ints(d, *basis_line(columns, basis)), basis))
             lo, basis = lam, nxt
     hi = cells[-1][1]
-    pieces.append(Piece(lo, hi, basis_line(columns, basis), basis))
+    pieces.append(Piece(lo, hi, Line.from_ints(d, *basis_line(columns, basis)), basis))
     return PiecewiseLinearFunction(cells[0][0], hi, tuple(pieces))
 
 

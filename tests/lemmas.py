@@ -1,18 +1,32 @@
-"""Functions of the paper that no solver calls, kept for the tests of its lemmas.
+"""Functions of the paper that no solver calls, kept for the tests of its lemmas,
+and the Fraction references of the solvers' integer kernel.
 
 most_vital_element is interdiction with ell = 1 at a single lam, found
 by replacement searches; changepoint_bound_secondary is a second
 changepoint bound, via subsets of the layered-bases union, that the
 tests check solutions against next to interdiction.changepoint_bound.
+
+equality_point is the crossing of two weight lines computed in
+Fractions, the reference for all_equality_points on integer columns.
+value_line turns basis_line's int pair back into a Fraction Line, and
+int_lines writes Fraction lines as the int pairs over one denominator
+that envelope_of_lines takes.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Sequence
 
-from matroid_interdiction.envelope import POS_INF
+from matroid_interdiction.envelope import POS_INF, Line
 from matroid_interdiction.matroid import Matroid
-from matroid_interdiction.parametric import ParametricWeight, probe_at, replacement_element, weight_at
+from matroid_interdiction.parametric import (
+    EqualityPoint,
+    ParametricWeight,
+    basis_line,
+    probe_at,
+    replacement_element,
+    weight_at,
+)
 
 
 def changepoint_bound_secondary(m: int, k: int, l: int) -> int:
@@ -43,3 +57,27 @@ def most_vital_element(
     if best_e is None:
         raise ValueError("most vital element of an empty basis")
     return best_e
+
+
+def equality_point(e: int, f: int, we: ParametricWeight, wf: ParametricWeight) -> EqualityPoint | None:
+    """Crossing point of the weight lines of e and f, or None if parallel."""
+    if e == f:
+        raise ValueError("equality point needs two distinct elements")
+    if we.b == wf.b:
+        return None
+    lam = (wf.a - we.a) / (we.b - wf.b)
+    if we.b > wf.b:  # e grows faster, so e is the cheaper one before lam
+        return EqualityPoint(lam, e, f)
+    return EqualityPoint(lam, f, e)
+
+
+def value_line(columns: tuple, basis) -> Line:
+    """The basis's value line in Fractions."""
+    return Line.from_ints(columns[0], *basis_line(columns, basis))
+
+
+def int_lines(entries) -> tuple[list, int]:
+    """(entries, d) for envelope_of_lines: each (Line, label) as (int pair, label),
+    the line times d, the lcm of every denominator."""
+    d = lcm(*(x.denominator for line, _label in entries for x in line))
+    return [((int(line.slope * d), int(line.intercept * d)), label) for line, label in entries], d

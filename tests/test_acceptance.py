@@ -37,7 +37,7 @@ from matroid_interdiction.parametric import (
     weight_columns,
 )
 from matroid_interdiction.cli import generate_random, instance_from_dict
-from lemmas import changepoint_bound_secondary, most_vital_element
+from lemmas import changepoint_bound_secondary, int_lines, most_vital_element, value_line
 
 F = Fraction
 
@@ -93,11 +93,11 @@ def test_criterion_1_worked_example():
     for lam in (F(5, 2), F(7, 2)):
         basis = greedy_min_basis(mat.delete({G, R, F_}), probe_at(mat, weights, lam))
         assert basis == frozenset({A, B_, C, E, P})
-        assert basis_line(columns, basis) == (F(2), F(7))
+        assert value_line(columns, basis) == (F(2), F(7))
     for lam in (F(9, 2), F(5)):
         basis = greedy_min_basis(mat.delete({G, R, E}), probe_at(mat, weights, lam))
         assert basis == frozenset({A, B_, C, F_, Q})
-        assert basis_line(columns, basis) == (F(1), F(12))
+        assert value_line(columns, basis) == (F(1), F(12))
     assert F(7) + 2 * F(4) == 15
     assert F(12) + F(4) == 16
 
@@ -177,20 +177,19 @@ def test_criterion_4_combinatorial_bounds(corpus, solved_corpus):
 
         mat = instance.matroid
         weights, interval = instance.weights, instance.interval
-        lams = sorted({ev.lam for ev in all_equality_points(weights, interval, mat.available)})
+        columns = weight_columns(mat, weights)
+        lams = sorted({ev.lam for ev in all_equality_points(columns, interval, mat.available)})
         boundaries = [interval.lo, *lams, interval.hi]
         expected = k * comb(k + ell - 2, ell - 1)
         cap_after = comb(k * ell, ell)
-        columns = weight_columns(mat, weights)
         for lo, hi in zip(boundaries, boundaries[1:]):
             cands = candidate_tree(mat, probe_at(mat, weights, interior_point(lo, hi)), ell)
             assert len(cands) == expected, (name, lo, hi, len(cands), expected)
             unique = {}
             for fset, basis in cands:
                 unique.setdefault(fset, basis)
-            env = envelope_of_lines(
-                [(basis_line(columns, b), tuple(sorted(fset))) for fset, b in unique.items()], lo, hi
-            )
+            entries = [(basis_line(columns, b), tuple(sorted(fset))) for fset, b in unique.items()]
+            env = envelope_of_lines(entries, columns[0], lo, hi)
             non_dominated = {p.label for p in env.pieces}
             assert len(non_dominated) <= cap_after, (name, lo, hi)
     print(
@@ -204,9 +203,9 @@ def test_criterion_4_combinatorial_bounds(corpus, solved_corpus):
 
 
 def _first_probe(instance):
-    lams = sorted(
-        {ev.lam for ev in all_equality_points(instance.weights, instance.interval)}
-    )
+    mat = instance.matroid
+    columns = weight_columns(mat, instance.weights)
+    lams = sorted({ev.lam for ev in all_equality_points(columns, instance.interval, mat.available)})
     hi = lams[0] if lams else instance.interval.hi
     return interior_point(instance.interval.lo, hi)
 
@@ -224,12 +223,12 @@ def _check_replacement_lemma(instance, probe):
 def _check_sweep_cells(instance):
     mat, weights, interval = instance.matroid, instance.weights, instance.interval
     columns = weight_columns(mat, weights)
-    cells = crossing_cells(interval, all_equality_points(weights, interval, mat.available), columns)
+    cells = crossing_cells(interval, all_equality_points(columns, interval, mat.available), columns)
     sweep = parametric_sweep(mat, cells)
     for piece in sweep.pieces:
         probe = Probe(interior_point(piece.lo, piece.hi), columns)
         assert greedy_min_basis(mat, probe) == piece.label
-        assert basis_line(columns, piece.label) == piece.line
+        assert value_line(columns, piece.label) == piece.line
 
 
 def _check_most_vital(instance, probe):
@@ -241,7 +240,7 @@ def _check_most_vital(instance, probe):
     def deleted_value(x):
         b = greedy_min_basis(mat.delete({x}), at)
         assert len(b) == k
-        return basis_line(at.columns, b).value_at(probe)
+        return value_line(at.columns, b).value_at(probe)
 
     best = max(deleted_value(x) for x in mat.available)
     vital = most_vital_element(mat, weights, base, probe)
@@ -291,7 +290,7 @@ def _check_completion_property(instance, solution):
                     continue
                 b = greedy_min_basis(mat.delete(base | {e}), at)
                 assert len(b) == k
-                v = basis_line(at.columns, b).value_at(mid)
+                v = value_line(at.columns, b).value_at(mid)
                 if best is None or v > best:
                     best = v
             assert best == target, (piece.label.f_star, x, best, target)
@@ -303,7 +302,7 @@ def _check_incremental_updates(instance, sample_sets):
     reset the replayed state instead."""
     mat, weights = instance.matroid, instance.weights
     interval, ell, k = instance.interval, instance.ell, instance.rank
-    events = all_equality_points(weights, interval, mat.available)
+    events = all_equality_points(weight_columns(mat, weights), interval, mat.available)
     if not events:
         return
     lams = sorted({ev.lam for ev in events})
@@ -387,7 +386,7 @@ def test_criterion_6_envelope_oracle():
             )
             for i in range(n)
         ]
-        env = envelope_of_lines(entries, lo, hi)
+        env = envelope_of_lines(*int_lines(entries), lo, hi)
         for _ in range(50):
             lam = lo + (hi - lo) * F(rng.randint(0, 10**6), 10**6)
             expect = max(line.value_at(lam) for line, _label in entries)

@@ -20,6 +20,7 @@ from matroid_interdiction.envelope import (
     interior_point,
     upper_envelope,
 )
+from lemmas import int_lines
 
 F = Fraction
 
@@ -197,7 +198,7 @@ def test_upper_envelope_of_multi_piece_inputs(fs):
 def test_envelope_of_lines_matches_upper_envelope(ls, grid):
     lo, hi = F(-5), F(5)
     entries = [(l, i) for i, l in enumerate(ls)]
-    fast = envelope_of_lines(entries, lo, hi)
+    fast = envelope_of_lines(*int_lines(entries), lo, hi)
     slow = upper_envelope(
         [PiecewiseLinearFunction.from_line(lo, hi, l, label=i) for i, l in enumerate(ls)]
     )
@@ -210,7 +211,7 @@ def test_envelope_slopes_increase_left_to_right():
     rng = random.Random(5)
     for _ in range(20):
         ls = [Line(F(rng.randint(-9, 9)), F(rng.randint(-9, 9))) for _ in range(12)]
-        env = envelope_of_lines([(l, i) for i, l in enumerate(ls)], F(-4), F(4))
+        env = envelope_of_lines(*int_lines([(l, i) for i, l in enumerate(ls)]), F(-4), F(4))
         slopes = [p.line.slope for p in env.pieces]
         assert slopes == sorted(slopes), "an upper envelope of lines is convex"
 
@@ -285,7 +286,7 @@ def test_classify_with_projection_key():
 @settings(max_examples=40, deadline=None)
 @given(st.lists(lines, min_size=2, max_size=20))
 def test_classification_matches_label_diff_oracle(ls):
-    env = envelope_of_lines([(l, i) for i, l in enumerate(ls)], F(-5), F(5))
+    env = envelope_of_lines(*int_lines([(l, i) for i, l in enumerate(ls)]), F(-5), F(5))
     marks = {c.lam: c.kind for c in classify_changepoints(env)}
     expect = {}
     for left, right in zip(env.pieces, env.pieces[1:]):

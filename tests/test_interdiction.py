@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from matroid_interdiction import interdiction, parametric
@@ -31,11 +31,13 @@ from matroid_interdiction.parametric import (
     MatroidInstance,
     all_equality_points,
     basis_line,
+    crossing_cells,
     greedy_min_basis,
     probe_at,
     pw,
+    weight_columns,
 )
-from lemmas import changepoint_bound_secondary
+from lemmas import changepoint_bound_secondary, value_line
 
 F = Fraction
 
@@ -68,9 +70,8 @@ def test_layered_bases_structure():
     lb = layered_bases(mat, probe_at(mat, weights, F(0)), depth=3)
     assert lb.layers == (frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5}))
     assert lb.union == frozenset(range(6))
-    assert not lb.truncated
+    assert [len(layer) for layer in lb.layers] == [2, 2, 2]
     assert lb.layer_of(3) == 1 and lb.layer_of(9) is None
-    assert lb.depth == 3
 
 
 def test_layered_bases_each_layer_is_greedy_of_remainder():
@@ -89,7 +90,7 @@ def test_layered_bases_truncation():
     weights = [pw(i, 0) for i in range(3)]
     lb = layered_bases(mat, probe_at(mat, weights, F(0)), depth=3)
     assert lb.layers == (frozenset({0, 1}), frozenset({2}), frozenset())
-    assert lb.truncated
+    assert [len(layer) for layer in lb.layers] == [2, 1, 0]
 
 
 def test_layered_bases_depth_validation():
@@ -163,14 +164,57 @@ def test_update_u_adjacent_crossing_ripples_through_deeper_layers():
     assert new.union != lb.union
 
 
-def test_update_u_truncated_recomputes_from_scratch():
-    mat = uniform(3, 2)
-    weights = [pw(0, 1), pw(1, 0), pw(2, 0)]
-    lb = layered_bases(mat, probe_at(mat, weights, F(0)), depth=3)
-    assert lb.truncated
-    ev = EqualityPoint(F(1), 0, 1)
-    new = update_u(mat, lb, ev, probe_at(mat, weights, F(2)))
-    assert new.layers == layered_bases(mat, probe_at(mat, weights, F(2)), depth=3).layers
+@st.composite
+def truncated_layer_cases(draw):
+    """(matroid, weights, depth) whose layers run out of rank before depth.
+
+    A uniform matroid with fewer than depth * k elements, a partition
+    matroid with low capacities, or a sparse graph: a spanning tree and
+    at most two more edges on four or five vertices.
+    """
+    depth = draw(st.integers(2, 3))
+    family = draw(st.sampled_from(["uniform", "partition", "graphic"]))
+    if family == "uniform":
+        k = draw(st.integers(1, 3))
+        mat = uniform(draw(st.integers(k, depth * k - 1)), k)
+    elif family == "partition":
+        capacities = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+        block = st.integers(0, len(capacities) - 1)
+        mat = partition(draw(st.lists(block, min_size=3, max_size=7)), capacities)
+    else:
+        n = draw(st.integers(4, 5))
+        tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+        vertex = st.integers(0, n - 1)
+        mat = graphic(n, tree + draw(st.lists(st.tuples(vertex, vertex), max_size=2)))
+    m = mat.ground_size
+    lines = st.tuples(st.integers(-20, 20), st.integers(-5, 5))
+    weights = [pw(a, b) for a, b in draw(st.lists(lines, min_size=m, max_size=m))]
+    return mat, weights, depth
+
+
+@settings(max_examples=300, deadline=None)
+@given(truncated_layer_cases())
+@example((uniform(3, 2), [pw(0, 1), pw(1, 0), pw(2, 0)], 3))
+def test_update_u_on_truncated_layers_equals_a_scratch_rebuild(case):
+    # a lone crossing moves one greedy basis by at most e <-> f, whatever
+    # the sizes of the layers below it, so the repair is exact and never
+    # dearer than the rebuild
+    mat, weights, depth = case
+    interval = Interval(NEG_INF, POS_INF)
+    columns = weight_columns(mat, weights)
+    cells = crossing_cells(interval, all_equality_points(columns, interval, mat.available), columns)
+    lb = layered_bases(mat, cells[0][2], depth=depth)
+    truncated = 0
+    for _lo, _hi, probe, crossings in cells[1:]:
+        scratch_view = mat.with_fresh_counter()
+        scratch = layered_bases(scratch_view, probe, depth=depth)
+        if len(crossings) == 1 and len(lb.layers[-1]) < len(lb.layers[0]):
+            view = mat.with_fresh_counter()
+            assert update_u(view, lb, crossings[0], probe).layers == scratch.layers
+            assert view.oracle_calls <= scratch_view.oracle_calls
+            truncated += 1
+        lb = scratch
+    assume(truncated)
 
 
 def test_update_interdicted_set_rename_follows_deletion():
@@ -234,12 +278,12 @@ def test_candidate_tree_contains_optimum_per_cell():
     weights = [pw(i % 3, (i % 2) - 1) for i in range(6)]
     inst = MatroidInstance(mat, tuple(weights), 2, Interval(F(-2), F(2)))
     brute = solve_brute(inst)
-    events = all_equality_points(weights, inst.interval, mat.available)
+    events = all_equality_points(weight_columns(mat, weights), inst.interval, mat.available)
     lams = sorted({ev.lam for ev in events})
     for lo, hi in zip([inst.interval.lo, *lams], [*lams, inst.interval.hi]):
         probe = probe_at(mat, weights, interior_point(lo, hi))
         best = max(
-            basis_line(probe.columns, basis).value_at(probe.lam)
+            value_line(probe.columns, basis).value_at(probe.lam)
             for _f, basis in candidate_tree(mat, probe, 2)
         )
         assert best == brute.envelope.evaluate(probe.lam)
@@ -398,7 +442,8 @@ def per_cell_reference(inst, name):
             envs = []
             break
         labels = [SegmentLabel(tuple(sorted(F)), tuple(sorted(B))) for F, B in bases.items()]
-        envs.append(envelope_of_lines([(basis_line(probe.columns, l.basis), l) for l in labels], lo, hi))
+        entries = [(basis_line(probe.columns, l.basis), l) for l in labels]
+        envs.append(envelope_of_lines(entries, probe.columns[0], lo, hi))
     if not envs:  # rank 0 or a rank kill
         flat = interdiction._flat_solution(mat, inst, name)
         return flat.envelope.pieces, flat.oracle_calls
@@ -558,7 +603,8 @@ def test_each_cell_is_sorted_at_most_once_per_solve(monkeypatch, spec):
     sort = parametric._sort_ground
     monkeypatch.setattr(parametric, "_sort_ground", lambda columns, lam: sorted_at.append(lam) or sort(columns, lam))
     inst = instance_from_dict(generate_random(*spec))
-    cells = len({ev.lam for ev in all_equality_points(inst.weights, inst.interval)}) + 1
+    events = all_equality_points(weight_columns(inst.matroid, inst.weights), inst.interval, inst.matroid.available)
+    cells = len({ev.lam for ev in events}) + 1
     for name in ALGORITHMS:
         sorts = []
         for _ in range(2):
@@ -580,7 +626,7 @@ def test_brute_equals_direct_enumeration_small():
         for fs in combinations(range(5), 2):
             probe = probe_at(inst.matroid, inst.weights, lam)
             basis = greedy_min_basis(inst.matroid.with_fresh_counter().delete(fs), probe)
-            v = basis_line(probe.columns, basis).value_at(lam)
+            v = value_line(probe.columns, basis).value_at(lam)
             best = v if best is None else max(best, v)
         assert sol.value_at(lam) == best
 

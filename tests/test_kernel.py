@@ -1,25 +1,29 @@
 """The integer kernel against plain Fraction arithmetic.
 
-A Probe's weight order, greedy_min_basis and basis_line run on the
-integer columns of the weights (weight_columns), and envelope_of_lines
-on its lines scaled to integers.  Each is compared here with the same
-computation done in Fractions: a sort keyed on the Fraction weight, a
-Fraction sum, and upper_envelope, which never leaves Fractions.  The
-strategies favour ties, equal slopes, duplicate lines under different
-labels, point and unbounded domains, negative lam and large coprime
-denominators, where an integer rewrite can go wrong.
+Inside a solve everything runs on the integer columns of the weights
+(weight_columns): all_equality_points computes each crossing from them,
+a Probe's weight order and greedy_min_basis compare them, basis_line
+sums them into an int pair, and envelope_of_lines takes those pairs over
+the columns' one denominator.  Each is compared here with the same
+computation done in Fractions: equality_point, a sort keyed on the
+Fraction weight, a Fraction sum, and upper_envelope, which never leaves
+Fractions.  The strategies favour ties, parallel and identical lines,
+equal slopes, duplicate lines under different labels, point and
+unbounded domains, endpoints on a crossing, negative lam and large
+coprime denominators, where an integer rewrite can go wrong.
 
 The verifier must not share this kernel: KERNEL names every kernel
-helper (the columns, the Probe with its constructors and sort, the
-swap order of coincident crossings, the greedy scans, augment and
-exchange states, basis_line and envelope_of_lines), and oracle.py may
-reference none of them.  The
+helper (the columns, the crossings, the Probe with its constructors and
+sort, the swap order of coincident crossings, the greedy scans, augment
+and exchange states, basis_line and envelope_of_lines), and oracle.py
+may reference none of them.  The
 oracle keeps its own integer path: it scales the weights at each sample
 lam by the lcm of their denominators, not by the solve's columns.
 """
 
 import ast
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -36,14 +40,16 @@ from matroid_interdiction.envelope import (
 )
 from matroid_interdiction.matroid import graphic, uniform
 from matroid_interdiction.parametric import (
+    Interval,
     ParametricWeight,
+    all_equality_points,
     basis_line,
-    equality_point,
     greedy_min_basis,
     probe_at,
     weight_at,
     weight_columns,
 )
+from lemmas import equality_point, int_lines
 
 F = Fraction
 
@@ -93,7 +99,7 @@ def envelope_cases(draw):
 @given(envelope_cases())
 def test_envelope_of_lines_matches_upper_envelope_piece_for_piece(case):
     entries, lo, hi = case
-    fast = envelope_of_lines(entries, lo, hi)
+    fast = envelope_of_lines(*int_lines(entries), lo, hi)
     slow = upper_envelope([PiecewiseLinearFunction.from_line(lo, hi, l, label) for l, label in entries])
     assert (fast.lo, fast.hi) == (slow.lo, slow.hi)
     assert fast.pieces == slow.pieces
@@ -103,8 +109,45 @@ def test_envelope_of_lines_duplicate_keeps_smallest_label():
     same, low = Line(F(1, 3), F(2)), Line(F(1, 3), F(1))
     entries = [(same, 5), (low, 0), (same, 2), (same, 9)]
     for lo, hi in ((F(-1), F(1)), (F(0), F(0)), (NEG_INF, POS_INF)):
-        env = envelope_of_lines(entries, lo, hi)
+        env = envelope_of_lines(*int_lines(entries), lo, hi)
         assert [(p.line, p.label) for p in env.pieces] == [(same, 2)]
+
+
+# ---------------------------------------------------------------------------
+# crossings on the columns against Fraction crossings
+
+
+@st.composite
+def crossing_cases(draw):
+    """(weights, interval, elements) where parallel and identical lines recur.
+
+    Weights are drawn from a few lines and from lines sharing their
+    slopes; interval ends may sit on a crossing or be infinite, and the
+    elements are any subset of the ground set.
+    """
+    pool = draw(st.lists(st.builds(ParametricWeight, rationals, rationals), min_size=1, max_size=4))
+    pool += [ParametricWeight(a, draw(st.sampled_from(pool)).b) for a in draw(st.lists(rationals, max_size=3))]
+    weights = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=7))
+    m = len(weights)
+    crossings = [equality_point(e, f, weights[e], weights[f]) for e, f in combinations(range(m), 2)]
+    lams = [ev.lam for ev in crossings if ev is not None]
+    end = st.sampled_from(lams) | rationals if lams else rationals
+    a, b = sorted(draw(st.lists(end, min_size=2, max_size=2)))
+    lo, hi = draw(st.sampled_from([(a, b), (a, a), (NEG_INF, b), (a, POS_INF), (NEG_INF, POS_INF)]))
+    return weights, Interval(lo, hi), draw(st.sets(st.integers(0, m - 1)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(crossing_cases())
+def test_all_equality_points_match_fraction_crossings(case):
+    weights, interval, elements = case
+    want = []
+    for e, f in combinations(sorted(elements), 2):
+        ev = equality_point(e, f, weights[e], weights[f])
+        if ev is not None and interval.lo < ev.lam < interval.hi:
+            want.append(ev)
+    columns = weight_columns(uniform(len(weights), 0), weights)
+    assert all_equality_points(columns, interval, elements) == sorted(want)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +195,10 @@ def test_weight_order_and_greedy_match_fraction_sort(data, weights, deleted):
 def test_basis_line_matches_fraction_sum(weights, basis, lam):
     slope = sum((weights[e].b for e in basis), F(0))
     intercept = sum((weights[e].a for e in basis), F(0))
-    line = basis_line(weight_columns(uniform(5, 0), weights), basis)
+    columns = weight_columns(uniform(5, 0), weights)
+    d = columns[0]
+    assert basis_line(columns, basis) == (slope * d, intercept * d)
+    line = Line.from_ints(d, *basis_line(columns, basis))
     assert line == Line(slope, intercept)
     assert line.value_at(lam) == sum((weight_at(weights[e], lam) for e in basis), F(0))
 
@@ -162,6 +208,8 @@ def test_basis_line_matches_fraction_sum(weights, basis, lam):
 
 KERNEL = {
     "weight_columns",
+    # crossings computed from the columns
+    "all_equality_points",
     # probes carry the integer weight order: crossing_cells builds them
     "Probe",
     "probe_at",

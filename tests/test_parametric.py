@@ -16,9 +16,7 @@ from matroid_interdiction.parametric import (
     MatroidInstance,
     ParametricWeight,
     all_equality_points,
-    basis_line,
     crossing_cells,
-    equality_point,
     exchange,
     greedy_min_basis,
     interdicted_basis_via_replacement,
@@ -30,7 +28,7 @@ from matroid_interdiction.parametric import (
     weight_at,
     weight_columns,
 )
-from lemmas import most_vital_element
+from lemmas import equality_point, most_vital_element, value_line
 
 F = Fraction
 
@@ -110,18 +108,20 @@ def test_equality_point_orders_the_pair(a0, b0, a1, b1, t):
 
 def test_all_equality_points_strictly_inside_and_sorted():
     weights = [pw(0, 1), pw(4, -1), pw(2, 0)]
+    columns = weight_columns(uniform(3, 1), weights)
     # crossings: (0,1) at 2, (0,2) at 2, (1,2) at 2 -- all coincide
-    events = all_equality_points(weights, Interval(F(0), F(5)))
+    events = all_equality_points(columns, Interval(F(0), F(5)), range(3))
     assert events == sorted(events)
     assert all(F(0) < ev.lam < F(5) for ev in events)
     assert len(events) == 3
     # an endpoint crossing is dropped
-    assert all_equality_points(weights, Interval(F(2), F(5))) == []
+    assert all_equality_points(columns, Interval(F(2), F(5)), range(3)) == []
 
 
 def test_all_equality_points_respects_element_subset():
     weights = [pw(0, 1), pw(4, -1), pw(2, 0)]
-    events = all_equality_points(weights, Interval(F(0), F(5)), elements=[0, 2])
+    columns = weight_columns(uniform(3, 1), weights)
+    events = all_equality_points(columns, Interval(F(0), F(5)), elements=[0, 2])
     assert len(events) == 1
     assert {events[0].leaving, events[0].entering} == {0, 2}
 
@@ -302,8 +302,8 @@ def test_equality_points_sort_in_sweep_order():
 
 
 def own_cells(mat, weights, interval):
-    events = all_equality_points(weights, interval, mat.available)
-    return crossing_cells(interval, events, weight_columns(mat, weights))
+    columns = weight_columns(mat, weights)
+    return crossing_cells(interval, all_equality_points(columns, interval, mat.available), columns)
 
 
 def check_sweep(mat, weights, interval):
@@ -317,7 +317,7 @@ def check_sweep(mat, weights, interval):
     for piece in pieces:
         probe = probe_at(mat, weights, interior_point(piece.lo, piece.hi))
         assert greedy_min_basis(mat, probe) == piece.label
-        assert basis_line(columns, piece.label) == piece.line
+        assert value_line(columns, piece.label) == piece.line
         slopes.append(piece.line.slope)
     assert slopes == sorted(slopes, reverse=True), "min-basis value must be concave"
     return sweep
@@ -405,7 +405,8 @@ def test_coincident_crossings_come_as_a_chain_of_adjacent_swaps():
     mat = uniform(3, 1)
     weights = [pw(0, 0), pw(0, 2), pw(0, 1)]
     interval = Interval(F(-1), F(1))
-    assert all_equality_points(weights, interval) == [(0, 1, 0), (0, 1, 2), (0, 2, 0)]
+    events = all_equality_points(weight_columns(mat, weights), interval, mat.available)
+    assert events == [(0, 1, 0), (0, 1, 2), (0, 2, 0)]
     (_, _, before, _), (_, _, after, crossings) = own_cells(mat, weights, interval)
     assert (before.order, after.order) == ((1, 2, 0), (0, 2, 1))
     assert crossings == ((0, 1, 2), (0, 1, 0), (0, 2, 0))

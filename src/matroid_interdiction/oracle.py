@@ -11,6 +11,14 @@ on those ints, and only the returned optimum becomes a Fraction again.
 The solvers' integer kernel takes another road (one set of weight
 columns per solve, cross-multiplied by lam = p/q), so a bug in one
 cannot cancel out in the other.
+
+The enumeration is one walk over the deletion sets, not one greedy run
+per set: the sets come in lexicographic order of their positions in
+the weight order, and each set's run resumes at the first position
+where it differs from the previous set's, with the chosen set restored
+to what it held there.  Every query is still a one-shot
+Matroid.is_independent on the chosen set plus one element, one that
+the set's own greedy run from nothing would make in the same order.
 """
 
 from __future__ import annotations
@@ -18,7 +26,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb, lcm
 
 from .envelope import NEG_INF, POS_INF, interior_point
@@ -53,26 +60,99 @@ def _scaled_weights(instance: MatroidInstance, lam: Fraction, elements):
     return n, d, sorted(elements, key=lambda e: (n[e], e))
 
 
+def _interdicted_bases(mat: Matroid, order, n, ell: int, k: int):
+    """Yield (F, outcome) once for every ell-subset F of order.
+
+    F lists its ids in order's order.  outcome is (sum of n, basis) for
+    the basis _greedy(mat, order, F) finds, or None when M minus F has
+    rank below k.  The sets come as position sets in lexicographic
+    order.  A run ends once it holds k elements, as every later query
+    would fail, or, as a kill, once the elements left cannot bring it to
+    k; the sets that agree with it on the positions it passed share its
+    outcome without a query.  Otherwise the next set's run resumes at
+    the first position that changed, from the chosen set, sum and size
+    marked when the run reached that position.  The walk keeps one
+    chosen stack and no recursion, so its depth does not grow with m.
+    """
+    m = len(order)
+    pos = list(range(ell))
+    # (size, sum) of the chosen set when the run reached pos[j], or None
+    # when the run ended before it
+    mark: list = [None] * ell
+    held: set[int] = set()
+    chosen: list[int] = []
+    total = i = j = 0  # j counts the deleted positions before i
+    while True:
+        while True:
+            size = len(chosen)
+            if size == k:
+                outcome = (total, frozenset(chosen))
+                break
+            if size + (m - i) - (ell - j) < k:
+                outcome = None
+                break
+            if j < ell and pos[j] == i:
+                mark[j] = (size, total)
+                j += 1
+            else:
+                e = order[i]
+                held.add(e)
+                if mat.is_independent(held):
+                    chosen.append(e)
+                    total += n[e]
+                else:
+                    held.discard(e)
+            i += 1
+        mark[j:] = [None] * (ell - j)
+        while True:
+            yield tuple(map(order.__getitem__, pos)), outcome
+            # the last position that can move moves on by one
+            t = ell - 1
+            while t >= 0 and pos[t] == m - ell + t:
+                t -= 1
+            if t < 0:
+                return
+            i = pos[t]
+            pos[t:] = range(i + 1, i + 1 + ell - t)
+            if mark[t] is not None:
+                break
+        # position i is kept now: resume the run there
+        size, total = mark[t]
+        held.difference_update(chosen[size:])
+        del chosen[size:]
+        j = t
+
+
 def oracle_value(instance: MatroidInstance, lam: Fraction):
     """Exact optimum at one parameter value by full enumeration.
 
-    Returns (value, deletion set, interdicted basis); the value is +inf
-    exactly when some deletion of the budget size kills the rank, and
-    the reported deletion set is then the lexicographically first one.
-    The weights are evaluated once, as ints over one denominator (see
-    the module docstring), so the C(m, ell) basis sums and their
-    comparisons are int operations.
+    Returns (value, deletion set, interdicted basis).  The value is the
+    largest basis sum over all C(m, ell) deletion sets, ties going to
+    the lexicographically smallest set; it is +inf exactly when some
+    deletion kills the rank, and the reported set is then the
+    lexicographically first killing one, with its greedy basis.  The
+    rank is the oracle's own, the size of its greedy basis at lam.  One
+    walk (_interdicted_bases) along the weight order yields every set's
+    basis and int sum, and stops at the first kill; since a kill does
+    not depend on the weights, a second walk along the ids then meets
+    the killing sets in lexicographic order.  The weights are evaluated
+    once, as ints over one denominator (see the module docstring), and a
+    set's ids are sorted only when its sum can win or tie.
     """
     mat = instance.matroid.with_fresh_counter()
-    k = instance.rank
+    ell = instance.ell
     n, d, order = _scaled_weights(instance, lam, mat.available)
+    k = len(_greedy(mat, order, frozenset()))
     best = None
-    for F in combinations(mat.available, instance.ell):
-        basis = _greedy(mat, order, frozenset(F))
-        if len(basis) < k:
-            return POS_INF, F, basis
-        value = sum(n[e] for e in basis)
-        if best is None or value > best[0]:
+    for F, outcome in _interdicted_bases(mat, order, n, ell, k):
+        if outcome is None:
+            F = next(F for F, outcome in _interdicted_bases(mat, mat.available, n, ell, k) if outcome is None)
+            return POS_INF, F, _greedy(mat, order, frozenset(F))
+        value, basis = outcome
+        if best is not None and value < best[0]:
+            continue
+        F = tuple(sorted(F))
+        if best is None or value > best[0] or F < best[1]:
             best = (value, F, basis)
     value, F, basis = best
     return Fraction(value, d), F, basis
@@ -162,8 +242,10 @@ def verify_solution(
     piece the optimal value, deletion set, and basis must all match the
     oracle exactly; on piece boundaries (where several labels attain the
     optimum) the claimed value must match and the claimed deletion set
-    must attain it.  Each sample enumerates all C(m, ell) deletion sets,
-    so EnumerationCapExceeded is raised, before any point is drawn, when
+    must attain it.  Each sample walks all C(m, ell) deletion sets (see
+    oracle_value; the sets share the one-shot queries of their common
+    greedy prefixes, but each is still visited), so
+    EnumerationCapExceeded is raised, before any point is drawn, when
     C(m, ell) or extra_samples * C(m, ell) exceeds the enumeration cap.
     Each sample evaluates the weights as scaled ints (see oracle_value)
     for the oracle and once more for the claimed deletion set's greedy.

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 from test_kernel import rationals
 
 from matroid_interdiction import oracle
+from matroid_interdiction.cli import generate_random, instance_from_dict
 from matroid_interdiction.envelope import POS_INF, Line, Piece, PiecewiseLinearFunction
 from matroid_interdiction.interdiction import EnumerationCapExceeded, InterdictionSolution, SegmentLabel, solve
-from matroid_interdiction.matroid import graphic, partition, uniform
+from matroid_interdiction.matroid import Matroid, graphic, partition, uniform
 from matroid_interdiction.oracle import VerificationReport, oracle_value, verify_solution
 from matroid_interdiction.parametric import Interval, MatroidInstance, ParametricWeight, pw, weight_at
 
@@ -230,7 +232,7 @@ def fraction_oracle_value(instance, lam):
 
 
 @st.composite
-def oracle_cases(draw):
+def oracle_cases(draw, max_m=7):
     """(instance, lam): small matroids whose weights often tie.
 
     Graphic matroids may hold loops and parallel edges, partition blocks
@@ -239,7 +241,7 @@ def oracle_cases(draw):
     recur; lam is often the crossing of two weights, where they tie.
     """
     family = draw(st.sampled_from(["graphic", "partition", "uniform"]))
-    m = draw(st.integers(1, 7))
+    m = draw(st.integers(1, max_m))
     if family == "graphic":
         vertices = draw(st.integers(1, 4))
         ends = st.integers(0, vertices - 1)
@@ -264,3 +266,111 @@ def oracle_cases(draw):
 def test_oracle_value_matches_fraction_reference(case):
     instance, lam = case
     assert oracle_value(instance, lam) == fraction_oracle_value(instance, lam)
+
+
+# ---------------------------------------------------------------------------
+# the walk over the deletion sets against one greedy run per set
+
+
+class QueryLog:
+    """A matroid's one-shot queries, recorded as the sets they test."""
+
+    def __init__(self, matroid):
+        self.matroid, self.queries = matroid, []
+
+    def is_independent(self, subset):
+        self.queries.append(frozenset(subset))
+        return self.matroid.is_independent(subset)
+
+
+def assert_walk_matches_per_set_greedy(instance, lam):
+    """Every ell-subset once, with _greedy's basis and sum, or None on a kill.
+
+    The walk may ask only what some set's own greedy run asks, and no
+    more often in all than those runs together.
+    """
+    mat, ell, k = instance.matroid, instance.ell, instance.rank
+    n, _, order = oracle._scaled_weights(instance, lam, mat.available)
+    walk, runs = QueryLog(mat), QueryLog(mat)
+    seen = []
+    for f, outcome in oracle._interdicted_bases(walk, order, n, ell, k):
+        assert len(set(f)) == ell and set(f) <= set(mat.available)
+        basis = oracle._greedy(runs, order, frozenset(f))
+        if len(basis) < k:
+            assert outcome is None, (f, outcome)
+        else:
+            assert outcome == (sum(n[e] for e in basis), basis), f
+        seen.append(tuple(sorted(f)))
+    assert sorted(seen) == list(combinations(mat.available, ell))
+    assert set(walk.queries) <= set(runs.queries)
+    assert len(walk.queries) <= len(runs.queries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_cases(max_m=10))
+def test_walk_yields_each_deletion_set_once_with_its_greedy_basis(case):
+    assert_walk_matches_per_set_greedy(*case)
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        # a loop, a parallel pair and a pendant edge
+        graphic(4, [(0, 0), (0, 1), (0, 1), (1, 2), (2, 3), (1, 3), (3, 3), (0, 2)]),
+        # block 1 has capacity 0, so its elements are loops
+        partition([0, 1, 1, 2, 0, 2, 1, 0], [2, 0, 1]),
+        uniform(7, 0),
+        uniform(9, 4),
+    ],
+    ids=["graphic", "partition", "uniform-k0", "uniform"],
+)
+def test_walk_matches_per_set_greedy_at_every_budget(mat):
+    m = mat.ground_size
+    weights = tuple(pw(e % 3, 1 - e % 4) for e in range(m))
+    for ell in range(1, m + 1):
+        inst = MatroidInstance(mat, weights, ell, Interval(F(0), F(1)))
+        for lam in (F(0), F(1, 3), F(1)):
+            assert_walk_matches_per_set_greedy(inst, lam)
+
+
+def count_queries(monkeypatch):
+    """A list that grows by one on every one-shot query."""
+    calls = []
+    real = Matroid.is_independent
+
+    def counted(self, subset):
+        calls.append(None)
+        return real(self, subset)
+
+    monkeypatch.setattr(Matroid, "is_independent", counted)
+    return calls
+
+
+@pytest.mark.parametrize("family, k", [("graphic", 5), ("partition", 3)])
+def test_oracle_shares_queries_between_deletion_sets(monkeypatch, family, k):
+    # one greedy run per set made C(12, 2) * (12 - 2) = 660 queries
+    inst = instance_from_dict(generate_random(family, 12, k, 2, 1))
+    expected = fraction_oracle_value(inst, F(0))
+    calls = count_queries(monkeypatch)
+    assert oracle_value(inst, F(0)) == expected
+    assert len(calls) <= comb(12, 2) * (12 - 2) // 4
+
+
+@pytest.mark.parametrize(
+    "k, ell, f_star, basis",
+    [
+        # every deletion kills: F=(0,) leaves all but element 0
+        (1200, 1, (0,), frozenset(range(1, 1200))),
+        # one element is left of the 600 the rank needs
+        (600, 1199, tuple(range(1199)), frozenset({1199})),
+    ],
+)
+def test_oracle_stops_at_the_first_kill(monkeypatch, k, ell, f_star, basis):
+    m = 1200
+    inst = MatroidInstance(uniform(m, k), tuple(pw(e % 7, (-1) ** e) for e in range(m)), ell, Interval(F(0), F(1)))
+    lam = F(1, 2)
+    expected = fraction_oracle_value(inst, lam)
+    assert expected == (POS_INF, f_star, basis)
+    calls = count_queries(monkeypatch)
+    assert oracle_value(inst, lam) == expected
+    assert len(calls) <= 2 * m

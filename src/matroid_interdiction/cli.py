@@ -175,26 +175,6 @@ def parse_instance(path: str) -> MatroidInstance:
     return instance_from_dict(_load_json(path), path)
 
 
-def instance_to_dict(instance: MatroidInstance) -> dict:
-    """Serializable form of an instance; inverse of parse_instance."""
-    fam = instance.matroid._family
-    kind = instance.matroid.family_kind
-    if kind == "graphic":
-        matroid = {"type": kind, "num_vertices": fam.num_vertices, "edges": [list(e) for e in fam.edges]}
-    elif kind == "uniform":
-        matroid = {"type": kind, "m": fam.ground_size, "k": fam.k}
-    elif kind == "partition":
-        matroid = {"type": kind, "blocks": list(fam.blocks), "capacities": list(fam.capacities)}
-    else:
-        matroid = {"type": kind, "m": fam.ground_size, "bases": sorted(sorted(b) for b in fam.bases)}
-    return {
-        "matroid": matroid,
-        "weights": [{"a": format_rational(w.a), "b": format_rational(w.b)} for w in instance.weights],
-        "ell": instance.ell,
-        "interval": {"lo": format_rational(instance.interval.lo), "hi": format_rational(instance.interval.hi)},
-    }
-
-
 def solution_to_dict(solution: InterdictionSolution, wall_time: float, verification=None) -> dict:
     segments = []
     for piece in solution.envelope.pieces:

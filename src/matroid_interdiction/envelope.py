@@ -92,10 +92,6 @@ class PiecewiseLinearFunction:
     def from_line(cls, lo, hi, line: Line, label=None) -> "PiecewiseLinearFunction":
         return cls(lo, hi, (Piece(lo, hi, line, label),))
 
-    def breakpoints(self) -> list:
-        """Interior piece boundaries, ascending."""
-        return [p.hi for p in self.pieces[:-1]]
-
     def piece_at(self, lam) -> Piece:
         """The first piece covering lam (boundaries belong to both neighbors)."""
         for p in self.pieces:

@@ -488,7 +488,7 @@ def _tree_child(matroid, probe, child_f, layers, e, states):
                 pool -= child_layers[q]
         if layer not in states:
             states[layer] = matroid.exchanges(layer)
-        r = replacement_element(matroid, probe, layer, x, among=pool, exchanges=states[layer])
+        r = replacement_element(matroid, probe, layer, x, pool, states[layer])
         if r is None:
             if p == 0:
                 return None

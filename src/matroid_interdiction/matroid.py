@@ -40,10 +40,9 @@ searches one basis for several x, or several times, keeps its state.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Sequence
 
-EXPLICIT_MAX_GROUND = 16  # axiom checks enumerate 2^m subsets
+EXPLICIT_MAX_GROUND = 16  # explicit families list every basis: test-scale ground sets only
 
 
 class _GraphicFamily:
@@ -337,10 +336,6 @@ class Matroid:
         return self._family.ground_size
 
     @property
-    def family_kind(self) -> str:
-        return self._family.kind
-
-    @property
     def available(self) -> tuple[int, ...]:
         """Element ids still present, ascending; computed once, as a view never changes."""
         # set in __init__, not by functools.cached_property, whose write into
@@ -443,32 +438,3 @@ def partition(blocks: Sequence[int], capacities: Sequence[int]) -> Matroid:
 def explicit(m: int, bases: Iterable[Iterable[int]]) -> Matroid:
     """Matroid given by its full basis list; test-scale ground sets only."""
     return Matroid(_ExplicitFamily(m, bases))
-
-
-def verify_axioms(matroid: Matroid) -> None:
-    """Check the matroid axioms by full enumeration; raises on violation.
-
-    Only feasible for small ground sets (2^m subsets are enumerated).
-    """
-    m = matroid.ground_size
-    if m > EXPLICIT_MAX_GROUND:
-        raise ValueError(f"axiom check enumerates 2^m subsets; m={m} is too large")
-    elems = matroid.available
-    independent: set[frozenset[int]] = set()
-    for size in range(len(elems) + 1):
-        for combo in combinations(elems, size):
-            if matroid.is_independent(combo):
-                independent.add(frozenset(combo))
-    if frozenset() not in independent:
-        raise AssertionError("empty set must be independent")
-    for s in independent:
-        for e in s:
-            if s - {e} not in independent:
-                raise AssertionError(f"hereditary axiom fails at {sorted(s)} minus {e}")
-    for a in independent:
-        for b in independent:
-            if len(b) < len(a):
-                if not any(b | {x} in independent for x in a - b):
-                    raise AssertionError(
-                        f"exchange axiom fails for {sorted(a)} and {sorted(b)}"
-                    )

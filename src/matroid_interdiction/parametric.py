@@ -1,5 +1,5 @@
 """Parametric weights w(e, lam) = a_e + lam * b_e, equality points,
-the parametric minimum-basis sweep, and replacement machinery.
+the parametric minimum-basis sweep, and the replacement search.
 
 All arithmetic is exact: weights and parameter values are Fractions,
 interval endpoints may additionally be +-math.inf (IEEE infinities
@@ -24,14 +24,13 @@ per crossing lam, which bounds a cell, and the line of each piece the
 sweep emits (Line.from_ints).
 
 Each cell of the arrangement carries a Probe: its lam, the solve's
-columns, and the ground set's order at lam with each element's rank in
-it.  The order is sorted on first use, so a cell is sorted at most once
-per solve however many greedy bases and replacement searches read it.
-The layer functions take the probe in place of (weights, lam);
-greedy_min_basis filters its order by the matroid's deleted set, and
-replacement_element sorts its pool by rank, so both visit elements
-exactly as a fresh sort would and make the same oracle calls.  probe_at
-builds the probe of a single lam.
+columns, and the ground set's weight order at lam.  The order is sorted
+on first use, so a cell is sorted at most once per solve however many
+greedy bases and replacement searches read it.  The layer functions
+take the probe in place of (weights, lam); greedy_min_basis filters its
+order by the matroid's deleted set, and replacement_element by its
+pool, so both visit elements exactly as a fresh sort would and make the
+same oracle calls.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from functools import cached_property
 from itertools import groupby
 from math import lcm
 from operator import attrgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Container, Iterable, NamedTuple, Sequence
 
 from .envelope import NEG_INF, POS_INF, Line, Piece, PiecewiseLinearFunction, interior_point
 from .matroid import Matroid
@@ -160,18 +159,6 @@ class Probe:
         """Every element id by (weight at lam, id), sorted on first use."""
         return _sort_ground(self.columns, self.lam)
 
-    @cached_property
-    def rank(self) -> tuple[int, ...]:
-        """Each element id's position in order."""
-        rank = [0] * len(self.order)
-        for i, e in enumerate(self.order):
-            rank[e] = i
-        return tuple(rank)
-
-
-def probe_at(matroid: Matroid, weights: Sequence[ParametricWeight], lam: Fraction) -> Probe:
-    """The probe of one lam, outside any arrangement."""
-    return Probe(lam, weight_columns(matroid, weights))
 
 
 def _adjacent_swaps(lam: Fraction, group, columns: tuple) -> tuple[EqualityPoint, ...]:
@@ -228,52 +215,20 @@ def replacement_element(
     probe: Probe,
     basis: frozenset[int],
     e: int,
-    among: Iterable[int] | None = None,
-    exchanges=None,
+    among: Container[int],
+    exchanges,
 ) -> int | None:
-    """Cheapest element at the probe restoring the basis after e leaves, or None.
+    """Cheapest element of among at the probe restoring the basis after e leaves, or None.
 
-    `among` restricts the search space (used when a containing layer is
-    known); by default every available non-basis element is considered.
-    Candidates are tried in probe order by matroid.replacement, one
-    oracle call each; a caller searching one basis more than once passes
-    the exchange state it keeps, matroid.exchanges(basis), as
-    `exchanges`, and otherwise a fresh one is built.
+    among is the search pool, a set; exchanges is the basis's exchange
+    state, matroid.exchanges(basis), which a caller searching one basis
+    more than once keeps.  The pool's non-basis elements are tried in
+    probe order by matroid.replacement, one oracle call each.
     """
     if e not in basis:
         raise ValueError(f"element {e} is not in the basis")
-    pool = matroid.available if among is None else among
-    candidates = sorted((r for r in pool if r not in basis), key=probe.rank.__getitem__)
-    if exchanges is None:
-        exchanges = matroid.exchanges(basis)
+    candidates = [r for r in probe.order if r in among and r not in basis]
     return matroid.replacement(exchanges, e, candidates)
-
-
-def interdicted_basis_via_replacement(
-    matroid: Matroid,
-    weights: Sequence[ParametricWeight],
-    basis: frozenset[int],
-    F: Iterable[int],
-    lam: Fraction,
-    order: Sequence[int] | None = None,
-) -> frozenset[int] | None:
-    """Optimal basis avoiding F, built by iterated delete-and-replace.
-
-    Deletion order does not affect the result; None means the deletions
-    killed the rank (the infinite-value case).
-    """
-    order = sorted(F) if order is None else list(order)
-    probe = probe_at(matroid, weights, lam)
-    cur_m = matroid
-    cur_b = frozenset(basis)
-    for e in order:
-        if e in cur_b:
-            r = replacement_element(cur_m, probe, cur_b, e)
-            if r is None:
-                return None
-            cur_b = cur_b - {e} | {r}
-        cur_m = cur_m.delete({e})
-    return cur_b
 
 
 def exchange(matroid: Matroid, basis: frozenset[int], ev: EqualityPoint) -> frozenset[int]:

@@ -1,6 +1,13 @@
 """Functions of the paper that no solver calls, kept for the tests of its lemmas,
 and the Fraction references of the solvers' integer kernel.
 
+probe_at builds the Probe of a single lam, outside any arrangement.
+replacement is one replacement_element search with the two arguments
+the candidate tree passes filled in: the pool, by default every
+available element, and a fresh exchange state.
+
+interdicted_basis_via_replacement is the paper's replacement lemma, the
+optimal basis avoiding F built by iterated delete-and-replace;
 most_vital_element is interdiction with ell = 1 at a single lam, found
 by replacement searches; changepoint_bound_secondary is a second
 changepoint bound, via subsets of the layered-bases union, that the
@@ -15,18 +22,57 @@ that envelope_of_lines takes.
 
 from fractions import Fraction
 from math import comb, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from matroid_interdiction.envelope import POS_INF, Line
 from matroid_interdiction.matroid import Matroid
 from matroid_interdiction.parametric import (
     EqualityPoint,
     ParametricWeight,
+    Probe,
     basis_line,
-    probe_at,
     replacement_element,
     weight_at,
+    weight_columns,
 )
+
+
+def probe_at(matroid: Matroid, weights: Sequence[ParametricWeight], lam: Fraction) -> Probe:
+    """The probe of one lam, outside any arrangement."""
+    return Probe(lam, weight_columns(matroid, weights))
+
+
+def replacement(matroid: Matroid, probe: Probe, basis: frozenset[int], e: int, among=None) -> int | None:
+    """replacement_element over among, by default every available element, on a fresh exchange state."""
+    pool = matroid.available if among is None else among
+    return replacement_element(matroid, probe, basis, e, pool, matroid.exchanges(basis))
+
+
+def interdicted_basis_via_replacement(
+    matroid: Matroid,
+    weights: Sequence[ParametricWeight],
+    basis: frozenset[int],
+    F: Iterable[int],
+    lam: Fraction,
+    order: Sequence[int] | None = None,
+) -> frozenset[int] | None:
+    """Optimal basis avoiding F, built by iterated delete-and-replace.
+
+    Deletion order does not affect the result; None means the deletions
+    killed the rank (the infinite-value case).
+    """
+    order = sorted(F) if order is None else list(order)
+    probe = probe_at(matroid, weights, lam)
+    cur_m = matroid
+    cur_b = frozenset(basis)
+    for e in order:
+        if e in cur_b:
+            r = replacement(cur_m, probe, cur_b, e)
+            if r is None:
+                return None
+            cur_b = cur_b - {e} | {r}
+        cur_m = cur_m.delete({e})
+    return cur_b
 
 
 def changepoint_bound_secondary(m: int, k: int, l: int) -> int:
@@ -50,7 +96,7 @@ def most_vital_element(
     best_e = None
     best_delta = None
     for e in sorted(basis):
-        r = replacement_element(matroid, probe, basis, e, exchanges=exchanges)
+        r = replacement_element(matroid, probe, basis, e, matroid.available, exchanges)
         delta = POS_INF if r is None else weight_at(weights[r], lam) - weight_at(weights[e], lam)
         if best_delta is None or delta > best_delta:
             best_e, best_delta = e, delta

@@ -29,15 +29,20 @@ from matroid_interdiction.parametric import (
     basis_line,
     crossing_cells,
     greedy_min_basis,
-    interdicted_basis_via_replacement,
     parametric_sweep,
-    probe_at,
     pw,
-    replacement_element,
     weight_columns,
 )
 from matroid_interdiction.cli import generate_random, instance_from_dict
-from lemmas import changepoint_bound_secondary, int_lines, most_vital_element, value_line
+from lemmas import (
+    changepoint_bound_secondary,
+    int_lines,
+    interdicted_basis_via_replacement,
+    most_vital_element,
+    probe_at,
+    replacement,
+    value_line,
+)
 
 F = Fraction
 
@@ -79,13 +84,13 @@ def test_criterion_1_worked_example():
     probe = probe_at(mat, weights, F(7, 2))
     b_star = greedy_min_basis(mat, probe)
     assert b_star == frozenset({A, B_, C, E, G})
-    assert replacement_element(mat, probe, b_star, G) == R
+    assert replacement(mat, probe, b_star, G) == R
     m1 = mat.delete({G})
     b_g = b_star - {G} | {R}
-    assert replacement_element(m1, probe, b_g, R) == F_
+    assert replacement(m1, probe, b_g, R) == F_
     m2 = m1.delete({R})
     b_gr = b_g - {R} | {F_}
-    assert replacement_element(m2, probe, b_gr, F_) == P
+    assert replacement(m2, probe, b_gr, F_) == P
 
     # y_F for F = {g, r, f} is 7 + 2*lam left of 4; for F = {g, r, e}
     # it is 12 + lam right of 4; both checked at two probes per side
@@ -215,7 +220,7 @@ def _check_replacement_lemma(instance, probe):
     at = probe_at(mat, instance.weights, probe)
     base = greedy_min_basis(mat, at)
     for e in sorted(base):
-        r = replacement_element(mat, at, base, e)
+        r = replacement(mat, at, base, e)
         scratch = greedy_min_basis(mat.delete({e}), at)
         assert r is not None and scratch == base - {e} | {r}, (e, r, scratch)
 

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matroid_interdiction.envelope import (
@@ -26,6 +26,11 @@ F = Fraction
 
 small_fracs = st.fractions(min_value=-20, max_value=20, max_denominator=5)
 lines = st.tuples(small_fracs, small_fracs).map(lambda sl: Line(sl[0], sl[1]))
+
+
+def breakpoints(f: PiecewiseLinearFunction) -> list:
+    """Interior piece boundaries, ascending."""
+    return [p.hi for p in f.pieces[:-1]]
 
 
 def sample_points(lo, hi, n, seed):
@@ -114,7 +119,7 @@ def test_upper_envelope_multi_piece_inputs():
     for lam in sample_points(lo, hi, 40, 11):
         assert env.evaluate(lam) == max(vee.evaluate(lam), flat.evaluate(lam))
     assert [p.label for p in env.pieces] == ["v", "f", "v"]
-    assert env.breakpoints() == [F(-1), F(1)]
+    assert breakpoints(env) == [F(-1), F(1)]
 
 
 DOMAINS = [(F(-6), F(6)), (NEG_INF, F(3)), (F(-3), POS_INF), (NEG_INF, POS_INF)]
@@ -172,6 +177,12 @@ def _probe_points(fs):
 
 @settings(max_examples=150, deadline=None)
 @given(piecewise_families())
+# label 0 meets label 1 only at the domain's lower end, -3, and loses
+# everywhere right of it
+@example([
+    PiecewiseLinearFunction.from_line(F(-3), POS_INF, Line(F(-19, 3), F(-18)), 0),
+    PiecewiseLinearFunction.from_line(F(-3), POS_INF, Line(F(0), F(1)), 1),
+])
 def test_upper_envelope_of_multi_piece_inputs(fs):
     env = upper_envelope(fs)
     assert (env.lo, env.hi) == (fs[0].lo, fs[0].hi)
@@ -179,12 +190,18 @@ def test_upper_envelope_of_multi_piece_inputs(fs):
     for lam in points:
         assert env.evaluate(lam) == max(f.evaluate(lam) for f in fs)
     # away from every breakpoint each line that attains the maximum is the
-    # output piece's line, so the piece's label must be the smallest of theirs
-    cuts = {x for f in [*fs, env] for x in f.breakpoints()}
+    # output piece's line, so the piece's label must be the smallest of theirs;
+    # a label that wins only at a domain end would need a zero-length piece,
+    # and those are dropped, so there the piece's line need only attain it
+    cuts = {x for f in [*fs, env] for x in breakpoints(f)}
     for lam in points - cuts:
         top = env.evaluate(lam)
+        piece = env.piece_at(lam)
+        if lam in (env.lo, env.hi):
+            assert piece.value_at(lam) == top
+            continue
         covering = [f.piece_at(lam) for f in fs]
-        assert env.piece_at(lam).label == min(p.label for p in covering if p.value_at(lam) == top)
+        assert piece.label == min(p.label for p in covering if p.value_at(lam) == top)
     for left, right in zip(env.pieces, env.pieces[1:]):
         assert (left.line, left.label) != (right.line, right.label)
 
@@ -228,7 +245,7 @@ def test_concatenate_merges_equal_boundary_runs():
     joined = concatenate([a, b, c])
     assert joined.lo == F(0) and joined.hi == F(3)
     assert len(joined.pieces) == 2  # the two x-pieces fuse
-    assert joined.breakpoints() == [F(2)]
+    assert breakpoints(joined) == [F(2)]
 
 
 def test_concatenate_rejects_gaps():

@@ -1,11 +1,20 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and src/ holds
+only what the program runs.
 
 A module in src/ or tests/ that imports a name it never references
 fails here.  The package's __init__ is exempt for the names it lists in
 __all__, which it imports to re-export.
+
+Every function and class defined in src/ (dunders exempt) must be named
+somewhere other than its own definition: in src/, in perfbench/*.py
+(string constants included, as perfbench looks functions up by name),
+in the README's python blocks or in pyproject.toml's scripts.  A helper
+only the tests use belongs in the tests.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -42,3 +51,45 @@ def test_no_module_imports_a_name_it_never_uses():
         if names:
             unused[str(path.relative_to(ROOT))] = names
     assert not unused, unused
+
+
+def referenced_names(tree):
+    """Every name, attribute, imported name and name-like string constant in tree."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if re.fullmatch(r"[\w.:]+", node.value):
+                names.update(re.split(r"[.:]", node.value))
+    return names
+
+
+def script_names():
+    """The module and function names of pyproject.toml's console scripts."""
+    section = ROOT.joinpath("pyproject.toml").read_text().split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    return Counter(name for target in re.findall(r'=\s*"([^"]*)"', section) for name in re.split(r"[.:]", target))
+
+
+def test_src_defines_only_what_the_program_names():
+    src = [ast.parse(path.read_text()) for path in sorted(ROOT.joinpath("src").rglob("*.py"))]
+    callers = [ast.parse(path.read_text()) for path in sorted(ROOT.joinpath("perfbench").glob("*.py"))]
+    readme = ROOT.joinpath("README.md").read_text()
+    callers += [ast.parse(block) for block in re.findall(r"```python\n(.*?)```", readme, re.S)]
+    names = script_names()
+    for tree in [*src, *callers]:
+        names += referenced_names(tree)
+    unnamed = set()
+    for tree in src:
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            if names[node.name] - referenced_names(node)[node.name] <= 0:
+                unnamed.add(node.name)
+    assert not unnamed, sorted(unnamed)

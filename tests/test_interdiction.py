@@ -33,11 +33,10 @@ from matroid_interdiction.parametric import (
     basis_line,
     crossing_cells,
     greedy_min_basis,
-    probe_at,
     pw,
     weight_columns,
 )
-from lemmas import changepoint_bound_secondary, value_line
+from lemmas import changepoint_bound_secondary, probe_at, value_line
 
 F = Fraction
 

@@ -45,11 +45,10 @@ from matroid_interdiction.parametric import (
     all_equality_points,
     basis_line,
     greedy_min_basis,
-    probe_at,
     weight_at,
     weight_columns,
 )
-from lemmas import equality_point, int_lines
+from lemmas import equality_point, int_lines, probe_at
 
 F = Fraction
 

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matroid_interdiction.matroid import (
+    EXPLICIT_MAX_GROUND,
     Matroid,
     _OneShotExchanges,
     explicit,
     graphic,
     partition,
     uniform,
-    verify_axioms,
 )
 
 
@@ -27,30 +27,38 @@ def brute_rank(mat: Matroid, subset) -> int:
     return 0
 
 
-def check_axioms(mat: Matroid):
-    """Hereditary + exchange, brute-forced over all subsets."""
-    ground = list(mat.available)
-    assert len(ground) <= 12, "axiom check is exponential, keep it small"
-    independent = [
-        frozenset(s)
-        for size in range(len(ground) + 1)
-        for s in combinations(ground, size)
-        if mat.is_independent(s)
-    ]
-    assert frozenset() in independent
-    indep = set(independent)
+def verify_axioms(matroid: Matroid) -> None:
+    """Check the matroid axioms by full enumeration; raises on violation.
+
+    Only feasible for small ground sets (2^m subsets are enumerated).
+    """
+    m = matroid.ground_size
+    if m > EXPLICIT_MAX_GROUND:
+        raise ValueError(f"axiom check enumerates 2^m subsets; m={m} is too large")
+    elems = matroid.available
+    independent: set[frozenset[int]] = set()
+    for size in range(len(elems) + 1):
+        for combo in combinations(elems, size):
+            if matroid.is_independent(combo):
+                independent.add(frozenset(combo))
+    if frozenset() not in independent:
+        raise AssertionError("empty set must be independent")
     for s in independent:
         for e in s:
-            assert s - {e} in indep, f"hereditary fails at {s} - {e}"
-    for s in independent:
-        for t in independent:
-            if len(s) < len(t):
-                assert any(s | {e} in indep for e in t - s), f"exchange fails: {s} vs {t}"
+            if s - {e} not in independent:
+                raise AssertionError(f"hereditary axiom fails at {sorted(s)} minus {e}")
+    for a in independent:
+        for b in independent:
+            if len(b) < len(a):
+                if not any(b | {x} in independent for x in a - b):
+                    raise AssertionError(
+                        f"exchange axiom fails for {sorted(a)} and {sorted(b)}"
+                    )
 
 
 def test_uniform_axioms_and_rank():
     mat = uniform(6, 3)
-    check_axioms(mat)
+    verify_axioms(mat)
     assert mat.rank() == 3
     assert mat.is_independent({0, 1, 2})
     assert not mat.is_independent({0, 1, 2, 3})
@@ -59,7 +67,7 @@ def test_uniform_axioms_and_rank():
 def test_graphic_cycle_detection():
     # triangle plus a pendant edge
     mat = graphic(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
-    check_axioms(mat)
+    verify_axioms(mat)
     assert mat.rank() == 3
     assert mat.is_independent({0, 1, 3})
     assert not mat.is_independent({0, 1, 2})
@@ -81,7 +89,7 @@ def test_graphic_self_loop_is_dependent():
 
 def test_graphic_parallel_edges():
     mat = graphic(2, [(0, 1), (0, 1), (0, 1)])
-    check_axioms(mat)
+    verify_axioms(mat)
     assert mat.rank() == 1
     for e, f in combinations(range(3), 2):
         assert not mat.is_independent({e, f})
@@ -89,7 +97,7 @@ def test_graphic_parallel_edges():
 
 def test_partition_capacities():
     mat = partition([0, 0, 0, 1, 1, 2], [2, 1, 1])
-    check_axioms(mat)
+    verify_axioms(mat)
     assert mat.rank() == 4
     assert mat.is_independent({0, 1, 3, 5})
     assert not mat.is_independent({0, 1, 2})
@@ -98,7 +106,7 @@ def test_partition_capacities():
 
 def test_explicit_from_bases():
     mat = explicit(4, [{0, 1}, {0, 2}, {1, 2}])
-    check_axioms(mat)
+    verify_axioms(mat)
     assert mat.rank() == 2
     assert mat.is_independent({3}) is False  # 3 is in no basis
     assert mat.is_independent({0, 1})

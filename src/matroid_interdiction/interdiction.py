@@ -5,7 +5,9 @@ deletions F of ell elements of the parametric min-basis value functions
 y_F, each envelope segment labeled with its optimal deletion set and
 interdicted basis.
 
-* solve_brute sweeps every one of the C(m, ell) deleted matroids.
+* solve_brute sweeps every one of the C(m, ell) deleted matroids, each
+  greedy stopping at the rank, and merges one sweep per distinct value
+  function, that of the smallest deletion set taking it.
 * solve_uset tracks layered bases whose union confines all relevant
   deletion sets, updating them with a few oracle calls per crossing and
   falling back to scratch recomputation when a crossing ripples.
@@ -338,8 +340,34 @@ def _solve_by_cells(instance: MatroidInstance, algorithm: str, cell_bases) -> In
 # algorithm 1: full enumeration
 
 
+def _value_key(sweep: PiecewiseLinearFunction) -> tuple[int, ...]:
+    """The sweep's lines in order, neighbours on one line merged, as ints.
+
+    A sweep's value is a minimum of basis lines, so it is continuous,
+    and two neighbouring lines meet where they cross: the lines fix the
+    function on the domain.  Each line is its slope's and intercept's
+    numerator and denominator, in lowest terms, so no Fraction is hashed.
+    """
+    key: list[int] = []
+    prev = None
+    for p in sweep.pieces:
+        slope, intercept = p.line
+        line = (slope.numerator, slope.denominator, intercept.numerator, intercept.denominator)
+        if line != prev:
+            key += line
+            prev = line
+    return tuple(key)
+
+
 def solve_brute(instance: MatroidInstance) -> InterdictionSolution:
-    """Sweep every deletion set of size ell over one arrangement; take the upper envelope."""
+    """Sweep every deletion set of size ell over one arrangement; take the upper envelope.
+
+    Each sweep stops its greedy scans at the rank.  Of the deletion sets
+    whose sweeps take equal values everywhere, only the first in
+    enumeration order, the smallest, enters the envelope: ties go to
+    the smallest label, and a label compares its deletion set first, so
+    the later ones never label a point.
+    """
     _check_cap(comb(instance.ground_size, instance.ell))
     mat = instance.matroid.with_fresh_counter()
     k = instance.rank
@@ -347,11 +375,16 @@ def solve_brute(instance: MatroidInstance) -> InterdictionSolution:
         return _flat_solution(mat, instance, "brute")
     cells = _arrangement(mat, instance)
     funcs = []
+    seen: set[tuple[int, ...]] = set()
     for F in combinations(mat.available, instance.ell):
-        sweep = parametric_sweep(mat.delete(F), cells)
+        sweep = parametric_sweep(mat.delete(F), cells, k)
         if len(sweep.pieces[0].label) < k:
             # first killing set in enumeration order is the smallest one
             return _flat_solution(mat, instance, "brute", killer=F)
+        key = _value_key(sweep)
+        if key in seen:
+            continue
+        seen.add(key)
         pieces = tuple(Piece(p.lo, p.hi, p.line, _label(F, p.label)) for p in sweep.pieces)
         funcs.append(PiecewiseLinearFunction(sweep.lo, sweep.hi, pieces))
     env = upper_envelope(funcs)

@@ -16,9 +16,11 @@ The enumeration is one walk over the deletion sets, not one greedy run
 per set: the sets come in lexicographic order of their positions in
 the weight order, and each set's run resumes at the first position
 where it differs from the previous set's, with the chosen set restored
-to what it held there.  Every query is still a one-shot
-Matroid.is_independent on the chosen set plus one element, one that
-the set's own greedy run from nothing would make in the same order.
+to what it held there.  Until a set's first deleted position its run
+is the rank basis's own, so those answers come from that basis.  Every
+other query is still a one-shot Matroid.is_independent on the chosen
+set plus one element, one that the set's own greedy run from nothing
+would make in the same order.
 """
 
 from __future__ import annotations
@@ -60,19 +62,23 @@ def _scaled_weights(instance: MatroidInstance, lam: Fraction, elements):
     return n, d, sorted(elements, key=lambda e: (n[e], e))
 
 
-def _interdicted_bases(mat: Matroid, order, n, ell: int, k: int):
+def _interdicted_bases(mat: Matroid, order, n, ell: int, k: int, basis: frozenset[int] | None):
     """Yield (F, outcome) once for every ell-subset F of order.
 
     F lists its ids in order's order.  outcome is (sum of n, basis) for
     the basis _greedy(mat, order, F) finds, or None when M minus F has
     rank below k.  The sets come as position sets in lexicographic
-    order.  A run ends once it holds k elements, as every later query
-    would fail, or, as a kill, once the elements left cannot bring it to
-    k; the sets that agree with it on the positions it passed share its
-    outcome without a query.  Otherwise the next set's run resumes at
-    the first position that changed, from the chosen set, sum and size
-    marked when the run reached that position.  The walk keeps one
-    chosen stack and no recursion, so its depth does not grow with m.
+    order.  basis is _greedy(mat, order, frozenset()), or None when the
+    caller does not hold it: up to its first deleted position a run is
+    that basis's own, so it takes an element exactly when basis holds
+    it, without a query.  A run ends once it holds k elements, as every
+    later query would fail, or, as a kill, once the elements left cannot
+    bring it to k; the sets that agree with it on the positions it
+    passed share its outcome without a query.  Otherwise the next set's
+    run resumes at the first position that changed, from the chosen
+    set, sum and size marked when the run reached that position.  The
+    walk keeps one chosen stack and no recursion, so its depth does not
+    grow with m.
     """
     m = len(order)
     pos = list(range(ell))
@@ -97,7 +103,7 @@ def _interdicted_bases(mat: Matroid, order, n, ell: int, k: int):
             else:
                 e = order[i]
                 held.add(e)
-                if mat.is_independent(held):
+                if (e in basis) if j == 0 and basis is not None else mat.is_independent(held):
                     chosen.append(e)
                     total += n[e]
                 else:
@@ -123,7 +129,7 @@ def _interdicted_bases(mat: Matroid, order, n, ell: int, k: int):
         j = t
 
 
-def oracle_value(instance: MatroidInstance, lam: Fraction):
+def oracle_value(instance: MatroidInstance, lam: Fraction, *, scaled=None):
     """Exact optimum at one parameter value by full enumeration.
 
     Returns (value, deletion set, interdicted basis).  The value is the
@@ -137,16 +143,19 @@ def oracle_value(instance: MatroidInstance, lam: Fraction):
     not depend on the weights, a second walk along the ids then meets
     the killing sets in lexicographic order.  The weights are evaluated
     once, as ints over one denominator (see the module docstring), and a
-    set's ids are sorted only when its sum can win or tie.
+    set's ids are sorted only when its sum can win or tie.  scaled is
+    _scaled_weights(instance, lam, available) when the caller holds it
+    already, so that the weights are not evaluated twice.
     """
     mat = instance.matroid.with_fresh_counter()
     ell = instance.ell
-    n, d, order = _scaled_weights(instance, lam, mat.available)
-    k = len(_greedy(mat, order, frozenset()))
+    n, d, order = _scaled_weights(instance, lam, mat.available) if scaled is None else scaled
+    basis = _greedy(mat, order, frozenset())
+    k = len(basis)
     best = None
-    for F, outcome in _interdicted_bases(mat, order, n, ell, k):
+    for F, outcome in _interdicted_bases(mat, order, n, ell, k, basis):
         if outcome is None:
-            F = next(F for F, outcome in _interdicted_bases(mat, mat.available, n, ell, k) if outcome is None)
+            F = next(F for F, outcome in _interdicted_bases(mat, mat.available, n, ell, k, None) if outcome is None)
             return POS_INF, F, _greedy(mat, order, frozenset(F))
         value, basis = outcome
         if best is not None and value < best[0]:
@@ -206,13 +215,13 @@ def _sample_points(instance: MatroidInstance, solution, extra: int, seed: int):
 
 def _sample_failure(instance: MatroidInstance, mat: Matroid, solution, lam, on_boundary: bool):
     """What the solution gets wrong at lam, or None."""
-    expected_value, expected_f, expected_basis = oracle_value(instance, lam)
+    scaled = n, d, order = _scaled_weights(instance, lam, mat.available)
+    expected_value, expected_f, expected_basis = oracle_value(instance, lam, scaled=scaled)
     claimed = solution.envelope.evaluate(lam)
     if claimed != expected_value:
         return f"lam={lam}: claimed value {claimed}, oracle value {expected_value}"
     piece = solution.envelope.piece_at(lam)
     f_star = frozenset(piece.label.f_star)
-    n, d, order = _scaled_weights(instance, lam, mat.available)
     attained_basis = _greedy(mat, order, f_star)
     if len(attained_basis) < instance.rank:
         attained = POS_INF
@@ -247,8 +256,9 @@ def verify_solution(
     greedy prefixes, but each is still visited), so
     EnumerationCapExceeded is raised, before any point is drawn, when
     C(m, ell) or extra_samples * C(m, ell) exceeds the enumeration cap.
-    Each sample evaluates the weights as scaled ints (see oracle_value)
-    for the oracle and once more for the claimed deletion set's greedy.
+    Each sample evaluates the weights once, as scaled ints (see
+    oracle_value), for both the oracle and the claimed deletion set's
+    greedy.
     The report holds at most ten failures; an eleventh stops the check
     with "further failures suppressed", and samples_checked then counts
     the samples up to that one.

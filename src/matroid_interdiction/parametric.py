@@ -200,14 +200,16 @@ def crossing_cells(interval: Interval, events: Sequence[EqualityPoint], columns:
     return cells
 
 
-def greedy_min_basis(matroid: Matroid, probe: Probe) -> frozenset[int]:
+def greedy_min_basis(matroid: Matroid, probe: Probe, stop_at: int | None = None) -> frozenset[int]:
     """Minimum-weight maximal independent set at the probe.
 
     May be smaller than the full-rank basis when deletions have reduced
-    the rank; callers treat that as the infinite-value case.
+    the rank; callers treat that as the infinite-value case.  With
+    stop_at, the scan ends once the set holds that many elements (see
+    Matroid.greedy).
     """
     deleted = matroid.deleted
-    return matroid.greedy([e for e in probe.order if e not in deleted])
+    return matroid.greedy([e for e in probe.order if e not in deleted], stop_at)
 
 
 def replacement_element(
@@ -260,25 +262,33 @@ def basis_line(columns: tuple, basis: Iterable[int]) -> tuple[int, int]:
 def parametric_sweep(
     matroid: Matroid,
     cells: Sequence[tuple],
+    k: int,
 ) -> PiecewiseLinearFunction:
     """Minimum-basis value over the cells' span, one piece per basis.
 
     cells is a crossing_cells() arrangement of any superset of the
-    matroid's available elements.  Pieces are labeled with their basis,
-    a frozenset; neighbouring pieces hold different bases.  The first
-    cell's probe gets a greedy basis.  Each later cell keeps only its
-    crossings between two available elements, adjacent swaps of their
-    order, and replays them with exchange(), at most one independence
-    test each; a group of at least as many crossings as available
-    elements takes one greedy at the probe instead, never dearer.  The
-    basis is the probe's greedy basis either way, so bases and oracle
-    calls match a sweep over the matroid's own cells.
+    matroid's available elements, and k the rank of the full matroid
+    that the matroid is a deleted view of.  Pieces are labeled with
+    their basis, a frozenset; neighbouring pieces hold different bases.
+    The first cell's probe gets a greedy basis.  Each later cell keeps
+    only its crossings between two available elements, adjacent swaps
+    of their order, and replays them with exchange(), at most one
+    independence test each; a group of at least as many crossings as
+    available elements takes one greedy at the probe instead, never
+    dearer.  Both greedy scans stop once they hold k elements, which is
+    the whole basis; a view of lower rank scans to the end and keeps a
+    basis smaller than k, which callers treat as a kill.  The basis is
+    the probe's greedy basis either way, so bases and oracle calls match
+    a sweep over the matroid's own cells.  The value is a minimum of
+    basis lines, so continuous, and its lines in order fix it:
+    solve_brute keys each sweep by them and merges one sweep per
+    distinct value function.
     """
     deleted = matroid.deleted
     available = matroid.ground_size - len(deleted)
     columns = cells[0][2].columns
     d = columns[0]
-    basis = greedy_min_basis(matroid, cells[0][2])
+    basis = greedy_min_basis(matroid, cells[0][2], k)
     pieces: list[Piece] = []
     lo = cells[0][0]
     for lam, _hi, probe, crossings in cells[1:]:
@@ -290,7 +300,7 @@ def parametric_sweep(
             for ev in live:
                 nxt = exchange(matroid, nxt, ev)
         else:
-            nxt = greedy_min_basis(matroid, probe)
+            nxt = greedy_min_basis(matroid, probe, k)
         if nxt != basis:
             pieces.append(Piece(lo, lam, Line.from_ints(d, *basis_line(columns, basis)), basis))
             lo, basis = lam, nxt

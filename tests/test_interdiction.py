@@ -1,6 +1,7 @@
 """Solver internals: layered bases, updates, the candidate tree, caps."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -9,7 +10,17 @@ from hypothesis import strategies as st
 
 from matroid_interdiction import interdiction, parametric
 from matroid_interdiction.cli import generate_random, instance_from_dict
-from matroid_interdiction.envelope import NEG_INF, POS_INF, Line, concatenate, envelope_of_lines, interior_point
+from matroid_interdiction.envelope import (
+    NEG_INF,
+    POS_INF,
+    Line,
+    Piece,
+    PiecewiseLinearFunction,
+    concatenate,
+    envelope_of_lines,
+    interior_point,
+    upper_envelope,
+)
 from matroid_interdiction.interdiction import (
     ALGORITHMS,
     EnumerationCapExceeded,
@@ -33,10 +44,12 @@ from matroid_interdiction.parametric import (
     basis_line,
     crossing_cells,
     greedy_min_basis,
+    parametric_sweep,
     pw,
     weight_columns,
 )
 from lemmas import changepoint_bound_secondary, probe_at, value_line
+from test_parametric import arrangement_cases
 
 F = Fraction
 
@@ -559,9 +572,9 @@ def test_solution_accessors_and_counter_isolation():
 # solver and family, so a change that alters how many independence tests a
 # solver makes fails here instead of passing unnoticed.
 ORACLE_CALL_PINS = [
-    (("graphic", 15, 5, 2, 4), {"brute": 1497, "uset": 1192, "tree": 558}),
-    (("partition", 12, 3, 2, 5), {"brute": 1231, "uset": 1031, "tree": 2964}),
-    (("uniform", 10, 4, 2, 7), {"brute": 596, "uset": 890, "tree": 1554}),
+    (("graphic", 15, 5, 2, 4), {"brute": 688, "uset": 1192, "tree": 558}),
+    (("partition", 12, 3, 2, 5), {"brute": 839, "uset": 1031, "tree": 2964}),
+    (("uniform", 10, 4, 2, 7), {"brute": 416, "uset": 890, "tree": 1554}),
 ]
 
 
@@ -615,9 +628,55 @@ def test_each_cell_is_sorted_at_most_once_per_solve(monkeypatch, spec):
         assert sorts[1] == sorts[0], name
 
 
-def test_brute_equals_direct_enumeration_small():
-    from itertools import combinations
+@st.composite
+def brute_cases(draw):
+    """arrangement_cases' matroid, integer weights and interval, so
+    crossings coincide and lines are equal, with a budget of 1 to 3."""
+    mat, weights, interval, _deleted = draw(arrangement_cases())
+    ell = draw(st.integers(1, min(3, mat.ground_size)))
+    return MatroidInstance(mat, weights, ell, interval)
 
+
+def enveloped_sweeps(inst):
+    """upper_envelope of all C(m, ell) sweeps, labelled, without merging
+    equal ones; the flat solution's on rank 0 or a rank kill."""
+    mat, k = inst.matroid.with_fresh_counter(), inst.rank
+    if k == 0:
+        return interdiction._flat_solution(mat, inst, "brute").envelope
+    cells = interdiction._arrangement(mat, inst)
+    funcs = []
+    for fs in combinations(mat.available, inst.ell):
+        sweep = parametric_sweep(mat.delete(fs), cells, k)
+        if len(sweep.pieces[0].label) < k:
+            return interdiction._flat_solution(mat, inst, "brute", killer=fs).envelope
+        pieces = tuple(Piece(p.lo, p.hi, p.line, SegmentLabel(fs, tuple(sorted(p.label)))) for p in sweep.pieces)
+        funcs.append(PiecewiseLinearFunction(sweep.lo, sweep.hi, pieces))
+    return upper_envelope(funcs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(brute_cases())
+def test_brute_equals_the_envelope_of_every_sweep(inst):
+    # brute hands upper_envelope one sweep per distinct value function
+    assert solve_brute(inst).envelope == enveloped_sweeps(inst)
+
+
+# Per pinned spec: the deletion sets, and the distinct value functions
+# among their sweeps that brute hands upper_envelope.
+BRUTE_ENVELOPE_PINS = [(105, 12), (66, 41), (45, 45)]
+
+
+@pytest.mark.parametrize("spec,pin", zip(PINNED_SPECS, BRUTE_ENVELOPE_PINS), ids=[spec[0] for spec in PINNED_SPECS])
+def test_brute_merges_each_distinct_sweep_once(monkeypatch, spec, pin):
+    inst = instance_from_dict(generate_random(*spec))
+    envelope = interdiction.upper_envelope
+    inputs = []
+    monkeypatch.setattr(interdiction, "upper_envelope", lambda fs: inputs.append(len(fs)) or envelope(fs))
+    solve_brute(inst)
+    assert (comb(inst.ground_size, inst.ell), inputs) == (pin[0], [pin[1]])
+
+
+def test_brute_equals_direct_enumeration_small():
     inst = uniform_instance(5, 2, 2)
     sol = solve_brute(inst)
     for lam in (F(-3), F(-1), F(0), F(1, 2), F(3)):

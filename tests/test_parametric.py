@@ -310,7 +310,7 @@ def own_cells(mat, weights, interval):
 
 
 def check_sweep(mat, weights, interval):
-    sweep = parametric_sweep(mat, own_cells(mat, weights, interval))
+    sweep = parametric_sweep(mat, own_cells(mat, weights, interval), mat.rank())
     pieces = sweep.pieces
     columns = weight_columns(mat, weights)
     assert pieces[0].lo == interval.lo and pieces[-1].hi == interval.hi
@@ -343,7 +343,7 @@ def test_sweep_unbounded_interval():
 def test_sweep_point_interval():
     mat = uniform(3, 2)
     weights = [pw(0, 1), pw(4, -1), pw(2, 0)]
-    sweep = parametric_sweep(mat, own_cells(mat, weights, Interval(F(2), F(2))))
+    sweep = parametric_sweep(mat, own_cells(mat, weights, Interval(F(2), F(2))), mat.rank())
     assert len(sweep.pieces) == 1
     assert sweep.pieces[0].label == greedy_min_basis(mat, probe_at(mat, weights, F(2)))
 
@@ -393,8 +393,9 @@ def test_sweep_over_the_full_arrangement_matches_its_own(case):
     full = own_cells(mat, weights, interval)
     view = mat.delete(deleted)
     shared_view, own_view = view.with_fresh_counter(), view.with_fresh_counter()
-    shared = parametric_sweep(shared_view, full)
-    own = parametric_sweep(own_view, own_cells(view, weights, interval))
+    k = mat.rank()
+    shared = parametric_sweep(shared_view, full, k)
+    own = parametric_sweep(own_view, own_cells(view, weights, interval), k)
     assert shared.pieces == own.pieces
     assert shared_view.oracle_calls == own_view.oracle_calls
     for lo, hi, probe, crossings in full:
@@ -457,7 +458,7 @@ def test_sweep_replays_coincident_crossings_as_adjacent_swaps(case):
         assert live == own.get(lo, ())
         ceiling += 1 if len(live) == 1 else len(available) if live else 0
     counted = view.with_fresh_counter()
-    sweep = parametric_sweep(counted, full)
+    sweep = parametric_sweep(counted, full, mat.rank())
     assert counted.oracle_calls <= ceiling
     for _lo, _hi, probe, _crossings in full:
         assert sweep.piece_at(probe.lam).label == greedy_min_basis(view.with_fresh_counter(), probe)
@@ -466,20 +467,23 @@ def test_sweep_replays_coincident_crossings_as_adjacent_swaps(case):
 def test_sweep_takes_the_greedy_for_a_group_outnumbering_the_elements():
     # 8 loops and 8 path edges, all 16 weight lines through (0, 0), the
     # path edges steeper: one group of 120 crossings, and replaying it
-    # would test every path edge leaving for a loop (639 calls in all)
+    # would test every path edge leaving for a loop (583 calls in all)
     path = graphic(9, [(i, i) for i in range(8)] + [(i, i + 1) for i in range(8)])
     weights = tuple(pw(0, e) for e in range(16))
     inst = MatroidInstance(path, weights, 1, Interval(F(-1), F(1)))
     assert len(own_cells(path, weights, inst.interval)[1][3]) == 120
-    # each of the 9 sweeps, 8 loops and then the first bridge deleted,
-    # takes two greedy bases of its 15 elements
-    assert solve(inst, "brute").oracle_calls == 270
+    # each of the 9 sweeps takes two greedy bases of its 15 elements: with
+    # a loop deleted, the first stops at the rank, 8, once it holds the
+    # path edges, cheapest left of 0, and the second, where the 7 loops
+    # come first, tests all 15 (8 * 23); with the first bridge deleted
+    # the rank falls to 7, so both scan to the end (30)
+    assert solve(inst, "brute").oracle_calls == 8 * 23 + 30
 
 
 def test_sweep_cell_at():
     mat = uniform(3, 2)
     weights = [pw(0, 1), pw(4, -1), pw(2, 0)]
-    sweep = parametric_sweep(mat, own_cells(mat, weights, Interval(F(0), F(5))))
+    sweep = parametric_sweep(mat, own_cells(mat, weights, Interval(F(0), F(5))), mat.rank())
     assert sweep.piece_at(F(5)) == sweep.pieces[-1]
     with pytest.raises(ValueError):
         sweep.piece_at(F(6))

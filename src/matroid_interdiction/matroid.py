@@ -1,29 +1,31 @@
 """Matroids behind a uniform independence-oracle interface.
 
 Four concrete families: graphic (acyclic edge sets of a multigraph),
-uniform, partition, and explicit (all bases listed, tiny ground sets
-only).  Elements are dense integer ids 0..m-1.  Deletion returns a new
-view sharing the family; matroid objects never mutate after
-construction, so they are safe to share across solver runs.
+partition, uniform (the partition with one block of capacity k), and
+explicit (all bases listed, tiny ground sets only).  Elements are
+dense integer ids 0..m-1.  Deletion returns a new view sharing the
+family; matroid objects never mutate after construction, so they are
+safe to share across solver runs.
 
 Two kinds of independence test share one oracle-call counter.  A
 one-shot query, Matroid.is_independent, tests a whole set from nothing:
 a graphic query costs O(|subset| + touched vertices), because the
 family renumbers the vertices its edges touch once and each query runs
 one fresh union-find over those alone.  The other tests run on a
-family state that answers one question, and only the Matroid view
-loops over them, counting one oracle call per element tried and
+family state that answers add(e) or fits(x, c), and only the Matroid
+view loops over them, counting one oracle call per element tried and
 refusing a deleted one, as the one-shot query it replaces did.
 
 Matroid.greedy (minimum bases and rank) grows an augment state, scan(),
 along an order.  The state answers add(e): does the set grown so far
 stay independent with e, an element it does not hold yet, and if so it
 takes e.  Graphic keeps one union-find with path halving, grown Kruskal
-style, so an augment test costs two near-constant root finds; partition
-keeps the room left in each block, uniform a count, explicit the set
-itself for its one-shot test.  The view keeps the chosen set, so an id
-tried twice is a counted no-op.  The enumeration oracle keeps its own
-greedy on one-shot queries, as a reference.
+style, so an augment test costs two near-constant root finds; partition,
+uniform included, keeps the room left in each block; explicit keeps the
+set itself and tests it with e by one one-shot query.  The view keeps
+the chosen set, so an id tried twice is a counted no-op.  The
+enumeration oracle keeps its own greedy on one-shot queries, as a
+reference.
 
 Matroid.replacement searches, for an independent basis B and some x in
 it, for the first candidate c that makes B - x + c independent.  It
@@ -32,9 +34,10 @@ and uncounted, that answers fits(x, c) for every x in B: graphic roots
 the forest B once and records each vertex's tree and the basis edges on
 its root path, so c fits when its ends lie in different trees or x lies
 on the tree path between them (exactly one end lies below x); partition
-keeps the room left in each block, so c fits when its block has room or
-is x's block; uniform fits every c.  Explicit families and dependent
-bases fall back to a one-shot test of B - x + c.  A caller that
+grows its augment state over B, the room B leaves in each block, so c
+fits when its block has room or is x's block.  Explicit families and
+dependent bases fall back to the same one-shot state as explicit's
+augment state, holding B and testing B - x + c.  A caller that
 searches one basis for several x, or several times, keeps its state.
 """
 
@@ -83,7 +86,7 @@ class _GraphicFamily:
 
     def exchanges(self, basis: frozenset[int]):
         state = _ForestExchanges(self, basis)
-        return state if state.independent else _OneShotExchanges(self, basis)
+        return state if state.independent else _OneShot(self, basis)
 
 
 class _ForestExchanges:
@@ -149,40 +152,6 @@ class _GraphicScan:
         return True
 
 
-class _UniformFamily:
-    kind = "uniform"
-
-    def __init__(self, m: int, k: int):
-        if not 0 <= k <= m:
-            raise ValueError(f"uniform family needs 0 <= k <= m, got m={m} k={k}")
-        self.ground_size = m
-        self.k = k
-
-    def independent(self, subset: frozenset[int]) -> bool:
-        return len(subset) <= self.k
-
-    def scan(self) -> "_UniformScan":
-        return _UniformScan(self)
-
-    def exchanges(self, basis: frozenset[int]):
-        return _AlwaysExchanges() if len(basis) <= self.k else _OneShotExchanges(self, basis)
-
-
-class _UniformScan:
-    """A count: the set grows while it holds fewer than k elements."""
-
-    __slots__ = ("_room",)
-
-    def __init__(self, family: _UniformFamily):
-        self._room = family.k
-
-    def add(self, e: int) -> bool:
-        if not self._room:
-            return False
-        self._room -= 1
-        return True
-
-
 class _PartitionFamily:
     kind = "partition"
 
@@ -211,29 +180,35 @@ class _PartitionFamily:
         return _PartitionScan(self)
 
     def exchanges(self, basis: frozenset[int]):
-        state = _PartitionExchanges(self, basis)
-        return state if state.independent else _OneShotExchanges(self, basis)
-
-
-class _PartitionExchanges:
-    """The room B leaves in each block; x frees one slot in its own."""
-
-    __slots__ = ("independent", "_blocks", "_room")
-
-    def __init__(self, family: _PartitionFamily, basis: frozenset[int]):
-        self._blocks = blocks = family.blocks
-        self._room = room = list(family.capacities)
+        state = _PartitionScan(self)
         for e in basis:
-            room[blocks[e]] -= 1
-        self.independent = min(room, default=0) >= 0
+            if not state.add(e):  # B overfills a block
+                return _OneShot(self, basis)
+        return state
 
-    def fits(self, x: int, c: int) -> bool:
-        b = self._blocks[c]
-        return self._room[b] > 0 or b == self._blocks[x]
+
+class _UniformFamily(_PartitionFamily):
+    """U(k, m): the partition matroid with one block of capacity k."""
+
+    kind = "uniform"
+
+    def __init__(self, m: int, k: int):
+        if not 0 <= k <= m:
+            raise ValueError(f"uniform family needs 0 <= k <= m, got m={m} k={k}")
+        super().__init__((0,) * m, (k,))
+        self.k = k
+
+    def independent(self, subset: frozenset[int]) -> bool:
+        return len(subset) <= self.k
 
 
 class _PartitionScan:
-    """The room left in each block."""
+    """The room left in each block.
+
+    As an augment state it takes e while e's block has room.  Grown over
+    an independent basis B it is B's exchange state: x frees one slot in
+    its own block, so c fits when its block has room or is x's block.
+    """
 
     __slots__ = ("_blocks", "_room")
 
@@ -247,6 +222,10 @@ class _PartitionScan:
             return False
         self._room[b] -= 1
         return True
+
+    def fits(self, x: int, c: int) -> bool:
+        b = self._blocks[c]
+        return self._room[b] > 0 or b == self._blocks[x]
 
 
 class _ExplicitFamily:
@@ -270,20 +249,23 @@ class _ExplicitFamily:
     def independent(self, subset: frozenset[int]) -> bool:
         return any(subset <= b for b in self.bases)
 
-    def scan(self) -> "_OneShotScan":
-        return _OneShotScan(self)
+    def scan(self) -> "_OneShot":
+        return _OneShot(self)
 
-    def exchanges(self, basis: frozenset[int]) -> "_OneShotExchanges":
-        return _OneShotExchanges(self, basis)
+    def exchanges(self, basis: frozenset[int]) -> "_OneShot":
+        return _OneShot(self, basis)
 
 
-class _OneShotScan:
-    """The generic augment state: the set itself, tested by one-shot queries."""
+class _OneShot:
+    """The generic state: the set itself, each answer one one-shot query.
+
+    add(e) tests the set with e, fits(x, c) tests B - x + c.
+    """
 
     __slots__ = ("_members", "_independent")
 
-    def __init__(self, family):
-        self._members: set[int] = set()
+    def __init__(self, family, members: Iterable[int] = ()):
+        self._members = set(members)
         self._independent = family.independent
 
     def add(self, e: int) -> bool:
@@ -292,27 +274,8 @@ class _OneShotScan:
         self._members.add(e)
         return True
 
-
-class _OneShotExchanges:
-    """The generic exchange state: one one-shot query of B - x + c per answer."""
-
-    __slots__ = ("_basis", "_independent")
-
-    def __init__(self, family, basis: frozenset[int]):
-        self._basis = basis
-        self._independent = family.independent
-
     def fits(self, x: int, c: int) -> bool:
-        return self._independent(self._basis - {x} | {c})
-
-
-class _AlwaysExchanges:
-    """Uniform, |B| <= k: B - x + c has |B| elements, so every c fits."""
-
-    __slots__ = ()
-
-    def fits(self, x: int, c: int) -> bool:
-        return True
+        return self._independent(self._members - {x} | {c})
 
 
 class Matroid:

@@ -320,11 +320,19 @@ class MatroidInstance:
 
     def __post_init__(self):
         # a tuple of Fraction pairs, so the frozen instance holds no mutable
-        # list and an int or float component meets rat's rules
-        object.__setattr__(self, "weights", tuple(pw(w.a, w.b) for w in self.weights))
+        # list and an int or float component meets rat's rules; a
+        # ParametricWeight is itself an (a, b) pair
+        weights = []
+        for i, w in enumerate(self.weights):
+            if not isinstance(w, (tuple, list)) or len(w) != 2:
+                raise TypeError(f"weight {i} must be an (a, b) pair, got {w!r}")
+            weights.append(pw(*w))
+        object.__setattr__(self, "weights", tuple(weights))
         m = self.matroid.ground_size
         if len(self.weights) != m:
             raise ValueError(f"expected {m} weights, got {len(self.weights)}")
+        if isinstance(self.ell, bool) or not isinstance(self.ell, int):
+            raise TypeError(f"budget ell must be an int, got {self.ell!r}")
         if not 1 <= self.ell <= m:
             raise ValueError(f"budget ell={self.ell} outside 1..{m}")
         object.__setattr__(self, "rank", self.matroid.with_fresh_counter().rank())

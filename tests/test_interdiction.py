@@ -440,6 +440,29 @@ def test_solvers_agree_in_value_on_degenerate_inputs(inst):
         assert len({env.evaluate(lam) for env in envs}) == 1, lam
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_uniform_is_the_one_block_partition(data):
+    m = data.draw(st.integers(1, 8), label="m")
+    k = data.draw(st.integers(0, m), label="k")
+    u, p = uniform(m, k), partition([0] * m, [k])
+    subset = frozenset(data.draw(st.sets(st.integers(0, m - 1)), label="subset"))
+    assert u.is_independent(subset) == p.is_independent(subset)
+    order = data.draw(st.permutations(range(m)), label="order")
+    assert u.greedy(order) == p.greedy(order)
+    # subset may be dependent: then both fall back to one-shot tests
+    for basis in (subset, u.greedy(order)):
+        ux, px = u.exchanges(basis), p.exchanges(basis)
+        for x in basis:
+            assert [ux.fits(x, c) for c in range(m)] == [px.fits(x, c) for c in range(m)]
+    ends = st.tuples(st.integers(-3, 3), st.integers(-2, 2))
+    weights = tuple(pw(a, b) for a, b in data.draw(st.lists(ends, min_size=m, max_size=m), label="weights"))
+    ell = data.draw(st.integers(1, min(m, 3)), label="ell")
+    for name in ALGORITHMS:
+        a, b = (solve(MatroidInstance(mat, weights, ell, Interval(F(-3), F(3))), name) for mat in (u, p))
+        assert (a.segments, a.oracle_calls) == (b.segments, b.oracle_calls), name
+
+
 # the shared cell loop without runs: one envelope_of_lines per cell
 CELL_BASES = {"uset": interdiction._uset_cells, "tree": interdiction._tree_cells}
 

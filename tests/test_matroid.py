@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from matroid_interdiction.matroid import (
     EXPLICIT_MAX_GROUND,
     Matroid,
-    _OneShotExchanges,
+    _OneShot,
     explicit,
     graphic,
     partition,
@@ -349,7 +349,7 @@ def test_exchange_state_agrees_with_the_one_shot_query(mat, data):
     state = family.exchanges(basis)
     independent = family.independent(basis)
     # the one-shot fallback serves explicit families and dependent bases only
-    assert isinstance(state, _OneShotExchanges) == (family.kind == "explicit" or not independent)
+    assert isinstance(state, _OneShot) == (family.kind == "explicit" or not independent)
     for x in basis:
         for c in set(range(m)) - basis:
             assert state.fits(x, c) == family.independent(basis - {x} | {c}), (sorted(basis), x, c)

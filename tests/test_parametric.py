@@ -569,3 +569,24 @@ def test_instance_validation():
         assert solve(inst, algorithm).envelope == solve(twin, algorithm).envelope
     with pytest.raises(TypeError, match="inexact float"):
         MatroidInstance(uniform(3, 1), (ParametricWeight(0.5, 1), *raw[1:]), 1, interval)
+
+
+def test_instance_takes_plain_pairs_as_weights():
+    raw = ((0, 1), [1, -1], ("2", "1/2"))
+    inst = MatroidInstance(uniform(3, 1), raw, 1, Interval(F(-2), F(2)))
+    assert inst.weights == (pw(0, 1), pw(1, -1), pw(2, F(1, 2)))
+    assert all(type(w) is ParametricWeight for w in inst.weights)
+
+
+@pytest.mark.parametrize("bad", [(1, 2, 3), (1,), 5, "12", None])
+def test_instance_rejects_a_weight_that_is_not_a_pair(bad):
+    weights = (pw(0, 1), bad, pw(2, 0))
+    with pytest.raises(TypeError, match=r"weight 1 must be an \(a, b\) pair"):
+        MatroidInstance(uniform(3, 1), weights, 1, Interval(F(0), F(1)))
+
+
+@pytest.mark.parametrize("ell", [True, False, 1.0, F(1), "1"])
+def test_instance_rejects_a_budget_that_is_not_an_int(ell):
+    weights = tuple(pw(i, 0) for i in range(3))
+    with pytest.raises(TypeError, match="budget ell must be an int"):
+        MatroidInstance(uniform(3, 1), weights, ell, Interval(F(0), F(1)))

@@ -20,7 +20,7 @@ import time
 from decimal import Decimal
 from fractions import Fraction
 
-from .envelope import NEG_INF, POS_INF
+from .envelope import NEG_INF, POS_INF, PiecewiseLinearFunction
 from .interdiction import (
     ALGORITHMS,
     EnumerationCapExceeded,
@@ -175,20 +175,21 @@ def parse_instance(path: str) -> MatroidInstance:
     return instance_from_dict(_load_json(path), path)
 
 
+def segment_to_dict(piece) -> dict:
+    """One envelope piece as a segment of the solution file."""
+    return {
+        "lo": format_rational(piece.lo),
+        "hi": format_rational(piece.hi),
+        "slope": "inf" if piece.line is None else format_rational(piece.line.slope),
+        "intercept": "inf" if piece.line is None else format_rational(piece.line.intercept),
+        "f_star": list(piece.label.f_star),
+        "basis": list(piece.label.basis),
+    }
+
+
 def solution_to_dict(solution: InterdictionSolution, wall_time: float, verification=None) -> dict:
-    segments = []
-    for piece in solution.envelope.pieces:
-        seg = {
-            "lo": format_rational(piece.lo),
-            "hi": format_rational(piece.hi),
-            "slope": "inf" if piece.line is None else format_rational(piece.line.slope),
-            "intercept": "inf" if piece.line is None else format_rational(piece.line.intercept),
-            "f_star": list(piece.label.f_star),
-            "basis": list(piece.label.basis),
-        }
-        segments.append(seg)
     data = {
-        "segments": segments,
+        "segments": [segment_to_dict(piece) for piece in solution.envelope.pieces],
         "changepoints": [{"lambda": format_rational(cp.lam), "kind": cp.kind} for cp in solution.changepoints],
         "meta": {
             "algorithm": solution.algorithm,
@@ -398,12 +399,38 @@ def _cmd_generate(args) -> int:
 # bench
 
 
+def first_difference(first: PiecewiseLinearFunction, other: PiecewiseLinearFunction) -> dict | None:
+    """The smallest lam where other stops matching first, with the segment of each there.
+
+    Both are envelopes over one domain.  Their pieces are walked
+    together, each step ending where the nearer of the two current
+    pieces ends; two pieces match when their lines and labels are equal.
+    None when they match everywhere.
+    """
+    a, b = first.pieces, other.pieces
+    i = j = 0
+    while i < len(a) and j < len(b):
+        pa, pb = a[i], b[j]
+        if (pa.line, pa.label) != (pb.line, pb.label):
+            return {
+                "lambda": format_rational(max(pa.lo, pb.lo)),
+                "first_segment": segment_to_dict(pa),
+                "segment": segment_to_dict(pb),
+            }
+        end = min(pa.hi, pb.hi)
+        i += pa.hi == end
+        j += pb.hi == end
+    return None
+
+
 def bench(paths, algorithms) -> tuple[list[dict], int]:
     """Per (instance, algorithm): time, oracle calls, changepoint stats.
 
     Also cross-checks that all requested algorithms produce identical
     segment structures and that the changepoint count respects the
-    worst-case bound; a violation flips the exit code to 3.
+    worst-case bound; a violation flips the exit code to 3.  A row whose
+    segments differ from the first algorithm's names where they part,
+    as first_difference.
     """
     rows = []
     code = EXIT_OK
@@ -423,28 +450,29 @@ def bench(paths, algorithms) -> tuple[list[dict], int]:
             segments = solution_to_dict(solution, wall)["segments"]
             agreed = True
             if baseline is None:
-                baseline = segments
+                baseline, baseline_envelope = segments, solution.envelope
             elif segments != baseline:
                 agreed = False
                 code = EXIT_VERIFY
             changepoints = len(solution.changepoints)
             if changepoints > bound:
                 code = EXIT_VERIFY
-            rows.append(
-                {
-                    "instance": path,
-                    "algorithm": algorithm,
-                    "m": m,
-                    "k": k,
-                    "ell": ell,
-                    "wall_time_s": round(wall, 6),
-                    "oracle_calls": solution.oracle_calls,
-                    "changepoints": changepoints,
-                    "changepoint_bound": bound,
-                    "bound_ratio": round(changepoints / bound, 6) if bound else 0.0,
-                    "agrees_with_first": agreed,
-                }
-            )
+            row = {
+                "instance": path,
+                "algorithm": algorithm,
+                "m": m,
+                "k": k,
+                "ell": ell,
+                "wall_time_s": round(wall, 6),
+                "oracle_calls": solution.oracle_calls,
+                "changepoints": changepoints,
+                "changepoint_bound": bound,
+                "bound_ratio": round(changepoints / bound, 6) if bound else 0.0,
+                "agrees_with_first": agreed,
+            }
+            if not agreed:
+                row["first_difference"] = first_difference(baseline_envelope, solution.envelope)
+            rows.append(row)
     return rows, code
 
 

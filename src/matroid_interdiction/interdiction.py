@@ -5,9 +5,13 @@ deletions F of ell elements of the parametric min-basis value functions
 y_F, each envelope segment labeled with its optimal deletion set and
 interdicted basis.
 
-* solve_brute sweeps every one of the C(m, ell) deleted matroids, each
-  greedy stopping at the rank, and merges one sweep per distinct value
-  function, that of the smallest deletion set taking it.
+* solve_brute sweeps all C(m, ell) deleted matroids in one walk over
+  the arrangement, parametric_sweep: each crossing visits only the
+  deletion sets whose basis it can change, found through an index from
+  each element to the sets whose basis holds it.  Every greedy stops at
+  the rank, and a set that misses the full matroid's first basis takes
+  it without a greedy.  One sweep per distinct value function, that of
+  the smallest deletion set taking it, enters the envelope.
 * solve_uset tracks layered bases whose union confines all relevant
   deletion sets, updating them with a few oracle calls per crossing and
   falling back to scratch recomputation when a crossing ripples.
@@ -30,7 +34,8 @@ over the run's whole span.  The cell loop is the one place where a pair
 becomes an envelope entry, (basis_line, SegmentLabel), made when a run
 starts and reusing the previous run's entry for the same pair.  brute
 stays on upper_envelope over whole per-deletion sweeps, an independent
-reference for the shared loop.
+reference for the shared loop: it uses no layered bases, no replacement
+search and no envelope_of_lines.
 
 A deletion that kills the matroid rank makes y identically +inf; the
 reported witness is then always the lexicographically smallest killing
@@ -46,7 +51,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 from math import comb
 from operator import attrgetter
 from typing import NamedTuple
@@ -340,33 +345,19 @@ def _solve_by_cells(instance: MatroidInstance, algorithm: str, cell_bases) -> In
 # algorithm 1: full enumeration
 
 
-def _value_key(sweep: PiecewiseLinearFunction) -> tuple[int, ...]:
-    """The sweep's lines in order, neighbours on one line merged, as ints.
-
-    A sweep's value is a minimum of basis lines, so it is continuous,
-    and two neighbouring lines meet where they cross: the lines fix the
-    function on the domain.  Each line is its slope's and intercept's
-    numerator and denominator, in lowest terms, so no Fraction is hashed.
-    """
-    key: list[int] = []
-    prev = None
-    for p in sweep.pieces:
-        slope, intercept = p.line
-        line = (slope.numerator, slope.denominator, intercept.numerator, intercept.denominator)
-        if line != prev:
-            key += line
-            prev = line
-    return tuple(key)
-
-
 def solve_brute(instance: MatroidInstance) -> InterdictionSolution:
-    """Sweep every deletion set of size ell over one arrangement; take the upper envelope.
+    """Sweep every deletion set of size ell in one walk over the arrangement; take the upper envelope.
 
-    Each sweep stops its greedy scans at the rank.  Of the deletion sets
+    The walk, parametric_sweep, stops its greedy scans at the rank and
+    ends at the first set in enumeration order, the smallest, that kills
+    it.  A sweep's value is a minimum of basis lines, so continuous, and
+    neighbouring lines meet where they cross: its lines in order,
+    neighbours on one line merged, fix the function and key the sweep,
+    as int pairs over the solve's one denominator.  Of the deletion sets
     whose sweeps take equal values everywhere, only the first in
-    enumeration order, the smallest, enters the envelope: ties go to
-    the smallest label, and a label compares its deletion set first, so
-    the later ones never label a point.
+    enumeration order, the smallest, enters the envelope: ties go to the
+    smallest label, and a label compares its deletion set first, so the
+    later ones never label a point.
     """
     _check_cap(comb(instance.ground_size, instance.ell))
     mat = instance.matroid.with_fresh_counter()
@@ -374,19 +365,18 @@ def solve_brute(instance: MatroidInstance) -> InterdictionSolution:
     if k == 0:
         return _flat_solution(mat, instance, "brute")
     cells = _arrangement(mat, instance)
+    d = cells[0][2].columns[0]
     funcs = []
-    seen: set[tuple[int, ...]] = set()
-    for F in combinations(mat.available, instance.ell):
-        sweep = parametric_sweep(mat.delete(F), cells, k)
-        if len(sweep.pieces[0].label) < k:
-            # first killing set in enumeration order is the smallest one
+    seen: set[tuple] = set()
+    for F, sweep in parametric_sweep(mat, cells, k, combinations(mat.available, instance.ell)).items():
+        if sweep is None:
             return _flat_solution(mat, instance, "brute", killer=F)
-        key = _value_key(sweep)
+        key = tuple(line for line, _ in groupby(p.line for p in sweep))
         if key in seen:
             continue
         seen.add(key)
-        pieces = tuple(Piece(p.lo, p.hi, p.line, _label(F, p.label)) for p in sweep.pieces)
-        funcs.append(PiecewiseLinearFunction(sweep.lo, sweep.hi, pieces))
+        pieces = tuple(Piece(p.lo, p.hi, Line.from_ints(d, *p.line), _label(F, p.basis)) for p in sweep)
+        funcs.append(PiecewiseLinearFunction(sweep[0].lo, sweep[-1].hi, pieces))
     env = upper_envelope(funcs)
     return InterdictionSolution(env, _classify(env), "brute", mat.oracle_calls)
 

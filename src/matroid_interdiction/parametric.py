@@ -10,7 +10,9 @@ ascending); there is no pluggable tie order.
 The equality points cut the interval into cells of fixed weight order:
 the arrangement, built once per solve by crossing_cells, where crossings
 sharing a lam come as adjacent swaps (a symbolic perturbation).  Every
-deleted view of a ground set sweeps the same cells.
+deleted view of a ground set sweeps the same cells, and one walk over
+them, parametric_sweep, carries the minimum bases of any number of
+deleted views at once.
 
 Inside a solve every computation runs on plain ints.  Each solve writes
 the weights once in integer form, as columns (weight_columns): a common
@@ -19,9 +21,8 @@ columns A, B with w(e, lam) = (A[e] + lam * B[e]) / d.  The lines of e
 and f cross at lam = (A[f] - A[e]) / (B[e] - B[f]); at lam = p/q (q > 0)
 the weight order is the order of the ints A[e] * q + B[e] * p; and
 basis_line is the int pair (sum of B, sum of A), the basis's value line
-times d.  A Fraction is built only where a value leaves the solve: one
-per crossing lam, which bounds a cell, and the line of each piece the
-sweep emits (Line.from_ints).
+times d, and the sweep's pieces carry it so.  A Fraction is built only
+per crossing lam, which bounds a cell.
 
 Each cell of the arrangement carries a Probe: its lam, the solve's
 columns, and the ground set's weight order at lam.  The order is sorted
@@ -43,7 +44,7 @@ from math import lcm
 from operator import attrgetter
 from typing import Container, Iterable, NamedTuple, Sequence
 
-from .envelope import NEG_INF, POS_INF, Line, Piece, PiecewiseLinearFunction, interior_point
+from .envelope import NEG_INF, POS_INF, interior_point
 from .matroid import Matroid
 
 
@@ -259,54 +260,122 @@ def basis_line(columns: tuple, basis: Iterable[int]) -> tuple[int, int]:
     return slope, intercept
 
 
+class SweepPiece(NamedTuple):
+    """A sweep's basis on [lo, hi], with its basis_line: ints over the columns' d."""
+
+    lo: object
+    hi: object
+    line: tuple[int, int]
+    basis: frozenset[int]
+
+
 def parametric_sweep(
     matroid: Matroid,
     cells: Sequence[tuple],
     k: int,
-) -> PiecewiseLinearFunction:
-    """Minimum-basis value over the cells' span, one piece per basis.
+    deletion_sets: Iterable[tuple[int, ...]] = ((),),
+) -> dict[tuple[int, ...], tuple[SweepPiece, ...] | None]:
+    """The minimum-basis sweep of matroid.delete(F) for every F, in one walk over the cells.
 
     cells is a crossing_cells() arrangement of any superset of the
-    matroid's available elements, and k the rank of the full matroid
-    that the matroid is a deleted view of.  Pieces are labeled with
-    their basis, a frozenset; neighbouring pieces hold different bases.
-    The first cell's probe gets a greedy basis.  Each later cell keeps
-    only its crossings between two available elements, adjacent swaps
-    of their order, and replays them with exchange(), at most one
-    independence test each; a group of at least as many crossings as
-    available elements takes one greedy at the probe instead, never
-    dearer.  Both greedy scans stop once they hold k elements, which is
-    the whole basis; a view of lower rank scans to the end and keeps a
-    basis smaller than k, which callers treat as a kill.  The basis is
-    the probe's greedy basis either way, so bases and oracle calls match
-    a sweep over the matroid's own cells.  The value is a minimum of
-    basis lines, so continuous, and its lines in order fix it:
-    solve_brute keys each sweep by them and merges one sweep per
-    distinct value function.
+    matroid's available elements, k the rank the bases should reach,
+    and deletion_sets distinct tuples of available elements; the
+    default, one empty set, sweeps the matroid itself.  Each F maps to
+    its sweep, one SweepPiece per basis, neighbours holding different
+    bases, so the value is a minimum of basis lines, continuous, and
+    fixed by its lines in order.  Equal bases share one object.
+
+    In the first cell, B0, the matroid's greedy basis at the probe, is
+    taken once, and every F in turn gets its own greedy basis, or B0
+    without an oracle call when F misses B0: deleting elements the
+    greedy passed over leaves its choices as they were.  A basis short
+    of k means that F kills the rank; the walk then ends and returns
+    {F: None}, F the first such set in the given order.  An index from
+    each element to the sets whose basis holds it carries the bases
+    across the later cells.  A lone crossing e -> f visits only the sets
+    in e's entry and gives each, unless f is deleted from it or already
+    in its basis, the one independence test of exchange().  A group of
+    coincident crossings visits every set: it replays the crossings
+    between two of its available elements, adjacent swaps of their
+    order, with exchange(), or takes one greedy at the probe once they
+    are at least as many as those elements, never dearer.  Every greedy
+    scan stops at k elements.  A set's basis is the greedy basis of its
+    deleted view at every probe either way, so its pieces match a walk
+    over that set alone, over its own cells, and the walk costs at most
+    the oracle calls of those walks together plus the B0 scan.
     """
-    deleted = matroid.deleted
-    available = matroid.ground_size - len(deleted)
-    columns = cells[0][2].columns
-    d = columns[0]
-    basis = greedy_min_basis(matroid, cells[0][2], k)
-    pieces: list[Piece] = []
-    lo = cells[0][0]
+    lo, _hi, probe, _crossings = cells[0]
+    columns = probe.columns
+    b0 = greedy_min_basis(matroid, probe, k)
+    outside = tuple(matroid.deleted)
+    sets: list[tuple[int, ...]] = []
+    deleted: list[tuple[int, ...]] = []  # per set, the matroid's deleted elements and F
+    bases: list[frozenset[int]] = []
+    holders: list[set[int]] = [set() for _ in range(matroid.ground_size)]
+    shared = {b0: b0}  # one object per distinct basis
+    for F in deletion_sets:
+        basis = b0 if b0.isdisjoint(F) else greedy_min_basis(matroid.delete(F), probe, k)
+        if len(basis) < k:
+            return {F: None}
+        i = len(sets)
+        for e in basis:
+            holders[e].add(i)
+        sets.append(F)
+        deleted.append(outside + F)  # F itself when the matroid deletes nothing
+        bases.append(shared.setdefault(basis, basis))
+    moves: dict[int, list[tuple]] = {}  # per set that moves, (lam, basis) wherever its basis changes
+
+    def move(i, lam, basis):
+        basis = shared.setdefault(basis, basis)
+        for e in bases[i] - basis:
+            holders[e].discard(i)
+        for f in basis - bases[i]:
+            holders[f].add(i)
+        moves.setdefault(i, [(lo, bases[i])]).append((lam, basis))
+        bases[i] = basis
+
     for lam, _hi, probe, crossings in cells[1:]:
-        live = [ev for ev in crossings if ev.leaving not in deleted and ev.entering not in deleted]
-        if not live:
+        if len(crossings) == 1:
+            (ev,) = crossings
+            for i in list(holders[ev.leaving]):
+                if ev.entering in deleted[i] or ev.entering in bases[i]:
+                    continue
+                basis = exchange(matroid.delete(deleted[i]), bases[i], ev)
+                if basis is not bases[i]:
+                    move(i, lam, basis)
             continue
-        if len(live) < available:
-            nxt = basis
-            for ev in live:
-                nxt = exchange(matroid, nxt, ev)
-        else:
-            nxt = greedy_min_basis(matroid, probe, k)
-        if nxt != basis:
-            pieces.append(Piece(lo, lam, Line.from_ints(d, *basis_line(columns, basis)), basis))
-            lo, basis = lam, nxt
+        leaving = {ev.leaving for ev in crossings}
+        for i, gone in enumerate(deleted):
+            available = matroid.ground_size - len(gone)
+            if len(crossings) < available and bases[i].isdisjoint(leaving):
+                continue  # no greedy is due, and a swap fires only for a leaving element of the basis
+            live = [ev for ev in crossings if ev.leaving not in gone and ev.entering not in gone]
+            if not live:
+                continue
+            view = matroid.delete(gone)
+            if len(live) < available:
+                basis = bases[i]
+                for ev in live:
+                    basis = exchange(view, basis, ev)
+            else:
+                basis = greedy_min_basis(view, probe, k)
+            if basis != bases[i]:
+                move(i, lam, basis)
+
     hi = cells[-1][1]
-    pieces.append(Piece(lo, hi, Line.from_ints(d, *basis_line(columns, basis)), basis))
-    return PiecewiseLinearFunction(cells[0][0], hi, tuple(pieces))
+    lines: dict[frozenset[int], tuple[int, int]] = {}
+    sweeps = {}
+    for i, F in enumerate(sets):
+        run = moves.get(i) or [(lo, bases[i])]
+        ends = [lam for lam, _basis in run[1:]]
+        ends.append(hi)
+        pieces = []
+        for (start, basis), end in zip(run, ends):
+            if basis not in lines:
+                lines[basis] = basis_line(columns, basis)
+            pieces.append(SweepPiece(start, end, lines[basis], basis))
+        sweeps[F] = tuple(pieces)
+    return sweeps
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import comb
 
-from matroid_interdiction.envelope import envelope_of_lines, interior_point
+from matroid_interdiction.envelope import Line, envelope_of_lines, interior_point
 from matroid_interdiction.interdiction import (
     candidate_tree,
     changepoint_bound,
@@ -229,11 +229,12 @@ def _check_sweep_cells(instance):
     mat, weights, interval = instance.matroid, instance.weights, instance.interval
     columns = weight_columns(mat, weights)
     cells = crossing_cells(interval, all_equality_points(columns, interval, mat.available), columns)
-    sweep = parametric_sweep(mat, cells, instance.rank)
-    for piece in sweep.pieces:
+    (sweep,) = parametric_sweep(mat, cells, instance.rank).values()
+    for piece in sweep:
         probe = Probe(interior_point(piece.lo, piece.hi), columns)
-        assert greedy_min_basis(mat, probe) == piece.label
-        assert value_line(columns, piece.label) == piece.line
+        assert greedy_min_basis(mat, probe) == piece.basis
+        slope, intercept = sum(weights[e].b for e in piece.basis), sum(weights[e].a for e in piece.basis)
+        assert Line.from_ints(columns[0], *piece.line) == (slope, intercept)
 
 
 def _check_most_vital(instance, probe):

@@ -20,9 +20,10 @@ from matroid_interdiction.cli import (
     main,
     parse_instance,
 )
-from matroid_interdiction.interdiction import changepoint_bound, solve
+from matroid_interdiction.envelope import PiecewiseLinearFunction
+from matroid_interdiction.interdiction import SegmentLabel, changepoint_bound, solve
 from matroid_interdiction.oracle import VerificationReport
-from matroid_interdiction.parametric import MatroidInstance
+from matroid_interdiction.parametric import Interval, MatroidInstance
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 # The directory the suite imported the package from (``src`` in a checkout).
@@ -529,6 +530,49 @@ def test_bench_cross_checks_algorithms(tmp_path):
         assert row["changepoints"] <= row["changepoint_bound"]
         assert row["changepoint_bound"] == changepoint_bound(row["m"], row["k"], row["ell"])
         assert row["oracle_calls"] > 0
+
+
+def test_bench_names_where_solvers_part(tmp_path):
+    # ROADMAP item 1's tied-maximizer reproducer: uset splits at lam=1,
+    # taking F=(1,) on [1, 2], where brute keeps F=(0,) on [-2, 2]
+    tie = {
+        "matroid": {"type": "uniform", "m": 3, "k": 1},
+        "weights": [{"a": "-2", "b": "0"}, {"a": "-1", "b": "-1"}, {"a": "-1", "b": "-1"}],
+        "ell": 1,
+        "interval": {"lo": "-2", "hi": "2"},
+    }
+    out = tmp_path / "bench.json"
+    assert main(["bench", write_instance(tmp_path, tie), "--algorithms", "brute,uset", "-o", str(out)]) == 3
+    brute, uset = json.loads(out.read_text())
+    assert brute["agrees_with_first"] is True and "first_difference" not in brute
+    assert uset["agrees_with_first"] is False
+    line = {"slope": "-1", "intercept": "-1"}
+    assert uset["first_difference"] == {
+        "lambda": "1",
+        "first_segment": {"lo": "-2", "hi": "2", **line, "f_star": [0], "basis": [1]},
+        "segment": {"lo": "1", "hi": "2", **line, "f_star": [1], "basis": [2]},
+    }
+
+
+def test_first_difference_walks_both_piece_lists():
+    # uset's two pieces against brute's one: equal on [-2, 1], then apart;
+    # a point domain parts at its one point
+    tie = instance_from_dict(
+        {
+            "matroid": {"type": "uniform", "m": 3, "k": 1},
+            "weights": [{"a": "-2", "b": "0"}, {"a": "-1", "b": "-1"}, {"a": "-1", "b": "-1"}],
+            "ell": 1,
+            "interval": {"lo": "-2", "hi": "2"},
+        }
+    )
+    brute, uset = solve(tie, "brute").envelope, solve(tie, "uset").envelope
+    assert cli.first_difference(brute, brute) is None
+    assert cli.first_difference(uset, brute)["lambda"] == "1"
+    point = MatroidInstance(tie.matroid, tie.weights, 1, Interval(Fraction(2), Fraction(2)))
+    at_two = solve(point, "brute").envelope
+    assert cli.first_difference(at_two, at_two) is None
+    moved = PiecewiseLinearFunction.from_line(Fraction(2), Fraction(2), at_two.pieces[0].line, SegmentLabel((2,), (0,)))
+    assert cli.first_difference(at_two, moved)["lambda"] == "2"
 
 
 def test_bench_rank_zero_instance(tmp_path):

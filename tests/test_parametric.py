@@ -4,10 +4,10 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from matroid_interdiction.envelope import NEG_INF, POS_INF, interior_point
+from matroid_interdiction.envelope import NEG_INF, POS_INF, Line, interior_point
 from matroid_interdiction.interdiction import ALGORITHMS, solve
 from matroid_interdiction.matroid import graphic, partition, uniform
 from matroid_interdiction.parametric import (
@@ -31,7 +31,6 @@ from lemmas import (
     most_vital_element,
     probe_at,
     replacement,
-    value_line,
 )
 
 F = Fraction
@@ -309,21 +308,33 @@ def own_cells(mat, weights, interval):
     return crossing_cells(interval, all_equality_points(columns, interval, mat.available), columns)
 
 
+def sweep_of(view, cells, k):
+    """The sweep of one view on its own: parametric_sweep's single-view case."""
+    (sweep,) = parametric_sweep(view, cells, k).values()
+    return sweep
+
+
+def basis_at(sweep, lam):
+    """The basis of the first piece covering lam."""
+    return next(p.basis for p in sweep if p.lo <= lam <= p.hi)
+
+
 def check_sweep(mat, weights, interval):
-    sweep = parametric_sweep(mat, own_cells(mat, weights, interval), mat.rank())
-    pieces = sweep.pieces
-    columns = weight_columns(mat, weights)
+    pieces = sweep_of(mat, own_cells(mat, weights, interval), mat.rank())
+    d = weight_columns(mat, weights)[0]
     assert pieces[0].lo == interval.lo and pieces[-1].hi == interval.hi
     for a, b in zip(pieces, pieces[1:]):
         assert a.hi == b.lo
+        assert a.basis != b.basis
     slopes = []
     for piece in pieces:
         probe = probe_at(mat, weights, interior_point(piece.lo, piece.hi))
-        assert greedy_min_basis(mat, probe) == piece.label
-        assert value_line(columns, piece.label) == piece.line
-        slopes.append(piece.line.slope)
+        assert greedy_min_basis(mat, probe) == piece.basis
+        line = Line.from_ints(d, *piece.line)
+        assert line == (sum(weights[e].b for e in piece.basis), sum(weights[e].a for e in piece.basis))
+        slopes.append(line.slope)
     assert slopes == sorted(slopes, reverse=True), "min-basis value must be concave"
-    return sweep
+    return pieces
 
 
 @settings(max_examples=60, deadline=None)
@@ -337,15 +348,15 @@ def test_sweep_unbounded_interval():
     mat = uniform(3, 2)
     weights = [pw(0, 1), pw(4, -1), pw(2, 0)]
     sweep = check_sweep(mat, weights, Interval(NEG_INF, POS_INF))
-    assert len(sweep.pieces) >= 2
+    assert len(sweep) >= 2
 
 
 def test_sweep_point_interval():
     mat = uniform(3, 2)
     weights = [pw(0, 1), pw(4, -1), pw(2, 0)]
-    sweep = parametric_sweep(mat, own_cells(mat, weights, Interval(F(2), F(2))), mat.rank())
-    assert len(sweep.pieces) == 1
-    assert sweep.pieces[0].label == greedy_min_basis(mat, probe_at(mat, weights, F(2)))
+    sweep = sweep_of(mat, own_cells(mat, weights, Interval(F(2), F(2))), mat.rank())
+    assert len(sweep) == 1
+    assert sweep[0].basis == greedy_min_basis(mat, probe_at(mat, weights, F(2)))
 
 
 small_ints = st.tuples(st.integers(-3, 3), st.integers(-2, 2))
@@ -393,10 +404,10 @@ def test_sweep_over_the_full_arrangement_matches_its_own(case):
     full = own_cells(mat, weights, interval)
     view = mat.delete(deleted)
     shared_view, own_view = view.with_fresh_counter(), view.with_fresh_counter()
-    k = mat.rank()
-    shared = parametric_sweep(shared_view, full, k)
-    own = parametric_sweep(own_view, own_cells(view, weights, interval), k)
-    assert shared.pieces == own.pieces
+    k = view.rank()  # the view's own rank: a view of lower rank than k is a kill
+    shared = sweep_of(shared_view, full, k)
+    own = sweep_of(own_view, own_cells(view, weights, interval), k)
+    assert shared == own
     assert shared_view.oracle_calls == own_view.oracle_calls
     for lo, hi, probe, crossings in full:
         assert probe.lam == lo if lo == hi else lo < probe.lam < hi
@@ -458,35 +469,75 @@ def test_sweep_replays_coincident_crossings_as_adjacent_swaps(case):
         assert live == own.get(lo, ())
         ceiling += 1 if len(live) == 1 else len(available) if live else 0
     counted = view.with_fresh_counter()
-    sweep = parametric_sweep(counted, full, mat.rank())
+    sweep = sweep_of(counted, full, view.rank())  # its own rank, so that no deletion kills it
     assert counted.oracle_calls <= ceiling
     for _lo, _hi, probe, _crossings in full:
-        assert sweep.piece_at(probe.lam).label == greedy_min_basis(view.with_fresh_counter(), probe)
+        assert basis_at(sweep, probe.lam) == greedy_min_basis(view.with_fresh_counter(), probe)
 
 
 def test_sweep_takes_the_greedy_for_a_group_outnumbering_the_elements():
-    # 8 loops and 8 path edges, all 16 weight lines through (0, 0), the
-    # path edges steeper: one group of 120 crossings, and replaying it
-    # would test every path edge leaving for a loop (583 calls in all)
-    path = graphic(9, [(i, i) for i in range(8)] + [(i, i + 1) for i in range(8)])
+    # 8 loops and an 8-cycle, all 16 weight lines through (0, 0), the
+    # cycle edges steeper: one group of 120 crossings, and replaying it
+    # would test cycle edges leaving for loops (848 calls over the 16 sets)
+    cycle = graphic(8, [(i, i) for i in range(8)] + [(i, (i + 1) % 8) for i in range(8)])
     weights = tuple(pw(0, e) for e in range(16))
-    inst = MatroidInstance(path, weights, 1, Interval(F(-1), F(1)))
-    assert len(own_cells(path, weights, inst.interval)[1][3]) == 120
-    # each of the 9 sweeps takes two greedy bases of its 15 elements: with
-    # a loop deleted, the first stops at the rank, 8, once it holds the
-    # path edges, cheapest left of 0, and the second, where the 7 loops
-    # come first, tests all 15 (8 * 23); with the first bridge deleted
-    # the rank falls to 7, so both scan to the end (30)
-    assert solve(inst, "brute").oracle_calls == 8 * 23 + 30
+    inst = MatroidInstance(cycle, weights, 1, Interval(F(-1), F(1)))
+    assert len(own_cells(cycle, weights, inst.interval)[1][3]) == 120
+    # no deletion kills the rank, 7.  Left of 0 the cycle edges come
+    # first, from 15 down: the full matroid's basis takes 15..9 in 7
+    # calls, the 9 sets that miss it take it free, and the 7 that delete
+    # one of 9..15 take 7 calls each.  Right of 0 the loops come first,
+    # and each of the 16 sets takes one greedy: with a loop deleted, 7
+    # loops and 7 edges (14), with an edge deleted, 8 loops and 7 edges
+    assert solve(inst, "brute").oracle_calls == 7 + 7 * 7 + 8 * 14 + 8 * 15
+
+
+@st.composite
+def walk_cases(draw):
+    """arrangement_cases or pencil_cases, with a budget of 1 to 3."""
+    mat, weights, interval, _deleted = draw(arrangement_cases() | pencil_cases())
+    return mat, weights, interval, draw(st.integers(1, min(3, mat.ground_size)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=walk_cases())
+@example(case=(graphic(4, [(0, 1), (0, 1), (1, 2), (2, 3)]), tuple(pw(e, 1 - e) for e in range(4)), Interval(F(-2), F(2)), 1))
+def test_one_walk_sweeps_every_deletion_set_as_it_would_alone(case):
+    # the walk gives every set the pieces of its sweep alone, over its own
+    # cells, and ends at the first set that kills the rank (in the
+    # example, (2,), a bridge); it costs at most the sweeps alone and the
+    # full matroid's first basis
+    mat, weights, interval, ell = case
+    cells = own_cells(mat, weights, interval)
+    k = mat.rank()
+    sets = list(combinations(mat.available, ell))
+    walker, first = mat.with_fresh_counter(), mat.with_fresh_counter()
+    walk = parametric_sweep(walker, cells, k, sets)
+    greedy_min_basis(first, cells[0][2], k)
+    alone_calls = first.oracle_calls
+    alone = {}
+    for fs in sets:
+        view = mat.delete(fs).with_fresh_counter()
+        alone[fs] = sweep_of(view, own_cells(view, weights, interval), k)
+        alone_calls += view.oracle_calls
+        if alone[fs] is None:
+            assert walk == {fs: None}
+            break
+    else:
+        assert walk == alone and list(walk) == sets
+        for fs, sweep in walk.items():
+            for _lo, _hi, probe, _crossings in cells:
+                assert basis_at(sweep, probe.lam) == greedy_min_basis(mat.delete(fs), probe)
+    assert walker.oracle_calls <= alone_calls
 
 
 def test_sweep_cell_at():
     mat = uniform(3, 2)
     weights = [pw(0, 1), pw(4, -1), pw(2, 0)]
-    sweep = parametric_sweep(mat, own_cells(mat, weights, Interval(F(0), F(5))), mat.rank())
-    assert sweep.piece_at(F(5)) == sweep.pieces[-1]
-    with pytest.raises(ValueError):
-        sweep.piece_at(F(6))
+    sweep = sweep_of(mat, own_cells(mat, weights, Interval(F(0), F(5))), mat.rank())
+    assert basis_at(sweep, F(5)) == sweep[-1].basis
+    with pytest.raises(StopIteration):
+        basis_at(sweep, F(6))
 
 
 # ---------------------------------------------------------------------------

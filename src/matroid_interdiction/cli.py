@@ -5,8 +5,8 @@ a "p/q" (or plain integer) string so exactness survives the file
 boundary, and interval endpoints accept "-inf"/"inf".
 
 Exit codes: 0 success, 2 malformed input, infeasible parameters or an
-unwritable output path, 3 verification failure, 4 enumeration cap or
-plot row cap exceeded.
+unwritable output path, 3 verification failure, 4 enumeration cap, plot
+row cap or generate size cap exceeded.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ EXIT_CAP = 4
 
 HEAVY_A = 10_000  # constant weight of connectivity-padding parallel edges
 PLOT_MAX_ROWS = 1_000_000  # step samples one --emit-plot file may hold
+GENERATE_MAX_ELEMENTS = 1_000_000  # elements one generated instance may hold
 
 
 class CliError(Exception):
@@ -99,7 +100,7 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise CliError(EXIT_PARSE, f"cannot read {path}: {exc}")
-    except ValueError as exc:  # bad JSON or UTF-8, or an int literal past the digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, an int past the digit limit, deep nesting
         raise CliError(EXIT_PARSE, f"{path}: malformed JSON: {exc}")
 
 
@@ -340,6 +341,10 @@ def generate_random(family: str, m: int, k_or_vertices: int, ell: int, seed: int
     rng = random.Random((family, m, k_or_vertices, ell, seed).__repr__())
     if ell < 1:
         raise CliError(EXIT_PARSE, f"ell must be >= 1, got {ell}")
+    base_budget = max(k_or_vertices - 1, m // (ell + 1))  # graphic: base edges, each with ell heavy copies
+    elements = base_budget * (ell + 1) if family == "graphic" else m
+    if elements > GENERATE_MAX_ELEMENTS:
+        raise CliError(EXIT_CAP, f"{elements} elements to generate exceed the cap {GENERATE_MAX_ELEMENTS}")
 
     def rand_weight():
         return {"a": str(rng.randint(-20, 20)), "b": str(rng.randint(-10, 10))}
@@ -348,7 +353,6 @@ def generate_random(family: str, m: int, k_or_vertices: int, ell: int, seed: int
         vertices = k_or_vertices
         if vertices < 2:
             raise CliError(EXIT_PARSE, "graphic generation needs >= 2 vertices")
-        base_budget = max(vertices - 1, m // (ell + 1))
         base_edges = []
         order = list(range(vertices))
         rng.shuffle(order)

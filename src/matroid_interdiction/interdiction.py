@@ -37,13 +37,13 @@ stays on upper_envelope over whole per-deletion sweeps, an independent
 reference for the shared loop: it uses no layered bases, no replacement
 search and no envelope_of_lines.
 
-A deletion that kills the matroid rank makes y identically +inf; the
-reported witness is then always the lexicographically smallest killing
-set, so the three solvers agree exactly.  That case and the rank-0 one
-(y identically 0) share one flat-solution path.  Every enumeration of
-ell-subsets (brute's deletions, the witness search, uset's tracked
-family) is refused above the enumeration cap, and so is a candidate
-tree with more candidates than the cap.
+A deletion that kills the matroid rank makes y identically +inf, and
+one search finds the witness for all three solvers: brute's walk over
+the first cell, which stops at the lexicographically smallest killing
+set.  That case and the rank-0 one (y identically 0) share one
+flat-solution path.  Every enumeration of ell-subsets (that walk's
+sets, uset's tracked family) is refused above the enumeration cap, and
+so is a candidate tree with more candidates than the cap.
 """
 
 from __future__ import annotations
@@ -269,13 +269,10 @@ def update_interdicted_set(
 # shared solver plumbing
 
 
-def canonical_infinite_label(matroid: Matroid, k: int, ell: int) -> tuple[int, ...]:
-    """Lexicographically smallest ell-subset whose deletion kills the rank."""
-    _check_cap(comb(len(matroid.available), ell))
-    for F in combinations(matroid.available, ell):
-        if matroid.delete(F).rank(stop_at=k) < k:
-            return F
-    raise ValueError("no deletion of the given size kills the rank")
+def _deletion_sets(mat: Matroid, ell: int):
+    """Every ell-subset of the available elements, in combinations order; refused above the cap."""
+    _check_cap(comb(len(mat.available), ell))
+    return combinations(mat.available, ell)
 
 
 def _label(F, basis) -> SegmentLabel:
@@ -283,16 +280,13 @@ def _label(F, basis) -> SegmentLabel:
 
 
 def _flat_solution(mat, instance, algorithm, killer=None) -> InterdictionSolution:
-    """y without changepoints: 0 at rank 0, else +inf with killer as witness.
-
-    Without a killing set from the caller the canonical one is searched for.
-    """
+    """y without changepoints: 0 at rank 0, else +inf with the caller's killing set as witness."""
     lo, hi = instance.interval.lo, instance.interval.hi
     if instance.rank == 0:
         # every basis is empty, so every deletion attains the same value 0
         line, F = Line(Fraction(0), Fraction(0)), mat.available[: instance.ell]
     else:
-        line, F = None, killer or canonical_infinite_label(mat, instance.rank, instance.ell)
+        line, F = None, killer
     env = PiecewiseLinearFunction(lo, hi, (Piece(lo, hi, line, _label(F, ())),))
     return InterdictionSolution(env, (), algorithm, mat.oracle_calls)
 
@@ -308,15 +302,15 @@ def _solve_by_cells(instance: MatroidInstance, algorithm: str, cell_bases) -> In
 
     cell_bases(mat, instance, cells) yields per cell a dict {F: basis} of
     candidate deletion sets and their interdicted bases, or None on a
-    rank kill.  Consecutive cells with equal maps form one run, and each
-    run takes one envelope over its whole span: the envelope's tie rule
-    (equal lines keep the smallest label) does not depend on the span,
-    and concatenate merges equal neighbouring pieces, so the segments
-    are those of one envelope per cell.  This loop alone turns a pair
-    into an envelope entry (basis_line, SegmentLabel), an int pair over
-    the solve's one denominator, when a run starts; an entry the
-    previous run made for the same (F, basis) is reused, and older ones
-    are dropped.
+    rank kill, whose witness brute's first-cell walk finds.  Consecutive
+    cells with equal maps form one run, and each run takes one envelope
+    over its whole span: the envelope's tie rule (equal lines keep the
+    smallest label) does not depend on the span, and concatenate merges
+    equal neighbouring pieces, so the segments are those of one envelope
+    per cell.  This loop alone turns a pair into an envelope entry
+    (basis_line, SegmentLabel), an int pair over the solve's one
+    denominator, when a run starts; an entry the previous run made for
+    the same (F, basis) is reused, and older ones are dropped.
     """
     mat = instance.matroid.with_fresh_counter()
     if instance.rank == 0:
@@ -328,7 +322,8 @@ def _solve_by_cells(instance: MatroidInstance, algorithm: str, cell_bases) -> In
     run_lo = run_hi = run_bases = None
     for (lo, hi, _probe, _crossings), bases in zip(cells, cell_bases(mat, instance, cells)):
         if bases is None:
-            return _flat_solution(mat, instance, algorithm)
+            (killer,) = parametric_sweep(mat, cells[:1], instance.rank, _deletion_sets(mat, instance.ell))
+            return _flat_solution(mat, instance, algorithm, killer)
         if bases == run_bases:
             run_hi = hi
             continue
@@ -359,16 +354,16 @@ def solve_brute(instance: MatroidInstance) -> InterdictionSolution:
     smallest label, and a label compares its deletion set first, so the
     later ones never label a point.
     """
-    _check_cap(comb(instance.ground_size, instance.ell))
     mat = instance.matroid.with_fresh_counter()
     k = instance.rank
     if k == 0:
         return _flat_solution(mat, instance, "brute")
+    sets = _deletion_sets(mat, instance.ell)  # refused before the arrangement is built
     cells = _arrangement(mat, instance)
     d = cells[0][2].columns[0]
     funcs = []
     seen: set[tuple] = set()
-    for F, sweep in parametric_sweep(mat, cells, k, combinations(mat.available, instance.ell)).items():
+    for F, sweep in parametric_sweep(mat, cells, k, sets).items():
         if sweep is None:
             return _flat_solution(mat, instance, "brute", killer=F)
         key = tuple(line for line, _ in groupby(p.line for p in sweep))

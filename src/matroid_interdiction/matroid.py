@@ -371,9 +371,9 @@ class Matroid:
                 return c
         return None
 
-    def rank(self, stop_at: int | None = None) -> int:
-        """min(rank, stop_at): the size of the greedy set grown by id."""
-        return len(self.greedy(self.available, stop_at))
+    def rank(self) -> int:
+        """The size of the greedy set grown by id."""
+        return len(self.greedy(self.available))
 
     def __repr__(self) -> str:
         return f"Matroid({self._family.kind}, m={self.ground_size}, deleted={sorted(self.deleted)})"

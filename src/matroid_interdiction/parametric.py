@@ -289,8 +289,8 @@ def parametric_sweep(
     taken once, and every F in turn gets its own greedy basis, or B0
     without an oracle call when F misses B0: deleting elements the
     greedy passed over leaves its choices as they were.  A basis short
-    of k means that F kills the rank; the walk then ends and returns
-    {F: None}, F the first such set in the given order.  An index from
+    of k means F kills the rank at every lam; the walk, over cells[:1]
+    too, returns {F: None} for the first such F.  An index from
     each element to the sets whose basis holds it carries the bases
     across the later cells.  A lone crossing e -> f visits only the sets
     in e's entry and gives each, unless f is deleted from it or already

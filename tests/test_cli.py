@@ -335,6 +335,15 @@ def test_unreadable_and_unparsable_files_exit_2(tmp_path, capsys):
         assert "malformed JSON" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)  # past the decoder's recursion limit
+    assert main([command, str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "malformed JSON" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # instance round trips
 
@@ -423,6 +432,27 @@ def test_generate_rejects_infeasible_parameters(tmp_path, capsys):
     assert main(["generate", "uniform", "--m", "4", "--k", "3", "--ell", "2"]) == 2
     assert main(["generate", "nonesuch"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, elements",
+    [
+        (["uniform", "--m", "1000001", "--k", "1", "--ell", "1"], 1_000_001),
+        (["partition", "--m", "1000001", "--k", "1", "--ell", "1"], 1_000_001),
+        # 333,334 base edges, each with its 2 heavy copies
+        (["graphic", "--m", "1000002", "--k", "2", "--ell", "2"], 1_000_002),
+        (["graphic", "--m", "3", "--k", "500002", "--ell", "1"], 1_000_002),
+        (["uniform", "--m", str(10**12), "--k", "1", "--ell", "1"], 10**12),
+        (["graphic", "--k", str(10**12)], 3 * (10**12 - 1)),
+        (["graphic", "--m", "12", "--k", "4", "--ell", str(10**12)], 3 * (10**12 + 1)),
+    ],
+)
+def test_generate_refuses_instances_above_the_size_cap(capsys, argv, elements):
+    # refused before anything is built, so the huge values return at once
+    assert main(["generate", *argv]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {elements} elements to generate exceed the cap {cli.GENERATE_MAX_ELEMENTS}\n"
 
 
 # ---------------------------------------------------------------------------

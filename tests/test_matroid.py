@@ -125,6 +125,11 @@ def test_deletion_view_restricts_and_raises():
     assert d.rank() == 2
     with pytest.raises(ValueError):
         d.is_independent({1})
+    # the greedy scan charges 0, then refuses the deleted 1 before its charge
+    counted = d.with_fresh_counter()
+    with pytest.raises(ValueError, match=r"deleted elements \[1\]"):
+        counted.greedy([0, 1, 2])
+    assert counted.oracle_calls == 1
     # chained deletion accumulates
     dd = d.delete({0})
     assert dd.available == (2, 4)
@@ -170,20 +175,6 @@ def test_graphic_deletion_bridges():
     mat = graphic(3, [(0, 1), (1, 2)])
     assert mat.rank() == 2
     assert mat.delete({0}).rank() == 1
-
-
-def test_rank_stop_at():
-    mat = uniform(5, 3).with_fresh_counter()
-    assert mat.rank(stop_at=0) == 0
-    assert mat.oracle_calls == 0
-    assert mat.rank(stop_at=2) == 2
-    assert mat.oracle_calls == 2
-    full = uniform(5, 3).with_fresh_counter()
-    assert full.rank() == 3
-    assert mat.with_fresh_counter().rank(stop_at=4) == full.rank() == 3
-    # a graphic loop is skipped, and stopping never undercounts the rank
-    loopy = graphic(3, [(0, 0), (0, 1), (1, 2), (0, 2)])
-    assert [loopy.rank(stop_at=s) for s in range(5)] == [0, 1, 2, 2, 2]
 
 
 def test_graphic_query_is_sized_by_touched_vertices():

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_interdiction import TIE_REPRODUCER
 from test_kernel import rationals
 
 from matroid_interdiction import oracle
@@ -128,6 +129,17 @@ def test_verify_solution_flags_deletion_set_below_the_line():
     assert "lam=-1/4: claimed deletion set [0] attains 9, not 39/4" in report.failures
     for msg in report.failures:
         assert msg.startswith("lam=") and ": claimed deletion set [0] attains " in msg
+
+
+def test_verify_solution_flags_a_tied_deletion_set_that_is_not_the_smallest():
+    # on [1, 2] deleting 0 or 1 leaves the same line -1 - lam, so (1,)
+    # attains the value there; the oracle names the smallest maximizer
+    inst = instance_from_dict(TIE_REPRODUCER)
+    line = Line(F(-1), F(-1))
+    pieces = (Piece(F(-2), F(1), line, SegmentLabel((0,), (1,))), Piece(F(1), F(2), line, SegmentLabel((1,), (2,))))
+    sol = InterdictionSolution(PiecewiseLinearFunction(F(-2), F(2), pieces), (), "uset", 0)
+    report = verify_solution(inst, sol, extra_samples=0)
+    assert report.failures == ("lam=3/2: claimed deletion set [1], oracle found [0]",)
 
 
 def test_verify_solution_reports_ten_failures_then_suppresses():

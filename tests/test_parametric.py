@@ -167,6 +167,8 @@ def test_replacement_element_picks_cheapest_then_smallest_id():
     basis = frozenset({0, 1})
     assert replacement(mat, probe, basis, 0) == 2  # tie 2 vs 3 by id
     assert replacement(mat, probe, basis, 0, among=[3]) == 3
+    with pytest.raises(ValueError, match="element 2 is not in the basis"):
+        replacement(mat, probe, basis, 2)
 
 
 def test_replacement_element_none_on_bridge():

@@ -124,7 +124,7 @@ def _edge(raw, where: str) -> list:
     return ends
 
 
-def _build_matroid(spec, where: str) -> Matroid:
+def _build_matroid(spec, where: str, weight_count: int) -> Matroid:
     kind = _expect(spec, "type", where)
 
     def field(key, parse=_integer):
@@ -140,7 +140,10 @@ def _build_matroid(spec, where: str) -> Matroid:
         if kind == "graphic":
             return graphic(field("num_vertices"), field("edges", edges))
         if kind == "uniform":
-            return uniform(field("m"), field("k"))
+            m = field("m")
+            if m > weight_count:  # checked before the family allocates m block ids
+                raise ValueError(f"expected {m} weights, got {weight_count}")
+            return uniform(m, field("k"))
         if kind == "partition":
             return partition(field("blocks", _integers), field("capacities", _integers))
         if kind == "explicit":
@@ -152,10 +155,11 @@ def _build_matroid(spec, where: str) -> Matroid:
 
 def instance_from_dict(data, where: str = "<instance>") -> MatroidInstance:
     """Validate instance file content, or raise a diagnostic."""
-    matroid = _build_matroid(_expect(data, "matroid", where), f"{where}: matroid")
+    spec = _expect(data, "matroid", where)
     raw_weights = _expect(data, "weights", where)
     if not isinstance(raw_weights, list):
         raise CliError(EXIT_PARSE, f"{where}: weights must be a list")
+    matroid = _build_matroid(spec, f"{where}: matroid", len(raw_weights))
     weights = []
     for i, entry in enumerate(raw_weights):
         a = parse_rational(_expect(entry, "a", f"{where}: weights[{i}]"), f"{where}: weights[{i}].a")

@@ -288,21 +288,23 @@ def parametric_sweep(
     In the first cell, B0, the matroid's greedy basis at the probe, is
     taken once, and every F in turn gets its own greedy basis, or B0
     without an oracle call when F misses B0: deleting elements the
-    greedy passed over leaves its choices as they were.  A basis short
-    of k means F kills the rank at every lam; the walk, over cells[:1]
-    too, returns {F: None} for the first such F.  An index from
-    each element to the sets whose basis holds it carries the bases
-    across the later cells.  A lone crossing e -> f visits only the sets
-    in e's entry and gives each, unless f is deleted from it or already
-    in its basis, the one independence test of exchange().  A group of
-    coincident crossings visits every set: it replays the crossings
-    between two of its available elements, adjacent swaps of their
-    order, with exchange(), or takes one greedy at the probe once they
-    are at least as many as those elements, never dearer.  Every greedy
-    scan stops at k elements.  A set's basis is the greedy basis of its
-    deleted view at every probe either way, so its pieces match a walk
-    over that set alone, over its own cells, and the walk costs at most
-    the oracle calls of those walks together plus the B0 scan.
+    greedy passed over leaves its choices as they were.  These are the
+    walk's only greedy scans, and each stops at k elements.  A basis
+    short of k means F kills the rank at every lam; the walk, over
+    cells[:1] too, returns {F: None} for the first such F.  An index
+    from each element to the sets whose basis holds it carries the
+    bases across the later cells.  A group of coincident crossings is
+    its chain of adjacent swaps, and every swap e -> f, lone or not,
+    visits only the sets in e's entry and gives each, unless f is
+    deleted from it or already in its basis, the one independence test
+    of exchange(), on the matroid itself: B - e + f then holds no
+    deleted element.  A set moved by several swaps of one group gets
+    one piece at their lam, never on the basis it left: a basis is
+    greedy exactly while certain pairs keep their order, and each pair
+    swaps once.  A set's basis is the greedy basis of its deleted view
+    at every probe, so its pieces match a walk over that set alone, over
+    its own cells, and the walk costs at most the oracle calls of those
+    walks together plus the B0 scan.
     """
     lo, _hi, probe, _crossings = cells[0]
     columns = probe.columns
@@ -331,36 +333,20 @@ def parametric_sweep(
             holders[e].discard(i)
         for f in basis - bases[i]:
             holders[f].add(i)
-        moves.setdefault(i, [(lo, bases[i])]).append((lam, basis))
+        run = moves.setdefault(i, [(lo, bases[i])])
+        if run[-1][0] == lam:  # an earlier swap at lam moved it: one piece per lam
+            run.pop()
+        run.append((lam, basis))
         bases[i] = basis
 
-    for lam, _hi, probe, crossings in cells[1:]:
-        if len(crossings) == 1:
-            (ev,) = crossings
+    for lam, _hi, _probe, crossings in cells[1:]:
+        for ev in crossings:
             for i in list(holders[ev.leaving]):
                 if ev.entering in deleted[i] or ev.entering in bases[i]:
                     continue
-                basis = exchange(matroid.delete(deleted[i]), bases[i], ev)
+                basis = exchange(matroid, bases[i], ev)
                 if basis is not bases[i]:
                     move(i, lam, basis)
-            continue
-        leaving = {ev.leaving for ev in crossings}
-        for i, gone in enumerate(deleted):
-            available = matroid.ground_size - len(gone)
-            if len(crossings) < available and bases[i].isdisjoint(leaving):
-                continue  # no greedy is due, and a swap fires only for a leaving element of the basis
-            live = [ev for ev in crossings if ev.leaving not in gone and ev.entering not in gone]
-            if not live:
-                continue
-            view = matroid.delete(gone)
-            if len(live) < available:
-                basis = bases[i]
-                for ev in live:
-                    basis = exchange(view, basis, ev)
-            else:
-                basis = greedy_min_basis(view, probe, k)
-            if basis != bases[i]:
-                move(i, lam, basis)
 
     hi = cells[-1][1]
     lines: dict[frozenset[int], tuple[int, int]] = {}
@@ -402,8 +388,9 @@ class MatroidInstance:
             raise ValueError(f"expected {m} weights, got {len(self.weights)}")
         if isinstance(self.ell, bool) or not isinstance(self.ell, int):
             raise TypeError(f"budget ell must be an int, got {self.ell!r}")
-        if not 1 <= self.ell <= m:
-            raise ValueError(f"budget ell={self.ell} outside 1..{m}")
+        n = len(self.matroid.available)
+        if not 1 <= self.ell <= n:
+            raise ValueError(f"budget ell={self.ell} outside 1..{n}, the number of available elements")
         object.__setattr__(self, "rank", self.matroid.with_fresh_counter().rank())
 
     @property

@@ -261,6 +261,19 @@ def test_exponent_notation_exits_2(tmp_path, capsys, raw):
     assert "weights[0].a" in err and "exponent notation" in err and "Traceback" not in err
 
 
+def test_a_uniform_ground_set_past_its_weights_exits_2(tmp_path, capsys):
+    # m is checked against the weights before the family allocates m block ids
+    payload = {
+        "matroid": {"type": "uniform", "m": 10**15, "k": 1},
+        "weights": [{"a": "0", "b": "1"}],
+        "ell": 1,
+        "interval": {"lo": "-1", "hi": "1"},
+    }
+    assert main(["solve", write_instance(tmp_path, payload)]) == 2
+    err = capsys.readouterr().err
+    assert f"expected {10**15} weights, got 1" in err and "Traceback" not in err
+
+
 def test_breakpoints_past_the_digit_limit_are_written_exactly(tmp_path):
     # 3,002-digit denominators give 6,005-character breakpoints, past the
     # 4,300-digit limit of str() on ints; Decimal reads them back

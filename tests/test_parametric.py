@@ -321,13 +321,20 @@ def basis_at(sweep, lam):
     return next(p.basis for p in sweep if p.lo <= lam <= p.hi)
 
 
-def check_sweep(mat, weights, interval):
-    pieces = sweep_of(mat, own_cells(mat, weights, interval), mat.rank())
-    d = weight_columns(mat, weights)[0]
+def check_tiling(pieces, interval):
+    """The pieces cover the interval end to end, none of zero length but
+    on a point interval, and neighbours hold different bases."""
     assert pieces[0].lo == interval.lo and pieces[-1].hi == interval.hi
     for a, b in zip(pieces, pieces[1:]):
         assert a.hi == b.lo
         assert a.basis != b.basis
+    assert all(p.lo < p.hi for p in pieces) or interval.lo == interval.hi
+
+
+def check_sweep(mat, weights, interval):
+    pieces = sweep_of(mat, own_cells(mat, weights, interval), mat.rank())
+    d = weight_columns(mat, weights)[0]
+    check_tiling(pieces, interval)
     slopes = []
     for piece in pieces:
         probe = probe_at(mat, weights, interior_point(piece.lo, piece.hi))
@@ -461,15 +468,15 @@ def test_sweep_replays_coincident_crossings_as_adjacent_swaps(case):
     view = mat.delete(deleted)
     available = set(view.available)
     own = {lo: crossings for lo, _hi, _probe, crossings in own_cells(view, weights, interval)[1:]}
-    # the ceiling: one greedy in the first cell, then one test per lone
-    # crossing and one greedy per coincident group
+    # the ceiling: one greedy in the first cell, then one test per live
+    # swap, lone or in a coincident group
     ceiling = len(available)
     for (_, _, before, _), (lo, _, after, crossings) in zip(full, full[1:]):
         for elements in (set(mat.available), available):
             assert replay(before.order, crossings, elements) == [e for e in after.order if e in elements]
         live = tuple(ev for ev in crossings if ev.leaving in available and ev.entering in available)
         assert live == own.get(lo, ())
-        ceiling += 1 if len(live) == 1 else len(available) if live else 0
+        ceiling += len(live)
     counted = view.with_fresh_counter()
     sweep = sweep_of(counted, full, view.rank())  # its own rank, so that no deletion kills it
     assert counted.oracle_calls <= ceiling
@@ -477,10 +484,10 @@ def test_sweep_replays_coincident_crossings_as_adjacent_swaps(case):
         assert basis_at(sweep, probe.lam) == greedy_min_basis(view.with_fresh_counter(), probe)
 
 
-def test_sweep_takes_the_greedy_for_a_group_outnumbering_the_elements():
+def test_sweep_replays_a_group_outnumbering_the_elements():
     # 8 loops and an 8-cycle, all 16 weight lines through (0, 0), the
-    # cycle edges steeper: one group of 120 crossings, and replaying it
-    # would test cycle edges leaving for loops (848 calls over the 16 sets)
+    # cycle edges steeper: one group of 120 crossings, more than the 16
+    # elements, which every deletion set replays swap by swap
     cycle = graphic(8, [(i, i) for i in range(8)] + [(i, (i + 1) % 8) for i in range(8)])
     weights = tuple(pw(0, e) for e in range(16))
     inst = MatroidInstance(cycle, weights, 1, Interval(F(-1), F(1)))
@@ -488,10 +495,12 @@ def test_sweep_takes_the_greedy_for_a_group_outnumbering_the_elements():
     # no deletion kills the rank, 7.  Left of 0 the cycle edges come
     # first, from 15 down: the full matroid's basis takes 15..9 in 7
     # calls, the 9 sets that miss it take it free, and the 7 that delete
-    # one of 9..15 take 7 calls each.  Right of 0 the loops come first,
-    # and each of the 16 sets takes one greedy: with a loop deleted, 7
-    # loops and 7 edges (14), with an edge deleted, 8 loops and 7 edges
-    assert solve(inst, "brute").oracle_calls == 7 + 7 * 7 + 8 * 14 + 8 * 15
+    # one of 9..15 take 7 calls each.  At 0 a swap e -> f costs a set one
+    # test when e is in its basis and f is neither deleted nor in it.
+    # Each loop passes all 8 edges, 7 of them in the basis, and fails 7
+    # tests; a set keeping all 8 edges trades 9 for 8 once: with a loop
+    # deleted 7 * 7 + 1 = 50 tests, with an edge deleted 8 * 7 = 56
+    assert solve(inst, "brute").oracle_calls == 7 + 7 * 7 + 8 * 50 + 8 * 56
 
 
 @st.composite
@@ -504,11 +513,14 @@ def walk_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(case=walk_cases())
 @example(case=(graphic(4, [(0, 1), (0, 1), (1, 2), (2, 3)]), tuple(pw(e, 1 - e) for e in range(4)), Interval(F(-2), F(2)), 1))
+@example(case=(uniform(4, 1), tuple(pw(0, e) for e in range(4)), Interval(F(-1), F(1)), 1))
 def test_one_walk_sweeps_every_deletion_set_as_it_would_alone(case):
     # the walk gives every set the pieces of its sweep alone, over its own
-    # cells, and ends at the first set that kills the rank (in the
+    # cells, and ends at the first set that kills the rank (in the first
     # example, (2,), a bridge); it costs at most the sweeps alone and the
-    # full matroid's first basis
+    # full matroid's first basis.  Each set's pieces tile the interval,
+    # one per basis: in the second example, a pencil, two swaps at 0
+    # move every set's basis, and the set still gets one piece there
     mat, weights, interval, ell = case
     cells = own_cells(mat, weights, interval)
     k = mat.rank()
@@ -528,6 +540,7 @@ def test_one_walk_sweeps_every_deletion_set_as_it_would_alone(case):
     else:
         assert walk == alone and list(walk) == sets
         for fs, sweep in walk.items():
+            check_tiling(sweep, interval)
             for _lo, _hi, probe, _crossings in cells:
                 assert basis_at(sweep, probe.lam) == greedy_min_basis(mat.delete(fs), probe)
     assert walker.oracle_calls <= alone_calls
@@ -610,6 +623,10 @@ def test_instance_validation():
         MatroidInstance(mat, weights, 0, Interval(F(0), F(1)))
     with pytest.raises(ValueError):
         MatroidInstance(mat, weights, 5, Interval(F(0), F(1)))
+    # ell counts the available elements, not the ground set
+    with pytest.raises(ValueError, match=r"ell=2 outside 1\.\.1"):
+        MatroidInstance(uniform(3, 1).delete([0, 1]), weights[:3], 2, Interval(F(0), F(1)))
+    assert MatroidInstance(uniform(3, 1).delete([0, 1]), weights[:3], 1, Interval(F(0), F(1))).rank == 1
     # int components become Fractions: int / int would make a float
     # crossing, which no solver can order exactly
     raw = (ParametricWeight(0, 1), ParametricWeight(1, -1), ParametricWeight(2, 0))

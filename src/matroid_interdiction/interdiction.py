@@ -8,10 +8,12 @@ interdicted basis.
 * solve_brute sweeps all C(m, ell) deleted matroids in one walk over
   the arrangement, parametric_sweep: each crossing visits only the
   deletion sets whose basis it can change, found through an index from
-  each element to the sets whose basis holds it.  Every greedy stops at
-  the rank, and a set that misses the full matroid's first basis takes
-  it without a greedy.  One sweep per distinct value function, that of
-  the smallest deletion set taking it, enters the envelope.
+  each element to the sets whose basis holds it.  In the first cell
+  the sets share their greedy runs, stopped at the rank: a set follows
+  the full matroid's run and forks at each element of its own that the
+  run took, so no query is asked twice for the same deletions.  One
+  sweep per distinct value function, that of the smallest deletion set
+  taking it, enters the envelope.
 * solve_uset tracks layered bases whose union confines all relevant
   deletion sets, updating them with a few oracle calls per crossing and
   falling back to scratch recomputation when a crossing ripples.
@@ -363,9 +365,13 @@ def solve_brute(instance: MatroidInstance) -> InterdictionSolution:
     d = cells[0][2].columns[0]
     funcs = []
     seen: set[tuple] = set()
+    keyed: set[int] = set()  # the sweeps keyed already: sets whose basis never moves share one
     for F, sweep in parametric_sweep(mat, cells, k, sets).items():
         if sweep is None:
             return _flat_solution(mat, instance, "brute", killer=F)
+        if id(sweep) in keyed:
+            continue
+        keyed.add(id(sweep))
         key = tuple(line for line, _ in groupby(p.line for p in sweep))
         if key in seen:
             continue

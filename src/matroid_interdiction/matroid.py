@@ -16,16 +16,18 @@ family state that answers add(e) or fits(x, c), and only the Matroid
 view loops over them, counting one oracle call per element tried and
 refusing a deleted one, as the one-shot query it replaces did.
 
-Matroid.greedy (minimum bases and rank) grows an augment state, scan(),
+Matroid.grow is the one greedy scan: it grows an augment state, scan(),
 along an order.  The state answers add(e): does the set grown so far
 stay independent with e, an element it does not hold yet, and if so it
 takes e.  Graphic keeps one union-find with path halving, grown Kruskal
 style, so an augment test costs two near-constant root finds; partition,
 uniform included, keeps the room left in each block; explicit keeps the
-set itself and tests it with e by one one-shot query.  The view keeps
-the chosen set, so an id tried twice is a counted no-op.  The
-enumeration oracle keeps its own greedy on one-shot queries, as a
-reference.
+set itself and tests it with e by one one-shot query.  Every state has
+copy(), which saves the set grown so far without a test, so a caller
+can resume a scan from any element it took.  The view keeps the set
+each scan took, so an id tried twice is a counted no-op; Matroid.greedy
+(minimum bases and rank) is one scan from nothing.  The enumeration
+oracle keeps its own greedy on one-shot queries, as a reference.
 
 Matroid.replacement searches, for an independent basis B and some x in
 it, for the first candidate c that makes B - x + c independent.  It
@@ -43,6 +45,7 @@ searches one basis for several x, or several times, keeps its state.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Sequence
 
 EXPLICIT_MAX_GROUND = 16  # explicit families list every basis: test-scale ground sets only
@@ -151,6 +154,11 @@ class _GraphicScan:
         parent[u] = v
         return True
 
+    def copy(self) -> "_GraphicScan":
+        twin = object.__new__(_GraphicScan)
+        twin._ends, twin._parent = self._ends, self._parent[:]
+        return twin
+
 
 class _PartitionFamily:
     kind = "partition"
@@ -188,14 +196,20 @@ class _PartitionFamily:
 
 
 class _UniformFamily(_PartitionFamily):
-    """U(k, m): the partition matroid with one block of capacity k."""
+    """U(k, m): the partition matroid with one block of capacity k.
+
+    Its block ids are an empty Counter, which answers 0 for every
+    element and stores none, so the family's size does not grow with m.
+    """
 
     kind = "uniform"
 
     def __init__(self, m: int, k: int):
         if not 0 <= k <= m:
             raise ValueError(f"uniform family needs 0 <= k <= m, got m={m} k={k}")
-        super().__init__((0,) * m, (k,))
+        self.blocks = Counter()
+        self.capacities = (k,)
+        self.ground_size = m
         self.k = k
 
     def independent(self, subset: frozenset[int]) -> bool:
@@ -226,6 +240,11 @@ class _PartitionScan:
     def fits(self, x: int, c: int) -> bool:
         b = self._blocks[c]
         return self._room[b] > 0 or b == self._blocks[x]
+
+    def copy(self) -> "_PartitionScan":
+        twin = object.__new__(_PartitionScan)
+        twin._blocks, twin._room = self._blocks, self._room[:]
+        return twin
 
 
 class _ExplicitFamily:
@@ -277,6 +296,11 @@ class _OneShot:
     def fits(self, x: int, c: int) -> bool:
         return self._independent(self._members - {x} | {c})
 
+    def copy(self) -> "_OneShot":
+        twin = object.__new__(_OneShot)
+        twin._members, twin._independent = set(self._members), self._independent
+        return twin
+
 
 class Matroid:
     """A matroid view: a family, a deleted element set, a call counter.
@@ -326,26 +350,40 @@ class Matroid:
         return Matroid(self._family, self.deleted.union(removed), self._counter)
 
     def greedy(self, order: Iterable[int], stop_at: int | None = None) -> frozenset[int]:
-        """The independent set grown greedily along order.
+        """The independent set grown greedily along order from nothing.
 
-        One augment state is grown along order, and each element tried
-        costs one oracle call (an element already chosen is a no-op
-        test, still counted).  The scan stops, spending no further call,
-        once the set holds stop_at elements.  Along a weight order this
-        is the minimum basis.
+        One grow() scan: each element tried costs one oracle call, and the
+        scan stops once the set holds stop_at elements.  Along a weight
+        order this is the minimum basis.
         """
-        add = self._family.scan().add
-        chosen: set[int] = set()
-        deleted, counter = self.deleted, self._counter
+        return self.grow(self.scan(), order, stop_at)
+
+    def scan(self):
+        """A fresh augment state of the family, holding nothing; see grow."""
+        return self._family.scan()
+
+    def grow(self, state, order: Iterable[int], room: int | None = None) -> frozenset[int]:
+        """Grow an augment state along order; return the elements it took.
+
+        Each element tried costs one oracle call (an element this scan
+        took already is a no-op test, still counted), and a deleted one
+        raises before it is charged.  The scan stops, spending no further
+        call, once it has taken room elements.  state is scan() or a
+        state grown before, and order offers no element it holds; its
+        copy() saves the set grown so far, from which a later grow
+        resumes without a test.
+        """
+        add, deleted, counter = state.add, self.deleted, self._counter
+        taken: set[int] = set()
         for e in order:
-            if len(chosen) == stop_at:
+            if len(taken) == room:
                 break
             if e in deleted:
                 raise _touches_deleted({e}, deleted)
             counter[0] += 1
-            if e not in chosen and add(e):
-                chosen.add(e)
-        return frozenset(chosen)
+            if e not in taken and add(e):
+                taken.add(e)
+        return frozenset(taken)
 
     def exchanges(self, basis: Iterable[int]):
         """The family's exchange state of basis, built uncounted; see replacement."""

@@ -36,6 +36,7 @@ same oracle calls.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -269,6 +270,53 @@ class SweepPiece(NamedTuple):
     basis: frozenset[int]
 
 
+class _Run:
+    """One greedy run of the first-cell walk, shared by the sets that take it.
+
+    The deletions before the position it starts at are fixed.  It holds
+    chosen, the elements it and the runs it forked from took; marks, the
+    positions of those it took itself; and states, the augment state
+    after each of those, states[0] the one it started from, so that a
+    run forked at any position it passed starts from a copy without a
+    test.  at is the next position it would try, forks the runs started
+    by deleting the element at a position, and basis its frozen chosen
+    set once it holds k elements or has tried every position.
+    """
+
+    __slots__ = ("at", "chosen", "marks", "states", "state", "forks", "basis")
+
+    def __init__(self, at: int, chosen: list[int], state):
+        self.at, self.chosen, self.marks = at, chosen, []
+        self.states, self.state = [state], state.copy()
+        self.forks: dict[int, _Run] = {}
+        self.basis = None
+
+    def advance(self, matroid: Matroid, order: list[int], position: dict[int, int], stop: int, k: int) -> bool:
+        """Run on to position stop, or until the run holds k elements; False once it holds them."""
+        chosen = self.chosen
+        while len(chosen) < k and self.at < stop:
+            # one element per grow, so that the state after each is saved
+            taken = matroid.grow(self.state, order[self.at : stop], 1)
+            if not taken:
+                self.at = stop
+                break
+            (e,) = taken
+            chosen.append(e)
+            self.at = position[e] + 1
+            self.marks.append(position[e])
+            if len(chosen) < k:  # a run holding k ends: nothing forks past its last element
+                self.states.append(self.state.copy())
+        return len(chosen) < k
+
+    def fork(self, p: int) -> "_Run":
+        """The run that deletes the element at p, a position this run reached: one per p."""
+        run = self.forks.get(p)
+        if run is None:
+            i = bisect_left(self.marks, p)  # the elements it took before p
+            run = self.forks[p] = _Run(p + 1, self.chosen[: len(self.chosen) - len(self.marks) + i], self.states[i])
+        return run
+
+
 def parametric_sweep(
     matroid: Matroid,
     cells: Sequence[tuple],
@@ -283,48 +331,69 @@ def parametric_sweep(
     default, one empty set, sweeps the matroid itself.  Each F maps to
     its sweep, one SweepPiece per basis, neighbours holding different
     bases, so the value is a minimum of basis lines, continuous, and
-    fixed by its lines in order.  Equal bases share one object.
+    fixed by its lines in order.  Equal bases share one object, and so
+    do the one-piece sweeps of a basis that never moves.
 
-    In the first cell, B0, the matroid's greedy basis at the probe, is
-    taken once, and every F in turn gets its own greedy basis, or B0
-    without an oracle call when F misses B0: deleting elements the
-    greedy passed over leaves its choices as they were.  These are the
-    walk's only greedy scans, and each stops at k elements.  A basis
-    short of k means F kills the rank at every lam; the walk, over
-    cells[:1] too, returns {F: None} for the first such F.  An index
-    from each element to the sets whose basis holds it carries the
-    bases across the later cells.  A group of coincident crossings is
-    its chain of adjacent swaps, and every swap e -> f, lone or not,
-    visits only the sets in e's entry and gives each, unless f is
-    deleted from it or already in its basis, the one independence test
-    of exchange(), on the matroid itself: B - e + f then holds no
-    deleted element.  A set moved by several swaps of one group gets
-    one piece at their lam, never on the basis it left: a basis is
-    greedy exactly while certain pairs keep their order, and each pair
-    swaps once.  A set's basis is the greedy basis of its deleted view
-    at every probe, so its pieces match a walk over that set alone, over
-    its own cells, and the walk costs at most the oracle calls of those
-    walks together plus the B0 scan.
+    In the first cell each F gets its greedy basis along the probe
+    order, stopped at k elements, from one walk that shares prefixes.
+    The run of B0, the matroid's own greedy basis, comes first; each F
+    in turn then follows it along the order, and at each element of F
+    the run has taken it moves to the run forked there, the same for
+    every set with the same deletions up to that point.  An element of
+    F that the run passed over changes nothing, and a run that reaches
+    k before F's next element gives F its basis.  A run tries each
+    position once, resuming from a saved augment state, so no query is
+    asked twice for the same deletions, and every query is one that F's
+    own greedy would ask.  A basis short of k means F kills the rank at
+    every lam; the walk, over cells[:1] too, returns {F: None} for the
+    first such F.  An index from each element to the sets whose basis
+    holds it carries the bases across the later cells.  A group of
+    coincident crossings is its chain of adjacent swaps, and every swap
+    e -> f, lone or not, visits only the sets in e's entry and gives
+    each, unless f is deleted from it or already in its basis, the one
+    independence test of exchange(), on the matroid itself: B - e + f
+    then holds no deleted element.  A set moved by several swaps of one
+    group gets one piece at their lam, never on the basis it left: a
+    basis is greedy exactly while certain pairs keep their order, and
+    each pair swaps once.  A set's basis is the greedy basis of its
+    deleted view at every probe, so its pieces match a walk over that
+    set alone, over its own cells, and the walk costs at most the oracle
+    calls of those walks together plus the B0 scan.
     """
     lo, _hi, probe, _crossings = cells[0]
     columns = probe.columns
-    b0 = greedy_min_basis(matroid, probe, k)
     outside = tuple(matroid.deleted)
+    order = [e for e in probe.order if e not in matroid.deleted]
+    position = {e: p for p, e in enumerate(order)}
+    b0 = _Run(0, [], matroid.scan())
+    b0.advance(matroid, order, position, len(order), k)
     sets: list[tuple[int, ...]] = []
     deleted: list[tuple[int, ...]] = []  # per set, the matroid's deleted elements and F
     bases: list[frozenset[int]] = []
-    holders: list[set[int]] = [set() for _ in range(matroid.ground_size)]
-    shared = {b0: b0}  # one object per distinct basis
+    shared: dict[frozenset[int], frozenset[int]] = {}  # one object per distinct basis
+    members: dict[frozenset[int], list[int]] = {}  # per first-cell basis, the sets holding it
     for F in deletion_sets:
-        basis = b0 if b0.isdisjoint(F) else greedy_min_basis(matroid.delete(F), probe, k)
-        if len(basis) < k:
+        run = b0
+        for p in sorted(map(position.__getitem__, F)):
+            if p >= run.at and not run.advance(matroid, order, position, p, k):
+                break  # the run holds k elements before p
+            if p < run.at and p not in run.marks:
+                continue  # the run passed over p's element
+            run = run.fork(p)
+        if run.basis is None:
+            run.advance(matroid, order, position, len(order), k)
+            basis = frozenset(run.chosen)
+            run.basis = shared.setdefault(basis, basis)
+        if len(run.basis) < k:
             return {F: None}
-        i = len(sets)
-        for e in basis:
-            holders[e].add(i)
+        members.setdefault(run.basis, []).append(len(sets))
         sets.append(F)
         deleted.append(outside + F)  # F itself when the matroid deletes nothing
-        bases.append(shared.setdefault(basis, basis))
+        bases.append(run.basis)
+    holders: list[set[int]] = [set() for _ in range(matroid.ground_size)]
+    for basis, held_by in members.items():
+        for e in basis:
+            holders[e].update(held_by)
     moves: dict[int, list[tuple]] = {}  # per set that moves, (lam, basis) wherever its basis changes
 
     def move(i, lam, basis):
@@ -333,10 +402,10 @@ def parametric_sweep(
             holders[e].discard(i)
         for f in basis - bases[i]:
             holders[f].add(i)
-        run = moves.setdefault(i, [(lo, bases[i])])
-        if run[-1][0] == lam:  # an earlier swap at lam moved it: one piece per lam
-            run.pop()
-        run.append((lam, basis))
+        steps = moves.setdefault(i, [(lo, bases[i])])
+        if steps[-1][0] == lam:  # an earlier swap at lam moved it: one piece per lam
+            steps.pop()
+        steps.append((lam, basis))
         bases[i] = basis
 
     for lam, _hi, _probe, crossings in cells[1:]:
@@ -350,17 +419,23 @@ def parametric_sweep(
 
     hi = cells[-1][1]
     lines: dict[frozenset[int], tuple[int, int]] = {}
+    unmoved: dict[frozenset[int], tuple[SweepPiece]] = {}  # per basis, the one sweep of the sets it never leaves
     sweeps = {}
     for i, F in enumerate(sets):
-        run = moves.get(i) or [(lo, bases[i])]
-        ends = [lam for lam, _basis in run[1:]]
+        if i not in moves and bases[i] in unmoved:
+            sweeps[F] = unmoved[bases[i]]
+            continue
+        steps = moves.get(i) or [(lo, bases[i])]
+        ends = [lam for lam, _basis in steps[1:]]
         ends.append(hi)
         pieces = []
-        for (start, basis), end in zip(run, ends):
+        for (start, basis), end in zip(steps, ends):
             if basis not in lines:
                 lines[basis] = basis_line(columns, basis)
             pieces.append(SweepPiece(start, end, lines[basis], basis))
         sweeps[F] = tuple(pieces)
+        if i not in moves:
+            unmoved[bases[i]] = sweeps[F]
     return sweeps
 
 

@@ -2,11 +2,12 @@
 
 A binary matroid is the column matroid of a matrix over GF(2); here each
 column is an int bitmask.  The Matroid view takes any family with
-ground_size, kind, independent, scan and exchanges, so the family needs
-nothing from src/ but the generic one-shot state.  The Fano plane F7,
-its dual and R10 are neither graphic nor partition matroids, so they
-exercise the solvers' general matroid rules: the layered-bases lemma
-behind uset and the candidate tree's one-layer fall-through.
+ground_size, kind, independent, scan and exchanges, whose states answer
+add, fits and copy, so the family needs nothing from src/ but the
+generic one-shot state.  The Fano plane F7, its dual and R10 are
+neither graphic nor partition matroids, so they exercise the solvers'
+general matroid rules: the layered-bases lemma behind uset and the
+candidate tree's one-layer fall-through.
 """
 
 import random
@@ -85,6 +86,11 @@ class Echelon:
     def fits(self, x: int, c: int) -> bool:
         v, mask = self._reduce(self._columns[c], 0)
         return bool(v) or bool(mask >> x & 1)
+
+    def copy(self) -> "Echelon":
+        twin = object.__new__(Echelon)
+        twin._columns, twin._pivots = self._columns, dict(self._pivots)
+        return twin
 
 
 def binary(columns) -> Matroid:

@@ -220,6 +220,7 @@ KERNEL = {
     # augment and exchange states and the search on them: the oracle
     # stays on one-shot is_independent queries
     "scan",
+    "grow",
     "exchanges",
     "replacement",
     "greedy_min_basis",

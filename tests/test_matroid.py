@@ -195,6 +195,25 @@ def test_graphic_query_is_sized_by_touched_vertices():
             assert big.is_independent(s) == small.is_independent(s), s
 
 
+def test_uniform_holds_nothing_per_element():
+    # the family stores no block id per element: 10^4 ids would take 80 KB,
+    # so this fails before a billion of them are built
+    tracemalloc.start()
+    try:
+        uniform(10**4, 1)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024
+    # a billion elements, every answer from k
+    mat, last = uniform(10**9, 1), 10**9 - 1
+    assert mat.is_independent({last}) and not mat.is_independent({0, last})
+    assert mat.greedy([last, 7, 0]) == {last}
+    assert mat.oracle_calls == 5
+    state = mat.exchanges({7})
+    assert state.fits(7, last) and mat.replacement(state, 7, [last]) == last
+
+
 def test_verify_axioms_accepts_families():
     verify_axioms(uniform(5, 2))
     verify_axioms(graphic(4, [(0, 1), (1, 2), (2, 0), (0, 3)]))
@@ -317,11 +336,22 @@ def test_scan_agrees_with_the_one_shot_query(mat, data):
     order = data.draw(st.permutations(range(mat.ground_size)))
     scan = family.scan()
     chosen: set[int] = set()
-    for e in order:
+    # a copy saved part way answers for the set held then, whatever the
+    # scan it was copied from takes afterwards
+    saved_at = data.draw(st.integers(0, len(order)), label="saved at")
+    for i, e in enumerate(order):
+        if i == saved_at:
+            saved, held = scan.copy(), set(chosen)
         fits = family.independent(frozenset(chosen | {e}))
         assert scan.add(e) == fits
         if fits:
             chosen.add(e)
+    if saved_at < len(order):
+        for e in order[saved_at:]:
+            fits = family.independent(frozenset(held | {e}))
+            assert saved.add(e) == fits
+            if fits:
+                held.add(e)
 
 
 @settings(max_examples=300, deadline=None)

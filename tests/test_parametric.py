@@ -494,13 +494,15 @@ def test_sweep_replays_a_group_outnumbering_the_elements():
     assert len(own_cells(cycle, weights, inst.interval)[1][3]) == 120
     # no deletion kills the rank, 7.  Left of 0 the cycle edges come
     # first, from 15 down: the full matroid's basis takes 15..9 in 7
-    # calls, the 9 sets that miss it take it free, and the 7 that delete
-    # one of 9..15 take 7 calls each.  At 0 a swap e -> f costs a set one
-    # test when e is in its basis and f is neither deleted nor in it.
-    # Each loop passes all 8 edges, 7 of them in the basis, and fails 7
-    # tests; a set keeping all 8 edges trades 9 for 8 once: with a loop
-    # deleted 7 * 7 + 1 = 50 tests, with an edge deleted 8 * 7 = 56
-    assert solve(inst, "brute").oracle_calls == 7 + 7 * 7 + 8 * 50 + 8 * 56
+    # calls, the 9 sets that miss it take it free, and a set deleting
+    # edge e of 9..15 takes B0's answers before e and tries the e - 8
+    # edges after it, 1 + 2 + ... + 7 = 28 calls in all.  At 0 a swap
+    # e -> f costs a set one test when e is in its basis and f is neither
+    # deleted nor in it.  Each loop passes all 8 edges, 7 of them in the
+    # basis, and fails 7 tests; a set keeping all 8 edges trades 9 for 8
+    # once: with a loop deleted 7 * 7 + 1 = 50 tests, with an edge
+    # deleted 8 * 7 = 56
+    assert solve(inst, "brute").oracle_calls == 7 + sum(range(1, 8)) + 8 * 50 + 8 * 56
 
 
 @st.composite
@@ -514,13 +516,16 @@ def walk_cases(draw):
 @given(case=walk_cases())
 @example(case=(graphic(4, [(0, 1), (0, 1), (1, 2), (2, 3)]), tuple(pw(e, 1 - e) for e in range(4)), Interval(F(-2), F(2)), 1))
 @example(case=(uniform(4, 1), tuple(pw(0, e) for e in range(4)), Interval(F(-1), F(1)), 1))
+@example(case=(graphic(3, [(0, 1), (1, 2), (0, 0)]), (pw(0, 0),) * 3, Interval(F(0), F(0)), 1))
 def test_one_walk_sweeps_every_deletion_set_as_it_would_alone(case):
     # the walk gives every set the pieces of its sweep alone, over its own
     # cells, and ends at the first set that kills the rank (in the first
     # example, (2,), a bridge); it costs at most the sweeps alone and the
     # full matroid's first basis.  Each set's pieces tile the interval,
     # one per basis: in the second example, a pencil, two swaps at 0
-    # move every set's basis, and the set still gets one piece there
+    # move every set's basis, and the set still gets one piece there.  In
+    # the third, (0,) kills and (1,) would too: a walk that went on past
+    # the first killer would ask 5 queries against the 4 allowed
     mat, weights, interval, ell = case
     cells = own_cells(mat, weights, interval)
     k = mat.rank()
@@ -544,6 +549,70 @@ def test_one_walk_sweeps_every_deletion_set_as_it_would_alone(case):
             for _lo, _hi, probe, _crossings in cells:
                 assert basis_at(sweep, probe.lam) == greedy_min_basis(mat.delete(fs), probe)
     assert walker.oracle_calls <= alone_calls
+
+
+@st.composite
+def first_cell_cases(draw):
+    """A view of arrangement_cases' or pencil_cases' matroid that deletes
+    their drawn elements, the cells of its ground set, a k up to its
+    rank, and deletion sets of its available elements: every ell-subset
+    for an ell of 1 to 3, or distinct sets of mixed sizes in any order."""
+    mat, weights, interval, deleted = draw(arrangement_cases() | pencil_cases())
+    view = mat.delete(deleted)
+    available = view.available
+    if draw(st.booleans()):
+        sets = list(combinations(available, draw(st.integers(1, 3))))
+    elif available:
+        deletion = st.lists(st.sampled_from(available), unique=True, max_size=3).map(tuple)
+        sets = draw(st.lists(deletion, unique_by=frozenset, min_size=1, max_size=8))
+    else:
+        sets = [()]
+    return view, own_cells(mat, weights, interval), draw(st.integers(0, view.rank())), sets
+
+
+def greedy_queries(order, fs, basis, k):
+    """The (deletions before p, p) pairs of the greedy along order
+    without fs that took basis: one per position it tried."""
+    taken = 0
+    for p, e in enumerate(order):
+        if taken == k:
+            return
+        if e not in fs:
+            yield frozenset(order[:p]).intersection(fs), p
+            taken += e in basis
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=first_cell_cases())
+@example(case=(uniform(5, 3).delete([4]), own_cells(uniform(5, 3), tuple(pw(e, 0) for e in range(5)), Interval(F(0), F(1))), 3, [(2,), (0, 1), (), (3, 0)]))
+def test_first_cell_walk_gives_each_set_its_own_greedy_basis(case):
+    # the walk over the first cell alone: each set gets the greedy basis
+    # of its own deleted view, stopped at k, and the walk ends at the
+    # first set short of k.  It asks each (deletions before a position,
+    # position) pair at most once, so no more than the pairs of B0's scan
+    # and of the sets' own greedies up to that set, and so no more calls
+    # than those greedies and B0's scan make
+    view, cells, k, sets = case
+    lo, hi, probe, _crossings = cells[0]
+    order = [e for e in probe.order if e not in view.deleted]
+    walker, first = view.with_fresh_counter(), view.with_fresh_counter()
+    walk = parametric_sweep(walker, cells[:1], k, sets)
+    b0 = greedy_min_basis(first, probe, k)
+    calls, pairs = first.oracle_calls, set(greedy_queries(order, (), b0, k))
+    expected = {}
+    for fs in sets:
+        alone = view.delete(fs).with_fresh_counter()
+        basis = greedy_min_basis(alone, probe, k)
+        calls += alone.oracle_calls
+        pairs.update(greedy_queries(order, fs, basis, k))
+        if len(basis) < k:
+            assert walk == {fs: None}
+            break
+        expected[fs] = basis
+    else:
+        assert list(walk) == sets
+        assert all(sweep == ((lo, hi, sweep[0].line, expected[fs]),) for fs, sweep in walk.items())
+    assert walker.oracle_calls <= len(pairs) <= calls
 
 
 def test_sweep_cell_at():

@@ -349,14 +349,13 @@ class Matroid:
     def delete(self, removed: Iterable[int]) -> "Matroid":
         return Matroid(self._family, self.deleted.union(removed), self._counter)
 
-    def greedy(self, order: Iterable[int], stop_at: int | None = None) -> frozenset[int]:
+    def greedy(self, order: Iterable[int]) -> frozenset[int]:
         """The independent set grown greedily along order from nothing.
 
-        One grow() scan: each element tried costs one oracle call, and the
-        scan stops once the set holds stop_at elements.  Along a weight
-        order this is the minimum basis.
+        One grow() scan: each element tried costs one oracle call.  Along
+        a weight order this is the minimum basis.
         """
-        return self.grow(self.scan(), order, stop_at)
+        return self.grow(self.scan(), order)
 
     def scan(self):
         """A fresh augment state of the family, holding nothing; see grow."""

@@ -202,16 +202,14 @@ def crossing_cells(interval: Interval, events: Sequence[EqualityPoint], columns:
     return cells
 
 
-def greedy_min_basis(matroid: Matroid, probe: Probe, stop_at: int | None = None) -> frozenset[int]:
+def greedy_min_basis(matroid: Matroid, probe: Probe) -> frozenset[int]:
     """Minimum-weight maximal independent set at the probe.
 
     May be smaller than the full-rank basis when deletions have reduced
-    the rank; callers treat that as the infinite-value case.  With
-    stop_at, the scan ends once the set holds that many elements (see
-    Matroid.greedy).
+    the rank; callers treat that as the infinite-value case.
     """
     deleted = matroid.deleted
-    return matroid.greedy([e for e in probe.order if e not in deleted], stop_at)
+    return matroid.greedy([e for e in probe.order if e not in deleted])
 
 
 def replacement_element(
@@ -331,8 +329,8 @@ def parametric_sweep(
     default, one empty set, sweeps the matroid itself.  Each F maps to
     its sweep, one SweepPiece per basis, neighbours holding different
     bases, so the value is a minimum of basis lines, continuous, and
-    fixed by its lines in order.  Equal bases share one object, and so
-    do the one-piece sweeps of a basis that never moves.
+    fixed by its lines in order.  The sets of one group, below, share
+    one sweep object.
 
     In the first cell each F gets its greedy basis along the probe
     order, stopped at k elements, from one walk that shares prefixes.
@@ -346,32 +344,37 @@ def parametric_sweep(
     asked twice for the same deletions, and every query is one that F's
     own greedy would ask.  A basis short of k means F kills the rank at
     every lam; the walk, over cells[:1] too, returns {F: None} for the
-    first such F.  An index from each element to the sets whose basis
-    holds it carries the bases across the later cells.  A group of
-    coincident crossings is its chain of adjacent swaps, and every swap
-    e -> f, lone or not, visits only the sets in e's entry and gives
-    each, unless f is deleted from it or already in its basis, the one
-    independence test of exchange(), on the matroid itself: B - e + f
-    then holds no deleted element.  A set moved by several swaps of one
-    group gets one piece at their lam, never on the basis it left: a
-    basis is greedy exactly while certain pairs keep their order, and
-    each pair swaps once.  A set's basis is the greedy basis of its
-    deleted view at every probe, so its pieces match a walk over that
-    set alone, over its own cells, and the walk costs at most the oracle
-    calls of those walks together plus the B0 scan.
+    first such F.
+
+    The later cells move groups, not sets: a group is [basis, sets,
+    steps], the sets that have held one basis at every crossing so far,
+    first those with one first-cell basis, and steps its (lam, basis)
+    wherever that basis changed.  An index from each element to the
+    groups whose basis holds it carries the bases across.  Coincident
+    crossings come as their chain of adjacent swaps, and every swap
+    e -> f, lone or not, visits only the groups in e's entry.  A group
+    gets the one independence test of exchange(), on the matroid
+    itself, unless f is deleted from the matroid, already in its basis,
+    or deleted by every member: B - e + f then holds no element that a
+    member without f deletes, so the answer is the same for each.  When
+    B - e + f is independent, the members that delete f keep B, in a
+    new group with a copy of the steps, and the others move.  A group
+    moved by several swaps at one lam gets one step there, never on the
+    basis it left: a basis is greedy exactly while certain pairs keep
+    their order, and each pair swaps once.  A set's basis is the greedy
+    basis of its deleted view at every probe, so its pieces match a
+    walk over that set alone, over its own cells, and the walk costs at
+    most the oracle calls of those walks together plus the B0 scan: a
+    swap costs a group one test where each member alone would pay one.
     """
     lo, _hi, probe, _crossings = cells[0]
-    columns = probe.columns
-    outside = tuple(matroid.deleted)
-    order = [e for e in probe.order if e not in matroid.deleted]
+    deleted = matroid.deleted
+    order = [e for e in probe.order if e not in deleted]
     position = {e: p for p, e in enumerate(order)}
     b0 = _Run(0, [], matroid.scan())
     b0.advance(matroid, order, position, len(order), k)
-    sets: list[tuple[int, ...]] = []
-    deleted: list[tuple[int, ...]] = []  # per set, the matroid's deleted elements and F
-    bases: list[frozenset[int]] = []
-    shared: dict[frozenset[int], frozenset[int]] = {}  # one object per distinct basis
-    members: dict[frozenset[int], list[int]] = {}  # per first-cell basis, the sets holding it
+    sweeps = {}  # every set in input order, given its group's sweep once the walk ends
+    first: dict[frozenset[int], list] = {}  # per first-cell basis, its group
     for F in deletion_sets:
         run = b0
         for p in sorted(map(position.__getitem__, F)):
@@ -382,60 +385,53 @@ def parametric_sweep(
             run = run.fork(p)
         if run.basis is None:
             run.advance(matroid, order, position, len(order), k)
-            basis = frozenset(run.chosen)
-            run.basis = shared.setdefault(basis, basis)
+            run.basis = frozenset(run.chosen)
         if len(run.basis) < k:
             return {F: None}
-        members.setdefault(run.basis, []).append(len(sets))
-        sets.append(F)
-        deleted.append(outside + F)  # F itself when the matroid deletes nothing
-        bases.append(run.basis)
+        first.setdefault(run.basis, [run.basis, [], [(lo, run.basis)]])[1].append(F)
+        sweeps[F] = None
+    groups = list(first.values())
     holders: list[set[int]] = [set() for _ in range(matroid.ground_size)]
-    for basis, held_by in members.items():
+    for g, (basis, _sets, _steps) in enumerate(groups):
         for e in basis:
-            holders[e].update(held_by)
-    moves: dict[int, list[tuple]] = {}  # per set that moves, (lam, basis) wherever its basis changes
-
-    def move(i, lam, basis):
-        basis = shared.setdefault(basis, basis)
-        for e in bases[i] - basis:
-            holders[e].discard(i)
-        for f in basis - bases[i]:
-            holders[f].add(i)
-        steps = moves.setdefault(i, [(lo, bases[i])])
-        if steps[-1][0] == lam:  # an earlier swap at lam moved it: one piece per lam
-            steps.pop()
-        steps.append((lam, basis))
-        bases[i] = basis
-
+            holders[e].add(g)
     for lam, _hi, _probe, crossings in cells[1:]:
         for ev in crossings:
-            for i in list(holders[ev.leaving]):
-                if ev.entering in deleted[i] or ev.entering in bases[i]:
+            e, f = ev.leaving, ev.entering
+            if f in deleted:
+                continue
+            for g in list(holders[e]):
+                group = groups[g]
+                basis, members, steps = group
+                if f in basis or all(f in F for F in members):
                     continue
-                basis = exchange(matroid, bases[i], ev)
-                if basis is not bases[i]:
-                    move(i, lam, basis)
+                swapped = exchange(matroid, basis, ev)
+                if swapped is basis:
+                    continue
+                stay = [F for F in members if f in F]
+                if stay:
+                    for x in basis:
+                        holders[x].add(len(groups))
+                    groups.append([basis, stay, steps.copy()])
+                    group[1] = [F for F in members if f not in F]
+                holders[e].discard(g)
+                holders[f].add(g)
+                if steps[-1][0] == lam:  # an earlier swap at lam moved it: one step per lam
+                    steps.pop()
+                steps.append((lam, swapped))
+                group[0] = swapped
 
     hi = cells[-1][1]
     lines: dict[frozenset[int], tuple[int, int]] = {}
-    unmoved: dict[frozenset[int], tuple[SweepPiece]] = {}  # per basis, the one sweep of the sets it never leaves
-    sweeps = {}
-    for i, F in enumerate(sets):
-        if i not in moves and bases[i] in unmoved:
-            sweeps[F] = unmoved[bases[i]]
-            continue
-        steps = moves.get(i) or [(lo, bases[i])]
-        ends = [lam for lam, _basis in steps[1:]]
-        ends.append(hi)
+    for _basis, members, steps in groups:
         pieces = []
-        for (start, basis), end in zip(steps, ends):
+        for (start, basis), end in zip(steps, [*(lam for lam, _basis in steps[1:]), hi]):
             if basis not in lines:
-                lines[basis] = basis_line(columns, basis)
+                lines[basis] = basis_line(probe.columns, basis)
             pieces.append(SweepPiece(start, end, lines[basis], basis))
-        sweeps[F] = tuple(pieces)
-        if i not in moves:
-            unmoved[bases[i]] = sweeps[F]
+        sweep = tuple(pieces)
+        for F in members:
+            sweeps[F] = sweep
     return sweeps
 
 

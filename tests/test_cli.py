@@ -575,6 +575,22 @@ def test_bench_cross_checks_algorithms(tmp_path):
         assert row["oracle_calls"] > 0
 
 
+def test_uset_and_tree_agree_past_the_brute_cap(tmp_path, monkeypatch, capsys):
+    # C(120, 3) = 280,840 deletion sets: past the default enumeration
+    # cap, so brute is refused, and only the paper's algorithms, which
+    # enumerate no such family, solve it
+    monkeypatch.delenv("INTERDICTION_ENUM_CAP", raising=False)
+    inst = str(tmp_path / "big.json")
+    assert main(["generate", "graphic", "--m", "120", "--k", "5", "--ell", "3", "--seed", "0", "-o", inst]) == 0
+    assert main(["solve", inst, "--algorithm", "brute"]) == 4
+    assert capsys.readouterr().err == "error: 280840 deletion sets to enumerate exceed the enumeration cap 200000\n"
+    out = tmp_path / "bench.json"
+    assert main(["bench", inst, "--algorithms", "uset,tree", "-o", str(out)]) == 0
+    uset, tree = json.loads(out.read_text())
+    assert tree["agrees_with_first"] is True
+    assert uset["changepoints"] == tree["changepoints"] == 29
+
+
 def test_bench_names_where_solvers_part(tmp_path):
     # ROADMAP item 1's tied-maximizer reproducer: uset splits at lam=1,
     # taking F=(1,) on [1, 2], where brute keeps F=(0,) on [-2, 2]

@@ -276,15 +276,15 @@ def test_partition_matches_counting(blocks, caps):
             assert mat.is_independent(s) == by_count
 
 
-def reference_greedy(mat: Matroid, order, stop_at):
+def reference_greedy(mat: Matroid, order, room):
     """The greedy scan written out: one one-shot query per element tried.
 
     An element already chosen is tried again at the cost of one call
-    and changes nothing.
+    and changes nothing; the scan stops once it holds room elements.
     """
     chosen: list[int] = []
     for e in order:
-        if len(chosen) == stop_at:
+        if len(chosen) == room:
             break
         if mat.is_independent([*chosen, e]) and e not in chosen:
             chosen.append(e)
@@ -389,7 +389,8 @@ def test_greedy_matches_the_reference_scan(mat, data):
         i = data.draw(st.integers(0, len(order) - 1), label="repeated")
         j = data.draw(st.integers(i + 1, len(order)), label="again at")
         order.insert(j, order[i])
-    stop_at = data.draw(st.none() | st.integers(0, m + 1), label="stop_at")
+    room = data.draw(st.none() | st.integers(0, m + 1), label="room")
     a, b = view.with_fresh_counter(), view.with_fresh_counter()
-    assert a.greedy(order, stop_at) == reference_greedy(b, order, stop_at)
+    got = a.greedy(order) if room is None else a.grow(a.scan(), order, room)
+    assert got == reference_greedy(b, order, room)
     assert a.oracle_calls == b.oracle_calls

@@ -496,13 +496,29 @@ def test_sweep_replays_a_group_outnumbering_the_elements():
     # first, from 15 down: the full matroid's basis takes 15..9 in 7
     # calls, the 9 sets that miss it take it free, and a set deleting
     # edge e of 9..15 takes B0's answers before e and tries the e - 8
-    # edges after it, 1 + 2 + ... + 7 = 28 calls in all.  At 0 a swap
-    # e -> f costs a set one test when e is in its basis and f is neither
-    # deleted nor in it.  Each loop passes all 8 edges, 7 of them in the
-    # basis, and fails 7 tests; a set keeping all 8 edges trades 9 for 8
-    # once: with a loop deleted 7 * 7 + 1 = 50 tests, with an edge
-    # deleted 8 * 7 = 56
-    assert solve(inst, "brute").oracle_calls == 7 + sum(range(1, 8)) + 8 * 50 + 8 * 56
+    # edges after it, 1 + 2 + ... + 7 = 28 calls in all.  Those 9 sets
+    # form one group, the 7 others one each.  At 0 a swap e -> f costs a
+    # group one test when e is in its basis and f is neither in it nor
+    # deleted by every member.  The swaps onto edges 14..9 find f in each
+    # basis or deleted; 15 -> 8 trades 15 for 8 in B0's group, whose
+    # member (8,) splits off keeping B0, and the later swaps onto 8 find
+    # it in the basis or deleted by all.  Then each loop passes all 8
+    # edges, and each of the 9 groups fails one test per edge of its
+    # basis: 8 * 9 * 7 tests
+    assert solve(inst, "brute").oracle_calls == 7 + sum(range(1, 8)) + 1 + 8 * 9 * 7
+
+
+def test_sets_that_never_part_share_one_sweep():
+    # the pencil above: the 8 loop-deleting sets keep one basis through
+    # every swap at 0, so they stay one group and share one sweep,
+    # although their basis moves there.  Equal sweeps need not share
+    # one: groups that split can meet again, as in uniform(4, 1) with
+    # weights pw(0, e), where (1,) and (2,) part at 0 and end on one basis
+    cycle = graphic(8, [(i, i) for i in range(8)] + [(i, (i + 1) % 8) for i in range(8)])
+    cells = own_cells(cycle, tuple(pw(0, e) for e in range(16)), Interval(F(-1), F(1)))
+    walk = parametric_sweep(cycle, cells, 7, list(combinations(range(16), 1)))
+    loops = [walk[(j,)] for j in range(8)]
+    assert len(loops[0]) == 2 and all(sweep is loops[0] for sweep in loops)
 
 
 @st.composite
@@ -532,7 +548,7 @@ def test_one_walk_sweeps_every_deletion_set_as_it_would_alone(case):
     sets = list(combinations(mat.available, ell))
     walker, first = mat.with_fresh_counter(), mat.with_fresh_counter()
     walk = parametric_sweep(walker, cells, k, sets)
-    greedy_min_basis(first, cells[0][2], k)
+    first.grow(first.scan(), cells[0][2].order, k)
     alone_calls = first.oracle_calls
     alone = {}
     for fs in sets:
@@ -597,12 +613,12 @@ def test_first_cell_walk_gives_each_set_its_own_greedy_basis(case):
     order = [e for e in probe.order if e not in view.deleted]
     walker, first = view.with_fresh_counter(), view.with_fresh_counter()
     walk = parametric_sweep(walker, cells[:1], k, sets)
-    b0 = greedy_min_basis(first, probe, k)
+    b0 = first.grow(first.scan(), order, k)
     calls, pairs = first.oracle_calls, set(greedy_queries(order, (), b0, k))
     expected = {}
     for fs in sets:
         alone = view.delete(fs).with_fresh_counter()
-        basis = greedy_min_basis(alone, probe, k)
+        basis = alone.grow(alone.scan(), [e for e in order if e not in fs], k)
         calls += alone.oracle_calls
         pairs.update(greedy_queries(order, fs, basis, k))
         if len(basis) < k:

@@ -10,10 +10,10 @@ interdicted basis.
   their greedy runs, stopped at the rank: a set follows the full
   matroid's run and forks at each element of its own that the run
   took, so no query is asked twice for the same deletions.  Later the
-  walk moves groups, the sets that have held one basis so far: each
-  crossing visits only the groups whose basis it can change, found
-  through an index from each element to the groups whose basis holds
-  it, and costs each at most one independence test.  One sweep per
+  walk keeps one entry per distinct basis, with the sets holding it:
+  each crossing visits only the bases it can change, found through an
+  index from each element to the bases holding it, and costs each at
+  most one independence test, however many sets hold it.  One sweep per
   distinct value function, that of the smallest deletion set taking
   it, enters the envelope.
 * solve_uset tracks layered bases whose union confines all relevant
@@ -367,7 +367,7 @@ def solve_brute(instance: MatroidInstance) -> InterdictionSolution:
     d = cells[0][2].columns[0]
     funcs = []
     seen: set[tuple] = set()
-    keyed: set[int] = set()  # the sweeps keyed already: a group's sets share one
+    keyed: set[int] = set()  # the sweeps keyed already: a part's sets share one
     for F, sweep in parametric_sweep(mat, cells, k, sets).items():
         if sweep is None:
             return _flat_solution(mat, instance, "brute", killer=F)

@@ -12,7 +12,7 @@ the arrangement, built once per solve by crossing_cells, where crossings
 sharing a lam come as adjacent swaps (a symbolic perturbation).  Every
 deleted view of a ground set sweeps the same cells, and one walk over
 them, parametric_sweep, carries the minimum bases of any number of
-deleted views at once.
+deleted views at once, one entry per distinct basis.
 
 Inside a solve every computation runs on plain ints.  Each solve writes
 the weights once in integer form, as columns (weight_columns): a common
@@ -40,7 +40,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby
+from itertools import chain, groupby
 from math import lcm
 from operator import attrgetter
 from typing import Container, Iterable, NamedTuple, Sequence
@@ -329,7 +329,7 @@ def parametric_sweep(
     default, one empty set, sweeps the matroid itself.  Each F maps to
     its sweep, one SweepPiece per basis, neighbours holding different
     bases, so the value is a minimum of basis lines, continuous, and
-    fixed by its lines in order.  The sets of one group, below, share
+    fixed by its lines in order.  The sets of one part, below, share
     one sweep object.
 
     In the first cell each F gets its greedy basis along the probe
@@ -346,26 +346,26 @@ def parametric_sweep(
     every lam; the walk, over cells[:1] too, returns {F: None} for the
     first such F.
 
-    The later cells move groups, not sets: a group is [basis, sets,
-    steps], the sets that have held one basis at every crossing so far,
-    first those with one first-cell basis, and steps its (lam, basis)
-    wherever that basis changed.  An index from each element to the
-    groups whose basis holds it carries the bases across.  Coincident
-    crossings come as their chain of adjacent swaps, and every swap
-    e -> f, lone or not, visits only the groups in e's entry.  A group
-    gets the one independence test of exchange(), on the matroid
-    itself, unless f is deleted from the matroid, already in its basis,
-    or deleted by every member: B - e + f then holds no element that a
-    member without f deletes, so the answer is the same for each.  When
-    B - e + f is independent, the members that delete f keep B, in a
-    new group with a copy of the steps, and the others move.  A group
-    moved by several swaps at one lam gets one step there, never on the
-    basis it left: a basis is greedy exactly while certain pairs keep
-    their order, and each pair swaps once.  A set's basis is the greedy
-    basis of its deleted view at every probe, so its pieces match a
-    walk over that set alone, over its own cells, and the walk costs at
-    most the oracle calls of those walks together plus the B0 scan: a
-    swap costs a group one test where each member alone would pay one.
+    The later cells move bases, not sets: each distinct basis held maps
+    to its parts (sets, steps), one per history, the sets that have held
+    one basis at every crossing so far, and steps their (lam, basis)
+    wherever that basis changed, a tuple that a split shares.  An index
+    from each element to the bases holding it carries them across.
+    Coincident crossings come as their chain of adjacent swaps, and
+    every swap e -> f, lone or not, visits only the bases in e's entry.
+    A basis B gets the one independence test of exchange(), on the
+    matroid itself, unless f is deleted from the matroid, in B, or
+    deleted by every set of every part: B - e + f then holds no element
+    that a set without f deletes, so the answer is the same for each.
+    When B - e + f is independent, each part's sets that delete f keep
+    B, and the others join the entry of B - e + f as a part of their
+    own.  A part moved by several swaps at one lam gets one step there,
+    never on the basis it left: a basis is greedy exactly while certain
+    pairs keep their order, and each pair swaps once.  A set's basis is
+    the greedy basis of its deleted view at every probe, so its pieces
+    match a walk over that set alone, over its own cells, and the walk
+    costs at most the oracle calls of those walks together plus the B0
+    scan: a swap costs a basis one test where each set alone would pay one.
     """
     lo, _hi, probe, _crossings = cells[0]
     deleted = matroid.deleted
@@ -373,8 +373,8 @@ def parametric_sweep(
     position = {e: p for p, e in enumerate(order)}
     b0 = _Run(0, [], matroid.scan())
     b0.advance(matroid, order, position, len(order), k)
-    sweeps = {}  # every set in input order, given its group's sweep once the walk ends
-    first: dict[frozenset[int], list] = {}  # per first-cell basis, its group
+    sweeps = {}  # every set in input order, given its part's sweep once the walk ends
+    held: dict[frozenset[int], list[tuple[list, tuple]]] = {}  # per basis, its parts (sets, steps)
     for F in deletion_sets:
         run = b0
         for p in sorted(map(position.__getitem__, F)):
@@ -388,50 +388,50 @@ def parametric_sweep(
             run.basis = frozenset(run.chosen)
         if len(run.basis) < k:
             return {F: None}
-        first.setdefault(run.basis, [run.basis, [], [(lo, run.basis)]])[1].append(F)
+        held.setdefault(run.basis, [([], ((lo, run.basis),))])[0][0].append(F)
         sweeps[F] = None
-    groups = list(first.values())
-    holders: list[set[int]] = [set() for _ in range(matroid.ground_size)]
-    for g, (basis, _sets, _steps) in enumerate(groups):
+    holders: list[set[frozenset[int]]] = [set() for _ in range(matroid.ground_size)]
+    for basis in held:
         for e in basis:
-            holders[e].add(g)
+            holders[e].add(basis)
     for lam, _hi, _probe, crossings in cells[1:]:
         for ev in crossings:
             e, f = ev.leaving, ev.entering
             if f in deleted:
                 continue
-            for g in list(holders[e]):
-                group = groups[g]
-                basis, members, steps = group
-                if f in basis or all(f in F for F in members):
+            for basis in list(holders[e]):
+                parts = held[basis]
+                if f in basis or all(f in F for members, _steps in parts for F in members):
                     continue
                 swapped = exchange(matroid, basis, ev)
                 if swapped is basis:
                     continue
-                stay = [F for F in members if f in F]
-                if stay:
+                for x in swapped:
+                    holders[x].add(swapped)
+                held.setdefault(swapped, [])
+                held[basis] = []
+                for members, steps in parts:
+                    stay = [F for F in members if f in F]
+                    if stay:
+                        held[basis].append((stay, steps))
+                    if len(stay) < len(members):
+                        if steps[-1][0] == lam:  # an earlier swap at lam moved it: one step per lam
+                            steps = steps[:-1]
+                        held[swapped].append(([F for F in members if f not in F], (*steps, (lam, swapped))))
+                if not held[basis]:
+                    del held[basis]
                     for x in basis:
-                        holders[x].add(len(groups))
-                    groups.append([basis, stay, steps.copy()])
-                    group[1] = [F for F in members if f not in F]
-                holders[e].discard(g)
-                holders[f].add(g)
-                if steps[-1][0] == lam:  # an earlier swap at lam moved it: one step per lam
-                    steps.pop()
-                steps.append((lam, swapped))
-                group[0] = swapped
+                        holders[x].discard(basis)
 
     hi = cells[-1][1]
     lines: dict[frozenset[int], tuple[int, int]] = {}
-    for _basis, members, steps in groups:
+    for members, steps in chain.from_iterable(held.values()):
         pieces = []
         for (start, basis), end in zip(steps, [*(lam for lam, _basis in steps[1:]), hi]):
             if basis not in lines:
                 lines[basis] = basis_line(probe.columns, basis)
             pieces.append(SweepPiece(start, end, lines[basis], basis))
-        sweep = tuple(pieces)
-        for F in members:
-            sweeps[F] = sweep
+        sweeps.update(dict.fromkeys(members, tuple(pieces)))
     return sweeps
 
 

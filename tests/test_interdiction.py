@@ -603,8 +603,8 @@ def test_solution_accessors_and_counter_isolation():
 # solver makes fails here instead of passing unnoticed.
 ORACLE_CALL_PINS = [
     (("graphic", 15, 5, 2, 4), {"brute": 107, "uset": 1192, "tree": 558}),
-    (("partition", 12, 3, 2, 5), {"brute": 218, "uset": 1031, "tree": 2964}),
-    (("uniform", 10, 4, 2, 7), {"brute": 199, "uset": 890, "tree": 1554}),
+    (("partition", 12, 3, 2, 5), {"brute": 134, "uset": 1031, "tree": 2964}),
+    (("uniform", 10, 4, 2, 7), {"brute": 126, "uset": 890, "tree": 1554}),
 ]
 
 

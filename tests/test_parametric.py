@@ -2,11 +2,14 @@
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from matroid_interdiction import parametric
+from matroid_interdiction.cli import generate_random, instance_from_dict
 from matroid_interdiction.envelope import NEG_INF, POS_INF, Line, interior_point
 from matroid_interdiction.interdiction import ALGORITHMS, solve
 from matroid_interdiction.matroid import graphic, partition, uniform
@@ -497,15 +500,15 @@ def test_sweep_replays_a_group_outnumbering_the_elements():
     # calls, the 9 sets that miss it take it free, and a set deleting
     # edge e of 9..15 takes B0's answers before e and tries the e - 8
     # edges after it, 1 + 2 + ... + 7 = 28 calls in all.  Those 9 sets
-    # form one group, the 7 others one each.  At 0 a swap e -> f costs a
-    # group one test when e is in its basis and f is neither in it nor
-    # deleted by every member.  The swaps onto edges 14..9 find f in each
-    # basis or deleted; 15 -> 8 trades 15 for 8 in B0's group, whose
-    # member (8,) splits off keeping B0, and the later swaps onto 8 find
-    # it in the basis or deleted by all.  Then each loop passes all 8
-    # edges, and each of the 9 groups fails one test per edge of its
-    # basis: 8 * 9 * 7 tests
-    assert solve(inst, "brute").oracle_calls == 7 + sum(range(1, 8)) + 1 + 8 * 9 * 7
+    # hold B0, the 7 others one basis each: 8 distinct bases.  At 0 a
+    # swap e -> f costs a basis one test when e is in it and f is neither
+    # in it nor deleted by every set holding it.  The swaps onto edges
+    # 14..9 find f in each basis or deleted; 15 -> 8 trades 15 for 8 in
+    # B0, where (8,) stays and the 8 loop-deleting sets join (15,) on
+    # B0 - 15 + 8, and the later swaps onto 8 find it in the basis or
+    # deleted by all.  Then each loop passes all 8 edges, and each of the
+    # 8 bases fails one test per edge it holds: 8 * 8 * 7 tests
+    assert solve(inst, "brute").oracle_calls == 7 + sum(range(1, 8)) + 1 + 8 * 8 * 7
 
 
 def test_sets_that_never_part_share_one_sweep():
@@ -565,6 +568,30 @@ def test_one_walk_sweeps_every_deletion_set_as_it_would_alone(case):
             for _lo, _hi, probe, _crossings in cells:
                 assert basis_at(sweep, probe.lam) == greedy_min_basis(mat.delete(fs), probe)
     assert walker.oracle_calls <= alone_calls
+
+
+PINNED_PARTITION = instance_from_dict(generate_random("partition", 12, 3, 2, 5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=walk_cases())
+@example(case=(PINNED_PARTITION.matroid, PINNED_PARTITION.weights, PINNED_PARTITION.interval, PINNED_PARTITION.ell))
+def test_the_walk_tests_each_basis_once_per_swap(case):
+    # sets that part and later meet on one basis share its entry, so a
+    # swap reaches the oracle at most once per basis: no (basis, lam,
+    # leaving, entering) test repeats within one walk.  The example is
+    # the pinned partition spec, whose sets meet again after parting
+    mat, weights, interval, ell = case
+    tests = []
+
+    def spy(matroid, basis, ev):
+        if ev.leaving in basis and ev.entering not in basis:  # the cases exchange() tests
+            tests.append((basis, ev))
+        return exchange(matroid, basis, ev)
+
+    with patch.object(parametric, "exchange", spy):
+        parametric_sweep(mat, own_cells(mat, weights, interval), mat.rank(), list(combinations(mat.available, ell)))
+    assert len(set(tests)) == len(tests)
 
 
 @st.composite

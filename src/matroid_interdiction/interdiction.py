@@ -13,12 +13,14 @@ interdicted basis.
   walk keeps one entry per distinct basis, with the sets holding it:
   each crossing visits only the bases it can change, found through an
   index from each element to the bases holding it, and costs each at
-  most one independence test, however many sets hold it.  One sweep per
-  distinct value function, that of the smallest deletion set taking
-  it, enters the envelope.
+  most one independence test, however many sets hold it.  Of the
+  sweeps, one per distinct value function, that of the smallest
+  deletion set taking it, an integer filter keeps those undominated on
+  some interval of their joint grid, and only those enter the envelope.
 * solve_uset tracks layered bases whose union confines all relevant
-  deletion sets, updating them with a few oracle calls per crossing and
-  falling back to scratch recomputation when a crossing ripples.
+  deletion sets, updating them with a few oracle calls per crossing
+  (one exchange test per distinct tracked basis) and falling back to
+  scratch recomputation when a crossing ripples.
 * solve_tree regrows a candidate search tree of replacement chains in
   every cell between consecutive crossings; each distinct layer it
   searches gets one exchange state per cell, shared by every
@@ -39,7 +41,8 @@ becomes an envelope entry, (basis_line, SegmentLabel), made when a run
 starts and reusing the previous run's entry for the same pair.  brute
 stays on upper_envelope over whole per-deletion sweeps, an independent
 reference for the shared loop: it uses no layered bases, no replacement
-search and no envelope_of_lines.
+search and no envelope_of_lines, and its dominance filter, _undominated,
+compares int lines of its own.
 
 A deletion that kills the matroid rank makes y identically +inf, and
 one search finds the witness for all three solvers: brute's walk over
@@ -246,6 +249,7 @@ def update_interdicted_set(
     basis: frozenset[int],
     event: EqualityPoint,
     renamed: bool,
+    swaps: dict,
 ) -> tuple[frozenset[int], frozenset[int]]:
     """Deletion set and interdicted basis right of the event.
 
@@ -256,7 +260,10 @@ def update_interdicted_set(
     basis).  With f absent the basis stays put: e only ever entered the
     picture through f, so a basis that never needed f cannot profit
     from e's return.  Without a rename the basis obeys the sweep's
-    exchange(), unless f is deleted.
+    exchange(), unless f is deleted.  swaps holds exchange()'s answers
+    at this event by basis, filled as they are asked: a caller passes one
+    dict to every set it updates at the event, so each distinct basis
+    costs one test.
     """
     e, f = event.leaving, event.entering
     if renamed and e in F:
@@ -266,7 +273,9 @@ def update_interdicted_set(
         return new_f, basis
     if f in F:
         return F, basis
-    return F, exchange(matroid, basis, event)
+    if basis not in swaps:
+        swaps[basis] = exchange(matroid, basis, event)
+    return F, swaps[basis]
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +363,14 @@ def solve_brute(instance: MatroidInstance) -> InterdictionSolution:
     neighbours on one line merged, fix the function and key the sweep,
     as int pairs over the solve's one denominator.  Of the deletion sets
     whose sweeps take equal values everywhere, only the first in
-    enumeration order, the smallest, enters the envelope: ties go to the
-    smallest label, and a label compares its deletion set first, so the
-    later ones never label a point.
+    enumeration order, the smallest, is kept: ties go to the smallest
+    label, and a label compares its deletion set first, so the later
+    ones never label a point.  Of those sweeps, _undominated keeps the
+    ones no other sweep dominates on some interval of their joint grid,
+    comparing ints; it keeps the winner of every point (see there), so
+    only those become Fraction functions and enter upper_envelope, which
+    returns what it would over all C(m, ell) sweeps.  No oracle call is
+    made after the walk.
     """
     mat = instance.matroid.with_fresh_counter()
     k = instance.rank
@@ -365,7 +379,7 @@ def solve_brute(instance: MatroidInstance) -> InterdictionSolution:
     sets = _deletion_sets(mat, instance.ell)  # refused before the arrangement is built
     cells = _arrangement(mat, instance)
     d = cells[0][2].columns[0]
-    funcs = []
+    distinct: list[tuple] = []  # (F, sweep) per distinct value function, in enumeration order
     seen: set[tuple] = set()
     keyed: set[int] = set()  # the sweeps keyed already: a part's sets share one
     for F, sweep in parametric_sweep(mat, cells, k, sets).items():
@@ -378,10 +392,87 @@ def solve_brute(instance: MatroidInstance) -> InterdictionSolution:
         if key in seen:
             continue
         seen.add(key)
+        distinct.append((F, sweep))
+    funcs = []
+    for t in _undominated([sweep for _F, sweep in distinct]):
+        F, sweep = distinct[t]
         pieces = tuple(Piece(p.lo, p.hi, Line.from_ints(d, *p.line), _label(F, p.basis)) for p in sweep)
         funcs.append(PiecewiseLinearFunction(sweep[0].lo, sweep[-1].hi, pieces))
     env = upper_envelope(funcs)
     return InterdictionSolution(env, _classify(env), "brute", mat.oracle_calls)
+
+
+def _undominated(sweeps) -> list[int]:
+    """Positions of the sweeps that no other sweep dominates on some grid interval, ascending.
+
+    The grid is the sweeps' piece boundaries with the interval's ends;
+    inside one grid interval [x, x'] every sweep is one int line (s, i)
+    over d.  At each grid point a sweep's value is s * p + i * q at
+    lam = p / q (d * q times its value), (-s, i) at -inf and (s, i) at
+    +inf, whose order is the order of the lines' values near that end.
+    g dominates t != g on [x, x'] when g >= t at both ends and either
+    g > t at one end or g comes first in the list.  The candidates g are
+    two: the sweep largest at x (ties to the larger at x', then the
+    first), and the one largest at x' (ties to the larger at x, then the
+    first).  A sweep undominated by both on some interval is kept; a
+    point domain is the one interval [x, x].
+
+    Why it is exact: two lines with g >= t at both ends of an interval
+    have g >= t all over it, and g > t inside it when g > t at one end.
+    So at a point inside an interval, a dominated t is below g, or ties
+    with g and comes later.  The sweeps come in enumeration order, whose
+    first is the smallest deletion set, and a tie goes to the smallest
+    label, which compares its deletion set first: t then never labels
+    that point.  The winner (largest value, then smallest label) of
+    every point inside a grid interval is therefore kept, the grid
+    points are finitely many, and upper_envelope over the kept sweeps
+    returns the labelled function it returns over all of them.
+
+    With a the values at x and b those at x', g1 the first candidate
+    and g2 the second, the rule comes down to this, since g1 is largest
+    at x and g2 at x': t is kept on [x, x'] when it is g1 or g2, or when
+    a[t] > a[g2] and b[t] > b[g1].  No oracle call is made.
+    """
+    hi = sweeps[0][-1].hi
+    # boundaries keyed by object, equal ones meeting in one grid point: the
+    # sweeps share the arrangement's lam objects, so a Fraction is hashed
+    # once per lam, not once per piece
+    starts = {id(p.lo): p.lo for sweep in sweeps for p in sweep}
+    grid = sorted(set(starts.values()) | {hi})
+    at = {x: j for j, x in enumerate(grid)}
+    index = {key: at[x] for key, x in starts.items()}
+    rows = []  # per sweep, its line at every grid point
+    for sweep in sweeps:
+        row: list[tuple[int, int]] = []
+        for p, nxt in zip(sweep, sweep[1:]):
+            row += [p.line] * (index[id(nxt.lo)] - len(row))
+        row += [sweep[-1].line] * (len(grid) - len(row))
+        rows.append(row)
+    values = []  # per grid point, every sweep's value there
+    for x, lines in zip(grid, zip(*rows)):
+        if isinstance(x, Fraction):
+            p, q = x.numerator, x.denominator
+            values.append([s * p + i * q for s, i in lines])
+        elif x < 0:
+            values.append([(-s, i) for s, i in lines])
+        else:
+            values.append(list(lines))
+    kept: set[int] = set()
+    for a, b in list(zip(values, values[1:])) or [(values[0], values[0])]:
+        g1, g2 = _largest(a, b), _largest(b, a)
+        kept |= {g1, g2}
+        if g1 != g2:
+            y, z = a[g2], b[g1]
+            kept.update(t for t, (u, v) in enumerate(zip(a, b)) if u > y and v > z)
+    return sorted(kept)
+
+
+def _largest(a: list, b: list) -> int:
+    """The position largest in a, ties to the larger in b, then the first."""
+    top = max(a)
+    if a.count(top) == 1:
+        return a.index(top)
+    return max((t for t, v in enumerate(a) if v == top), key=b.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +506,8 @@ def _uset_cells(mat, instance, cells):
             u1, u2 = lb.union, new_lb.union
             renamed = u2 != u1
             if not renamed or u2 == u1 - {ev.leaving} | {ev.entering}:
-                tracked = dict(update_interdicted_set(mat, F, B, ev, renamed) for F, B in tracked.items())
+                swaps: dict = {}  # one exchange test per distinct tracked basis
+                tracked = dict(update_interdicted_set(mat, F, B, ev, renamed, swaps) for F, B in tracked.items())
                 lb = new_lb
             else:
                 rebuild = True

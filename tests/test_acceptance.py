@@ -328,10 +328,11 @@ def _check_incremental_updates(instance, sample_sets):
             u1, u2 = lb.union, new_lb.union
             renamed = u2 != u1
             if not renamed or u2 == u1 - {ev.leaving} | {ev.entering}:
+                swaps: dict = {}
                 tracked = {
                     fs2: b2
                     for fs2, b2 in (
-                        update_interdicted_set(mat, fs, basis, ev, renamed)
+                        update_interdicted_set(mat, fs, basis, ev, renamed, swaps)
                         for fs, basis in tracked.items()
                     )
                 }

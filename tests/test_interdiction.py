@@ -1,8 +1,10 @@
 """Solver internals: layered bases, updates, the candidate tree, caps."""
 
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -233,7 +235,7 @@ def test_update_interdicted_set_rename_follows_deletion():
     F_del = frozenset({3})
     basis = frozenset({0, 1})
     ev = EqualityPoint(F(1), 3, 4)  # the union {0, 1, 2, 3} renames 3 to 4
-    new_f, new_b = update_interdicted_set(mat, F_del, basis, ev, renamed=True)
+    new_f, new_b = update_interdicted_set(mat, F_del, basis, ev, renamed=True, swaps={})
     assert new_f == frozenset({4})
     assert new_b == basis  # f was not serving as the replacement
 
@@ -243,7 +245,7 @@ def test_update_interdicted_set_rename_swaps_back_replacement():
     F_del = frozenset({0})
     basis = frozenset({1, 4})  # 4 replaced the deleted 0
     ev = EqualityPoint(F(1), 0, 4)  # the union {0, 1, 2, 3} renames 0 to 4
-    new_f, new_b = update_interdicted_set(mat, F_del, basis, ev, renamed=True)
+    new_f, new_b = update_interdicted_set(mat, F_del, basis, ev, renamed=True, swaps={})
     assert new_f == frozenset({4})
     assert new_b == frozenset({1, 0})
 
@@ -253,7 +255,7 @@ def test_update_interdicted_set_plain_swap():
     F_del = frozenset({4})
     basis = frozenset({0, 1})
     ev = EqualityPoint(F(1), 1, 2)  # both inside the union {0, 1, 2, 3}
-    new_f, new_b = update_interdicted_set(mat, F_del, basis, ev, renamed=False)
+    new_f, new_b = update_interdicted_set(mat, F_del, basis, ev, renamed=False, swaps={})
     assert new_f == F_del
     assert new_b == frozenset({0, 2})
 
@@ -263,7 +265,7 @@ def test_update_interdicted_set_respects_deleted_entering():
     F_del = frozenset({2})
     basis = frozenset({0, 1})
     ev = EqualityPoint(F(1), 1, 2)  # entering element is deleted in this view
-    new_f, new_b = update_interdicted_set(mat, F_del, basis, ev, renamed=False)
+    new_f, new_b = update_interdicted_set(mat, F_del, basis, ev, renamed=False, swaps={})
     assert (new_f, new_b) == (F_del, basis)
 
 
@@ -602,9 +604,9 @@ def test_solution_accessors_and_counter_isolation():
 # solver and family, so a change that alters how many independence tests a
 # solver makes fails here instead of passing unnoticed.
 ORACLE_CALL_PINS = [
-    (("graphic", 15, 5, 2, 4), {"brute": 107, "uset": 1192, "tree": 558}),
-    (("partition", 12, 3, 2, 5), {"brute": 134, "uset": 1031, "tree": 2964}),
-    (("uniform", 10, 4, 2, 7), {"brute": 126, "uset": 890, "tree": 1554}),
+    (("graphic", 15, 5, 2, 4), {"brute": 107, "uset": 1184, "tree": 558}),
+    (("partition", 12, 3, 2, 5), {"brute": 134, "uset": 1011, "tree": 2964}),
+    (("uniform", 10, 4, 2, 7), {"brute": 126, "uset": 854, "tree": 1554}),
 ]
 
 
@@ -694,19 +696,80 @@ def test_brute_equals_the_envelope_of_every_sweep(inst):
     assert solve_brute(inst).envelope == enveloped_sweeps(inst)
 
 
-# Per pinned spec: the deletion sets, and the distinct value functions
-# among their sweeps that brute hands upper_envelope.
-BRUTE_ENVELOPE_PINS = [(105, 12), (66, 41), (45, 45)]
+# Per pinned spec: the deletion sets, the distinct value functions among
+# their sweeps, and the undominated ones that brute hands upper_envelope.
+BRUTE_ENVELOPE_PINS = [(105, 12, 3), (66, 41, 7), (45, 45, 4)]
 
 
 @pytest.mark.parametrize("spec,pin", zip(PINNED_SPECS, BRUTE_ENVELOPE_PINS), ids=[spec[0] for spec in PINNED_SPECS])
-def test_brute_merges_each_distinct_sweep_once(monkeypatch, spec, pin):
+def test_brute_merges_only_undominated_sweeps(monkeypatch, spec, pin):
     inst = instance_from_dict(generate_random(*spec))
-    envelope = interdiction.upper_envelope
-    inputs = []
+    envelope, undominated = interdiction.upper_envelope, interdiction._undominated
+    distinct, inputs = [], []
+    monkeypatch.setattr(interdiction, "_undominated", lambda sweeps: distinct.append(len(sweeps)) or undominated(sweeps))
     monkeypatch.setattr(interdiction, "upper_envelope", lambda fs: inputs.append(len(fs)) or envelope(fs))
     solve_brute(inst)
-    assert (comb(inst.ground_size, inst.ell), inputs) == (pin[0], [pin[1]])
+    assert (comb(inst.ground_size, inst.ell), distinct, inputs) == (pin[0], [pin[1]], [pin[2]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(brute_cases())
+def test_every_labelling_sweep_survives_the_dominance_filter(inst):
+    # the filter may drop only sweeps that label no piece of the envelope
+    # over all C(m, ell) sweeps; flat solutions never reach it
+    merged = []
+    envelope = interdiction.upper_envelope
+    with patch.object(interdiction, "upper_envelope", lambda fs: merged.extend(fs) or envelope(fs)):
+        solve_brute(inst)
+    labels = {piece.label.f_star for piece in enveloped_sweeps(inst).pieces}
+    if merged:
+        assert labels <= {f.pieces[0].label.f_star for f in merged}
+
+
+@pytest.mark.parametrize(
+    "weights,interval,line",
+    [
+        # at lam = 0 the sets (0,) and (1,) both leave a basis of value 3,
+        # on the lines 3 - lam and 3 + lam: the smaller set must win
+        ((pw(1, 1), pw(1, -1), pw(2, 0), pw(5, 0)), Interval(F(0), F(0)), Line(F(-1), F(3))),
+        # equal slopes cross nothing, so the grid is -inf and +inf alone,
+        # where the highest of the parallel sweeps is largest at both ends
+        (tuple(pw(a, 1) for a in range(4)), Interval(NEG_INF, POS_INF), Line(F(2), F(3))),
+    ],
+    ids=["point-tie", "parallel-line"],
+)
+def test_the_filter_hands_the_envelope_only_the_winner(monkeypatch, weights, interval, line):
+    # uniform(4, 2), ell=1: (0,) leaves the basis (1, 2) and wins everywhere
+    inst = MatroidInstance(uniform(4, 2), weights, 1, interval)
+    merged = []
+    envelope = interdiction.upper_envelope
+    monkeypatch.setattr(interdiction, "upper_envelope", lambda fs: merged.extend(fs) or envelope(fs))
+    (piece,) = solve_brute(inst).segments
+    assert [f.pieces[0].label.f_star for f in merged] == [(0,)]
+    assert (piece.label, piece.line) == (SegmentLabel((0,), (1, 2)), line)
+    monkeypatch.undo()
+    assert solve_brute(inst).envelope == enveloped_sweeps(inst)
+
+
+@settings(max_examples=300, deadline=None)
+@given(brute_cases())
+@example(instance_from_dict(generate_random("uniform", 10, 4, 2, 7)))
+def test_uset_tests_each_tracked_basis_once_per_crossing(inst):
+    # tracked sets that share a basis share its exchange test at a lone
+    # crossing: no (basis, crossing) test for a tracked set repeats within
+    # one solve (update_u's own test of e's layer is not one of them).
+    # The example is the pinned uniform spec, whose sets share bases
+    tests = []
+
+    def spy(matroid, basis, ev):
+        if sys._getframe(1).f_code.co_name == "update_interdicted_set":
+            if ev.leaving in basis and ev.entering not in basis:  # the cases exchange() tests
+                tests.append((basis, ev))
+        return parametric.exchange(matroid, basis, ev)
+
+    with patch.object(interdiction, "exchange", spy):
+        solve(inst, "uset")
+    assert len(set(tests)) == len(tests)
 
 
 def test_brute_equals_direct_enumeration_small():

@@ -23,8 +23,10 @@ interdicted basis.
   scratch recomputation when a crossing ripples.
 * solve_tree regrows a candidate search tree of replacement chains in
   every cell between consecutive crossings; each distinct layer it
-  searches gets one exchange state per cell, shared by every
-  replacement search on that layer and dropped when the cell ends.
+  searches gets one exchange state, shared by every replacement search
+  on that layer and carried from cell to cell while consecutive cells
+  search it, so only the last cell's states are held.  Each cell lists
+  the elements of each pool layer in probe order once.
 
 Each solve builds one crossing arrangement, whose cells carry the probe
 where every solver evaluates them: its lam and the weight order there,
@@ -209,6 +211,7 @@ def update_u(
     lb: LayeredBases,
     event: EqualityPoint,
     next_probe: Probe,
+    swaps: dict,
 ) -> LayeredBases:
     """Layered bases valid right of the event, from those valid left of it.
 
@@ -221,6 +224,8 @@ def update_u(
     can ripple through them arbitrarily, so they are recomputed at
     next_probe.  Layers above e's keep their minors and contain neither
     e nor f, so they stand, however small the layers below them are.
+    swaps receives that test's answer, keyed by e's layer, as
+    update_interdicted_set's swaps at the event keep them.
     """
     e, f = event.leaving, event.entering
     je = lb.layer_of(e)
@@ -230,7 +235,7 @@ def update_u(
     if jf is not None and jf <= je:  # f already preferred, or same layer
         return lb
     layers = lb.layers
-    swapped = exchange(matroid, layers[je], event)
+    swapped = swaps[layers[je]] = exchange(matroid, layers[je], event)
     if swapped == layers[je]:
         return lb  # swap refused: e keeps its slot and nothing deeper moves
     prefix = [*layers[:je], swapped]
@@ -502,11 +507,13 @@ def _uset_cells(mat, instance, cells):
         rebuild = len(crossings) != 1
         if not rebuild:
             (ev,) = crossings
-            new_lb = update_u(mat, lb, ev, probe)
+            # one exchange test per distinct basis at the crossing, e's layer
+            # and the tracked bases together
+            swaps: dict = {}
+            new_lb = update_u(mat, lb, ev, probe, swaps)
             u1, u2 = lb.union, new_lb.union
             renamed = u2 != u1
             if not renamed or u2 == u1 - {ev.leaving} | {ev.entering}:
-                swaps: dict = {}  # one exchange test per distinct tracked basis
                 tracked = dict(update_interdicted_set(mat, F, B, ev, renamed, swaps) for F, B in tracked.items())
                 lb = new_lb
             else:
@@ -542,6 +549,8 @@ def candidate_tree(
     matroid: Matroid,
     probe: Probe,
     ell: int,
+    states: dict,
+    last: dict,
 ) -> list[tuple[frozenset[int], frozenset[int] | None]]:
     """All relevant deletion candidates at the probe, with multiplicity.
 
@@ -550,16 +559,27 @@ def candidate_tree(
     children by _tree_child; the last one expands all k basis elements
     of each of the C(k + ell - 2, ell - 1) nodes, forbidden ones too, so
     a full-rank instance gives exactly _tree_candidates(k, ell).
+
+    states receives the exchange state of every layer the tree searches,
+    each taken from last when it holds one, else built.  A state depends
+    on its layer alone and is built uncounted, so the output and the
+    oracle calls do not depend on last: a caller growing one tree per
+    cell passes a fresh states and the previous cell's as last, and
+    keeps no other.
     """
     root = layered_bases(matroid, probe, depth=ell + 1)
     k = len(root.layers[0])
     out: list[tuple[frozenset[int], frozenset[int] | None]] = []
     if k == 0:
         return out
+    order, deleted = probe.order, matroid.deleted
+    ground = [e for e in order if e not in deleted]  # every available element, in probe order
+    position = dict(zip(order, range(len(order))))
+    pools: dict = {}  # per pool layer, its elements in probe order
+    search = (states, last, pools, ground, position)
     nodes: list[tuple[frozenset[int], frozenset[int], tuple[frozenset[int], ...]]] = [
         (frozenset(), frozenset(), root.layers)
     ]
-    states: dict = {}  # one exchange state per distinct layer
     for level in range(ell):
         leaf = level == ell - 1
         nxt = []
@@ -567,7 +587,7 @@ def candidate_tree(
             taken: set[int] = set(forbidden)
             for e in sorted(layers[0] if leaf else layers[0] - forbidden):
                 child_f = F | {e}
-                child = _tree_child(matroid, probe, child_f, layers, e, states)
+                child = _tree_child(matroid, child_f, layers, e, search)
                 if child is None:
                     out.append((child_f, None))
                 elif leaf:
@@ -579,7 +599,7 @@ def candidate_tree(
     return out
 
 
-def _tree_child(matroid, probe, child_f, layers, e, states):
+def _tree_child(matroid, child_f, layers, e, search):
     """Layers of the child reached by deleting e, repaired by chains.
 
     child_f is the child's deletion set, e included.  Each repaired
@@ -588,25 +608,36 @@ def _tree_child(matroid, probe, child_f, layers, e, states):
     maintained layers ends the chain early.  When the next layer is as
     large as the repaired one it must contain the replacement
     (replacement elements fall through exactly one layer), so the search
-    is restricted to it; otherwise it covers every element below the
-    repaired layers.  Each search runs on the searched layer's exchange
-    state in states, built on the layer's first search.  Returns None
-    when e has no replacement at all (child_f kills the rank).
+    is restricted to it; otherwise it covers every available element
+    outside child_f and the repaired layers.  The layers are disjoint,
+    so either pool lies outside the searched layer.  search is
+    candidate_tree's (states, last, pools, ground, position): the
+    searched layer's exchange state comes from states, else from last,
+    else is built; each pool layer is put in probe order once per cell,
+    into pools, and a wide pool is filtered from ground, the available
+    elements in probe order.  Returns None when e has no replacement at
+    all (child_f kills the rank).
     """
+    states, last, pools, ground, position = search
     child_depth = len(layers) - 1
     child_layers = list(layers[:child_depth])
     p, x = 0, e
     while p < child_depth:
         layer, nxt = layers[p], layers[p + 1]
         if len(nxt) == len(layer):  # x is in layer, so nxt is not empty
-            pool = nxt
+            candidates = pools.get(nxt)
+            if candidates is None:
+                candidates = pools[nxt] = sorted(nxt, key=position.__getitem__)
         else:
-            pool = set(matroid.available) - child_f - layer
-            for q in range(p):
-                pool -= child_layers[q]
-        if layer not in states:
-            states[layer] = matroid.exchanges(layer)
-        r = replacement_element(matroid, probe, layer, x, pool, states[layer])
+            excluded = child_f.union(layer, *child_layers[:p])
+            candidates = [r for r in ground if r not in excluded]
+        state = states.get(layer)
+        if state is None:
+            state = last.get(layer)
+            if state is None:
+                state = matroid.exchanges(layer)
+            states[layer] = state
+        r = replacement_element(matroid, layer, x, candidates, state)
         if r is None:
             if p == 0:
                 return None
@@ -629,9 +660,11 @@ def solve_tree(instance: MatroidInstance) -> InterdictionSolution:
 
 
 def _tree_cells(mat, instance, cells):
+    states: dict = {}  # the exchange states of the last cell's tree, by layer
     for _lo, _hi, probe, _crossings in cells:
         bases: dict[frozenset[int], frozenset[int]] = {}
-        for F, basis in candidate_tree(mat, probe, instance.ell):
+        states, last = {}, states
+        for F, basis in candidate_tree(mat, probe, instance.ell, states, last):
             if basis is None:
                 yield None
                 return

@@ -40,7 +40,8 @@ grows its augment state over B, the room B leaves in each block, so c
 fits when its block has room or is x's block.  Explicit families and
 dependent bases fall back to the same one-shot state as explicit's
 augment state, holding B and testing B - x + c.  A caller that
-searches one basis for several x, or several times, keeps its state.
+searches one basis for several x, or several times, keeps its state;
+the candidate tree keeps each layer's from one cell to the next.
 """
 
 from __future__ import annotations

@@ -21,17 +21,20 @@ columns A, B with w(e, lam) = (A[e] + lam * B[e]) / d.  The lines of e
 and f cross at lam = (A[f] - A[e]) / (B[e] - B[f]); at lam = p/q (q > 0)
 the weight order is the order of the ints A[e] * q + B[e] * p; and
 basis_line is the int pair (sum of B, sum of A), the basis's value line
-times d, and the sweep's pieces carry it so.  A Fraction is built only
-per crossing lam, which bounds a cell.
+times d, and the sweep's pieces carry it so.  Crossings are int pairs,
+sorted and grouped on exact int keys, and a Fraction is built only once
+per distinct crossing lam, which bounds a cell and which the crossings
+there share.
 
 Each cell of the arrangement carries a Probe: its lam, the solve's
 columns, and the ground set's weight order at lam.  The order is sorted
 on first use, so a cell is sorted at most once per solve however many
 greedy bases and replacement searches read it.  The layer functions
 take the probe in place of (weights, lam); greedy_min_basis filters its
-order by the matroid's deleted set, and replacement_element by its
-pool, so both visit elements exactly as a fresh sort would and make the
-same oracle calls.
+order by the matroid's deleted set, so it visits elements exactly as a
+fresh sort would and makes the same oracle calls.  replacement_element
+takes its candidates already in probe order: the candidate tree lists
+each pool in that order once per cell.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from functools import cached_property
 from itertools import chain, groupby
 from math import lcm
 from operator import attrgetter
-from typing import Container, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .envelope import NEG_INF, POS_INF, interior_point
 from .matroid import Matroid
@@ -108,24 +111,45 @@ def all_equality_points(columns: tuple, interval: Interval, elements: Iterable[i
     """All crossings of the elements' weight lines strictly inside the interval, in sweep order.
 
     columns are weight_columns(); lines of equal slope never cross.
-    Events sharing a lam are ordered by (leaving id, entering id);
-    crossing_cells reorders each such group into adjacent swaps.
+    Events sharing a lam are ordered by (leaving id, entering id) and
+    share one Fraction lam; crossing_cells reorders each such group into
+    adjacent swaps.
+
+    Each crossing is an int pair num / den with den > 0, and the events
+    are sorted and grouped on the int key num * D**2 // den, D the
+    largest den: two different crossings n1 / d1 != n2 / d2 differ by
+    |n1 * d2 - n2 * d1| / (d1 * d2) >= 1 / D**2, so their values times
+    D**2 differ by at least 1 and their floors differ, in the same
+    order, while equal crossings share a key.  A Fraction is built only
+    once per distinct lam inside the interval.
     """
     _d, A, B = columns
+    # an endpoint as p / q with q > 0; -inf as -1 / 0 and +inf as 1 / 0,
+    # for which the cross-multiplied tests below hold for every den > 0
     lo, hi = interval.lo, interval.hi
+    lo_p, lo_q = (lo.numerator, lo.denominator) if lo != NEG_INF else (-1, 0)
+    hi_p, hi_q = (hi.numerator, hi.denominator) if hi != POS_INF else (1, 0)
     elems = sorted(elements)
-    events = []
+    crossings = []  # (num, den, leaving, entering) strictly inside the interval
     for i, e in enumerate(elems):
         ae, be = A[e], B[e]
         for f in elems[i + 1:]:
             bf = B[f]
             if be == bf:
                 continue
-            lam = Fraction(A[f] - ae, be - bf)
-            if lo < lam < hi:
-                # the steeper line is the cheaper one before lam, so it leaves
-                events.append(EqualityPoint(lam, e, f) if be > bf else EqualityPoint(lam, f, e))
-    events.sort()
+            # the steeper line is the cheaper one before lam, so it leaves
+            num, den, leaving, entering = (A[f] - ae, be - bf, e, f) if be > bf else (ae - A[f], bf - be, f, e)
+            if num * lo_q > lo_p * den and num * hi_q < hi_p * den:
+                crossings.append((num, den, leaving, entering))
+    if not crossings:
+        return []
+    scale = max(den for _num, den, _e, _f in crossings) ** 2
+    keyed = sorted((num * scale // den, e, f, num, den) for num, den, e, f in crossings)
+    events, last, lam = [], None, None
+    for key, e, f, num, den in keyed:
+        if key != last:
+            last, lam = key, Fraction(num, den)
+        events.append(EqualityPoint(lam, e, f))
     return events
 
 
@@ -214,22 +238,21 @@ def greedy_min_basis(matroid: Matroid, probe: Probe) -> frozenset[int]:
 
 def replacement_element(
     matroid: Matroid,
-    probe: Probe,
     basis: frozenset[int],
     e: int,
-    among: Container[int],
+    candidates: Sequence[int],
     exchanges,
 ) -> int | None:
-    """Cheapest element of among at the probe restoring the basis after e leaves, or None.
+    """The first candidate restoring the basis after e leaves, or None.
 
-    among is the search pool, a set; exchanges is the basis's exchange
-    state, matroid.exchanges(basis), which a caller searching one basis
-    more than once keeps.  The pool's non-basis elements are tried in
-    probe order by matroid.replacement, one oracle call each.
+    candidates are the search pool's elements outside the basis, in
+    probe order, so the first that fits is the cheapest; exchanges is
+    the basis's exchange state, matroid.exchanges(basis), which a caller
+    searching one basis more than once keeps.  They are tried in turn by
+    matroid.replacement, one oracle call each.
     """
     if e not in basis:
         raise ValueError(f"element {e} is not in the basis")
-    candidates = [r for r in probe.order if r in among and r not in basis]
     return matroid.replacement(exchanges, e, candidates)
 
 

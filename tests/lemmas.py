@@ -2,9 +2,10 @@
 and the Fraction references of the solvers' integer kernel.
 
 probe_at builds the Probe of a single lam, outside any arrangement.
-replacement is one replacement_element search with the two arguments
-the candidate tree passes filled in: the pool, by default every
-available element, and a fresh exchange state.
+replacement is one replacement_element search with the arguments the
+candidate tree passes filled in: the candidates, the elements of a pool
+(by default every available element) outside the basis in probe order,
+and a fresh exchange state.
 
 interdicted_basis_via_replacement is the paper's replacement lemma, the
 optimal basis avoiding F built by iterated delete-and-replace;
@@ -43,9 +44,13 @@ def probe_at(matroid: Matroid, weights: Sequence[ParametricWeight], lam: Fractio
 
 
 def replacement(matroid: Matroid, probe: Probe, basis: frozenset[int], e: int, among=None) -> int | None:
-    """replacement_element over among, by default every available element, on a fresh exchange state."""
+    """replacement_element over among, by default every available element, on a fresh exchange state.
+
+    The candidates are among's elements outside the basis, in probe order.
+    """
     pool = matroid.available if among is None else among
-    return replacement_element(matroid, probe, basis, e, pool, matroid.exchanges(basis))
+    candidates = [r for r in probe.order if r in pool and r not in basis]
+    return replacement_element(matroid, basis, e, candidates, matroid.exchanges(basis))
 
 
 def interdicted_basis_via_replacement(
@@ -93,10 +98,11 @@ def most_vital_element(
     """
     probe = probe_at(matroid, weights, lam)
     exchanges = matroid.exchanges(basis)
+    candidates = [r for r in probe.order if r not in matroid.deleted and r not in basis]
     best_e = None
     best_delta = None
     for e in sorted(basis):
-        r = replacement_element(matroid, probe, basis, e, matroid.available, exchanges)
+        r = replacement_element(matroid, basis, e, candidates, exchanges)
         delta = POS_INF if r is None else weight_at(weights[r], lam) - weight_at(weights[e], lam)
         if best_delta is None or delta > best_delta:
             best_e, best_delta = e, delta

@@ -188,7 +188,7 @@ def test_criterion_4_combinatorial_bounds(corpus, solved_corpus):
         expected = k * comb(k + ell - 2, ell - 1)
         cap_after = comb(k * ell, ell)
         for lo, hi in zip(boundaries, boundaries[1:]):
-            cands = candidate_tree(mat, probe_at(mat, weights, interior_point(lo, hi)), ell)
+            cands = candidate_tree(mat, probe_at(mat, weights, interior_point(lo, hi)), ell, {}, {})
             assert len(cands) == expected, (name, lo, hi, len(cands), expected)
             unique = {}
             for fset, basis in cands:
@@ -324,11 +324,11 @@ def _check_incremental_updates(instance, sample_sets):
         fast = len(group) == 1
         if fast:
             ev = group[0]
-            new_lb = update_u(mat, lb, ev, next_probe)
+            swaps: dict = {}  # the crossing's exchange tests, e's layer's first
+            new_lb = update_u(mat, lb, ev, next_probe, swaps)
             u1, u2 = lb.union, new_lb.union
             renamed = u2 != u1
             if not renamed or u2 == u1 - {ev.leaving} | {ev.entering}:
-                swaps: dict = {}
                 tracked = {
                     fs2: b2
                     for fs2, b2 in (

@@ -35,7 +35,7 @@ from matroid_interdiction.interdiction import (
     update_interdicted_set,
     update_u,
 )
-from matroid_interdiction.matroid import graphic, partition, uniform
+from matroid_interdiction.matroid import Matroid, explicit, graphic, partition, uniform
 from matroid_interdiction.oracle import verify_solution
 from matroid_interdiction.parametric import (
     EqualityPoint,
@@ -121,7 +121,7 @@ def test_update_u_ignores_outside_element():
     weights = [pw(i, 0) for i in range(6)]
     lb = layered_bases(mat, probe_at(mat, weights, F(0)), depth=2)  # {0,1}, {2,3}
     ev = EqualityPoint(F(1), 5, 4)  # neither is in the union
-    assert update_u(mat, lb, ev, probe_at(mat, weights, F(2))) is lb
+    assert update_u(mat, lb, ev, probe_at(mat, weights, F(2)), {}) is lb
 
 
 def test_update_u_ignores_already_preferred():
@@ -129,7 +129,7 @@ def test_update_u_ignores_already_preferred():
     weights = [pw(i, 0) for i in range(6)]
     lb = layered_bases(mat, probe_at(mat, weights, F(0)), depth=2)
     ev = EqualityPoint(F(1), 3, 0)  # f sits in an earlier layer than e
-    assert update_u(mat, lb, ev, probe_at(mat, weights, F(2))) is lb
+    assert update_u(mat, lb, ev, probe_at(mat, weights, F(2)), {}) is lb
 
 
 def test_update_u_last_layer_absorbs_outsider():
@@ -137,7 +137,7 @@ def test_update_u_last_layer_absorbs_outsider():
     weights = [pw(0, 0), pw(1, 0), pw(2, 0), pw(3, 1), pw(4, 0), pw(5, 0)]
     lb = layered_bases(mat, probe_at(mat, weights, F(0)), depth=2)  # {0,1}, {2,3}
     ev = EqualityPoint(F(1), 3, 4)  # 3 leaves the last layer for outsider 4
-    new = update_u(mat, lb, ev, probe_at(mat, weights, F(2)))
+    new = update_u(mat, lb, ev, probe_at(mat, weights, F(2)), {})
     assert new.layers == (frozenset({0, 1}), frozenset({2, 4}))
 
 
@@ -149,7 +149,7 @@ def test_update_u_inner_layer_swap_refused():
     lb = layered_bases(mat, probe_at(mat, weights, F(1, 4)), depth=2)
     assert lb.layers == (frozenset({0, 1}), frozenset({3, 4}))
     ev = EqualityPoint(F(1, 2), 1, 2)
-    assert update_u(mat, lb, ev, probe_at(mat, weights, F(5, 4))) is lb
+    assert update_u(mat, lb, ev, probe_at(mat, weights, F(5, 4)), {}) is lb
 
 
 def test_update_u_adjacent_layers_trade():
@@ -157,7 +157,7 @@ def test_update_u_adjacent_layers_trade():
     weights = [pw(0, 0), pw(1, 1), pw(2, 0), pw(3, 0), pw(4, 0), pw(5, 0)]
     lb = layered_bases(mat, probe_at(mat, weights, F(0)), depth=2)  # {0,1}, {2,3}
     ev = EqualityPoint(F(1), 1, 2)  # 1 (layer 0) crosses 2 (layer 1)
-    new = update_u(mat, lb, ev, probe_at(mat, weights, F(2)))
+    new = update_u(mat, lb, ev, probe_at(mat, weights, F(2)), {})
     assert new.layers == (frozenset({0, 2}), frozenset({1, 3}))
     assert new.union == lb.union
 
@@ -171,7 +171,7 @@ def test_update_u_adjacent_crossing_ripples_through_deeper_layers():
     lb = layered_bases(mat, probe_at(mat, weights, F(1, 2)), depth=2)
     assert lb.layers == (frozenset({0, 1}), frozenset({2, 4}))
     ev = EqualityPoint(F(1), 1, 2)
-    new = update_u(mat, lb, ev, probe_at(mat, weights, F(2)))
+    new = update_u(mat, lb, ev, probe_at(mat, weights, F(2)), {})
     assert new.layers == layered_bases(mat, probe_at(mat, weights, F(2)), depth=2).layers
     assert new.layers == (frozenset({0, 2}), frozenset({1, 3}))
     assert new.union != lb.union
@@ -223,7 +223,7 @@ def test_update_u_on_truncated_layers_equals_a_scratch_rebuild(case):
         scratch = layered_bases(scratch_view, probe, depth=depth)
         if len(crossings) == 1 and len(lb.layers[-1]) < len(lb.layers[0]):
             view = mat.with_fresh_counter()
-            assert update_u(view, lb, crossings[0], probe).layers == scratch.layers
+            assert update_u(view, lb, crossings[0], probe, {}).layers == scratch.layers
             assert view.oracle_calls <= scratch_view.oracle_calls
             truncated += 1
         lb = scratch
@@ -278,7 +278,7 @@ def test_candidate_tree_count_and_bases():
     weights = [pw(i, (-1) ** i) for i in range(8)]
     ell = 2
     probe = probe_at(mat, weights, F(1, 3))
-    cands = candidate_tree(mat, probe, ell)
+    cands = candidate_tree(mat, probe, ell, {}, {})
     k = 3
     assert len(cands) == k * comb(k + ell - 2, ell - 1)
     for fset, basis in cands:
@@ -297,7 +297,7 @@ def test_candidate_tree_contains_optimum_per_cell():
         probe = probe_at(mat, weights, interior_point(lo, hi))
         best = max(
             value_line(probe.columns, basis).value_at(probe.lam)
-            for _f, basis in candidate_tree(mat, probe, 2)
+            for _f, basis in candidate_tree(mat, probe, 2, {}, {})
         )
         assert best == brute.envelope.evaluate(probe.lam)
 
@@ -305,7 +305,7 @@ def test_candidate_tree_contains_optimum_per_cell():
 def test_candidate_tree_flags_killing_sets():
     mat = uniform(4, 2)
     weights = [pw(i, 0) for i in range(4)]
-    cands = candidate_tree(mat, probe_at(mat, weights, F(0)), 3)
+    cands = candidate_tree(mat, probe_at(mat, weights, F(0)), 3, {}, {})
     assert any(basis is None for _f, basis in cands)
 
 
@@ -604,9 +604,9 @@ def test_solution_accessors_and_counter_isolation():
 # solver and family, so a change that alters how many independence tests a
 # solver makes fails here instead of passing unnoticed.
 ORACLE_CALL_PINS = [
-    (("graphic", 15, 5, 2, 4), {"brute": 107, "uset": 1184, "tree": 558}),
-    (("partition", 12, 3, 2, 5), {"brute": 134, "uset": 1011, "tree": 2964}),
-    (("uniform", 10, 4, 2, 7), {"brute": 126, "uset": 854, "tree": 1554}),
+    (("graphic", 15, 5, 2, 4), {"brute": 107, "uset": 1182, "tree": 558}),
+    (("partition", 12, 3, 2, 5), {"brute": 134, "uset": 1001, "tree": 2964}),
+    (("uniform", 10, 4, 2, 7), {"brute": 126, "uset": 848, "tree": 1554}),
 ]
 
 
@@ -756,13 +756,13 @@ def test_the_filter_hands_the_envelope_only_the_winner(monkeypatch, weights, int
 @example(instance_from_dict(generate_random("uniform", 10, 4, 2, 7)))
 def test_uset_tests_each_tracked_basis_once_per_crossing(inst):
     # tracked sets that share a basis share its exchange test at a lone
-    # crossing: no (basis, crossing) test for a tracked set repeats within
-    # one solve (update_u's own test of e's layer is not one of them).
-    # The example is the pinned uniform spec, whose sets share bases
+    # crossing, and a tracked basis equal to e's layer reuses update_u's
+    # test of that layer: no (basis, crossing) test repeats within one
+    # solve.  The example is the pinned uniform spec, whose sets share bases
     tests = []
 
     def spy(matroid, basis, ev):
-        if sys._getframe(1).f_code.co_name == "update_interdicted_set":
+        if sys._getframe(1).f_code.co_name in ("update_u", "update_interdicted_set"):
             if ev.leaving in basis and ev.entering not in basis:  # the cases exchange() tests
                 tests.append((basis, ev))
         return parametric.exchange(matroid, basis, ev)
@@ -770,6 +770,63 @@ def test_uset_tests_each_tracked_basis_once_per_crossing(inst):
     with patch.object(interdiction, "exchange", spy):
         solve(inst, "uset")
     assert len(set(tests)) == len(tests)
+
+
+# explicit(7, every 3-subset but {0, 1, 2}), ell=2 on the whole line: no
+# two deletions kill the rank, and its exchange states are one-shot ones,
+# which the tree carries from cell to cell
+SEVEN = MatroidInstance(
+    explicit(7, [b for b in combinations(range(7), 3) if b != (0, 1, 2)]),
+    tuple(pw(a, b) for a, b in [(3, 2), (-1, -3), (4, 1), (1, 0), (-5, 5), (9, -2), (2, -1)]),
+    2,
+    Interval(NEG_INF, POS_INF),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(brute_cases())
+@example(SEVEN)
+def test_candidate_tree_with_carried_states_equals_a_fresh_one(inst):
+    # exchange states depend on their layer alone: a tree given the last
+    # cell's makes the candidates and oracle calls of one built from nothing
+    mat = inst.matroid
+    states: dict = {}
+    for _lo, _hi, probe, _crossings in interdiction._arrangement(mat, inst):
+        carried, fresh = mat.with_fresh_counter(), mat.with_fresh_counter()
+        states, last = {}, states
+        assert candidate_tree(carried, probe, inst.ell, states, last) == candidate_tree(fresh, probe, inst.ell, {}, {})
+        assert carried.oracle_calls == fresh.oracle_calls
+
+
+@settings(max_examples=100, deadline=None)
+@given(brute_cases())
+@example(SEVEN)
+def test_tree_builds_a_layer_state_once_per_run_of_cells_searching_it(inst):
+    # a layer's exchange state is built in the first cell of each run of
+    # consecutive cells whose trees search it, and in no other
+    cell, built, searched = [-1], [], set()
+    tree, search, exchanges = candidate_tree, interdiction.replacement_element, Matroid.exchanges
+
+    def per_cell(*args):
+        cell[0] += 1
+        return tree(*args)
+
+    def searching(matroid, basis, *args):
+        searched.add((cell[0], basis))
+        return search(matroid, basis, *args)
+
+    def building(self, basis):
+        built.append((cell[0], frozenset(basis)))
+        return exchanges(self, basis)
+
+    with (
+        patch.object(interdiction, "candidate_tree", per_cell),
+        patch.object(interdiction, "replacement_element", searching),
+        patch.object(Matroid, "exchanges", building),
+    ):
+        solve(inst, "tree")
+    assert len(set(built)) == len(built)
+    assert set(built) == {(c, layer) for c, layer in searched if (c - 1, layer) not in searched}
 
 
 def test_brute_equals_direct_enumeration_small():

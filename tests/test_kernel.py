@@ -149,6 +149,16 @@ def test_all_equality_points_match_fraction_crossings(case):
     assert all_equality_points(columns, interval, elements) == sorted(want)
 
 
+def test_all_equality_points_keep_crossings_closer_than_one_over_d_apart():
+    # 1/3 and 1/2 lie 1/6 apart, less than 1/D for D = 3, the largest
+    # crossing denominator: keys scaled by D alone would merge them, keys
+    # scaled by D**2 keep them apart
+    weights = [ParametricWeight(F(0), F(0)), ParametricWeight(F(-1), F(3)), ParametricWeight(F(-1), F(2))]
+    columns = weight_columns(uniform(3, 0), weights)
+    events = all_equality_points(columns, Interval(NEG_INF, POS_INF), range(3))
+    assert events == [(F(0), 1, 2), (F(1, 3), 1, 0), (F(1, 2), 2, 0)]
+
+
 # ---------------------------------------------------------------------------
 # weight order, greedy bases and basis lines against Fraction sums
 

@@ -451,6 +451,27 @@ def pencil_cases(draw):
     return mat, weights, interval, deleted
 
 
+@settings(max_examples=300, deadline=None)
+@given(case=pencil_cases(), copies=st.booleans())
+def test_crossing_cells_group_exactly_the_events_of_one_lam(case, copies):
+    # all_equality_points' events share one lam object per group; events
+    # built elsewhere hold equal lams in distinct objects.  Either way a
+    # cell starts at each distinct lam, its crossings are the pairs that
+    # cross there, and its probe lies strictly inside it
+    mat, weights, interval, _deleted = case
+    columns = weight_columns(mat, weights)
+    events = all_equality_points(columns, interval, mat.available)
+    if copies:
+        events = [EqualityPoint(F(ev.lam.numerator, ev.lam.denominator), ev.leaving, ev.entering) for ev in events]
+    cells = crossing_cells(interval, events, columns)
+    lams = sorted({ev.lam for ev in events})
+    assert [(lo, hi) for lo, hi, _probe, _crossings in cells] == list(zip([interval.lo, *lams], [*lams, interval.hi]))
+    for lo, hi, probe, crossings in cells:
+        assert lo < probe.lam < hi or lo == probe.lam == hi
+        assert all(ev.lam == lo for ev in crossings)
+        assert {ev[1:] for ev in crossings} == {ev[1:] for ev in events if ev.lam == lo}
+
+
 def replay(order, crossings, elements):
     """order restricted to elements, then the crossings between two of
     them applied as swaps, each of two neighbours, leaving one first."""

@@ -18,9 +18,11 @@ interdicted basis.
   deletion set taking it, an integer filter keeps those undominated on
   some interval of their joint grid, and only those enter the envelope.
 * solve_uset tracks layered bases whose union confines all relevant
-  deletion sets, updating them with a few oracle calls per crossing
-  (one exchange test per distinct tracked basis) and falling back to
-  scratch recomputation when a crossing ripples.
+  deletion sets, updating them with a few oracle calls per lone
+  crossing (one exchange test per distinct tracked basis).  A lone
+  crossing that reshapes the union carries the family too and grows
+  only the sets new to it; only the first cell and coincident crossings
+  rebuild from scratch.
 * solve_tree regrows a candidate search tree of replacement chains in
   every cell between consecutive crossings; each distinct layer it
   searches gets one exchange state, shared by every replacement search
@@ -488,8 +490,13 @@ def solve_uset(instance: MatroidInstance) -> InterdictionSolution:
     """Track all deletion sets inside the layered-bases union across cells.
 
     Per lone crossing, the union and every tracked (F, basis) pair
-    update in a few independence tests each; coincident crossings and
-    crossings that reshape the union rebuild the tracked family from
+    update in a few independence tests each.  A lone crossing is an
+    adjacent transposition of the weight order, so exchange() gives
+    every fixed deletion set its exact next basis: when the crossing
+    renames e to f in the union the sets follow the rename, and when it
+    reshapes the union the sets left inside keep their bases and the
+    sets new to it get a greedy basis each.  Only the first cell and
+    coincident crossings rebuild the layers and the tracked family from
     scratch.  Per cell the tracked family, F -> basis, goes to the
     shared cell loop, which takes the envelope of its value lines.
     """
@@ -500,44 +507,42 @@ def _uset_cells(mat, instance, cells):
     ell, k = instance.ell, instance.rank
     lb = tracked = None
     for _lo, _hi, probe, crossings in cells:
-        # the one-test updates assume the crossing is a lone adjacent
-        # transposition of the weight order; the first cell, coincident
-        # crossings and a union update that is neither a rename nor a
-        # no-op rebuild
-        rebuild = len(crossings) != 1
-        if not rebuild:
+        if len(crossings) == 1:
+            # a lone crossing is an adjacent transposition of the weight
+            # order, so the layers and every tracked set update in place:
+            # one exchange test per distinct basis, e's layer and the
+            # tracked bases together
             (ev,) = crossings
-            # one exchange test per distinct basis at the crossing, e's layer
-            # and the tracked bases together
             swaps: dict = {}
             new_lb = update_u(mat, lb, ev, probe, swaps)
             u1, u2 = lb.union, new_lb.union
-            renamed = u2 != u1
-            if not renamed or u2 == u1 - {ev.leaving} | {ev.entering}:
-                tracked = dict(update_interdicted_set(mat, F, B, ev, renamed, swaps) for F, B in tracked.items())
-                lb = new_lb
-            else:
-                rebuild = True
-        if rebuild:
+            renamed = u2 != u1 and u2 == u1 - {ev.leaving} | {ev.entering}
+            tracked = dict(update_interdicted_set(mat, F, B, ev, renamed, swaps) for F, B in tracked.items())
+            lb = new_lb
+            if u2 != u1 and not renamed:  # a reshape: keep the sets left inside, grow the new ones
+                tracked = _track_family(mat, probe, u2, ell, k, tracked)
+        else:  # the first cell and coincident crossings start from scratch
             lb = layered_bases(mat, probe, depth=ell)
-            tracked = _track_family(mat, probe, lb.union, ell, k)
-            if tracked is None:
-                yield None
-                return
+            tracked = _track_family(mat, probe, lb.union, ell, k, {})
+        if tracked is None:
+            yield None
+            return
         yield tracked
 
 
-def _track_family(mat, probe, union, ell, k):
-    """Greedy bases for every ell-subset of the union; None on rank kill."""
+def _track_family(mat, probe, union, ell, k, known):
+    """Bases for every ell-subset of the union, known's where it holds one, else greedy; None on rank kill."""
     if len(union) < ell:
         return None  # everything outside the union is a loop; deleting the union kills
     _check_cap(comb(len(union), ell))
     tracked: dict[frozenset[int], frozenset[int]] = {}
-    for F in combinations(sorted(union), ell):
-        basis = greedy_min_basis(mat.delete(F), probe)
-        if len(basis) < k:
-            return None
-        tracked[frozenset(F)] = basis
+    for F in map(frozenset, combinations(sorted(union), ell)):
+        basis = known.get(F)
+        if basis is None:
+            basis = greedy_min_basis(mat.delete(F), probe)
+            if len(basis) < k:
+                return None
+        tracked[F] = basis
     return tracked
 
 

@@ -17,17 +17,19 @@ view loops over them, counting one oracle call per element tried and
 refusing a deleted one, as the one-shot query it replaces did.
 
 Matroid.grow is the one greedy scan: it grows an augment state, scan(),
-along an order.  The state answers add(e): does the set grown so far
-stay independent with e, an element it does not hold yet, and if so it
-takes e.  Graphic keeps one union-find with path halving, grown Kruskal
-style, so an augment test costs two near-constant root finds; partition,
-uniform included, keeps the room left in each block; explicit keeps the
-set itself and tests it with e by one one-shot query.  Every state has
-copy(), which saves the set grown so far without a test, so a caller
-can resume a scan from any element it took.  The view keeps the set
-each scan took, so an id tried twice is a counted no-op; Matroid.greedy
-(minimum bases and rank) is one scan from nothing.  The enumeration
-oracle keeps its own greedy on one-shot queries, as a reference.
+along an order and yields each element it takes.  The state answers
+add(e): does the set grown so far stay independent with e, an element
+it does not hold yet, and if so it takes e.  Graphic keeps one
+union-find with path halving, grown Kruskal style, so an augment test
+costs two near-constant root finds; partition, uniform included, keeps
+the room left in each block; explicit keeps the set itself and tests it
+with e by one one-shot query.  Every state has copy(), which saves the
+set grown so far without a test, so a caller that copies it after a
+yield can resume a scan from any element it took.  The view keeps the
+set each scan took, so an id tried twice is a counted no-op;
+Matroid.greedy (minimum bases and rank) is one scan from nothing.  The
+enumeration oracle keeps its own greedy on one-shot queries, as a
+reference.
 
 Matroid.replacement searches, for an independent basis B and some x in
 it, for the first candidate c that makes B - x + c independent.  It
@@ -47,7 +49,7 @@ the candidate tree keeps each layer's from one cell to the next.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 EXPLICIT_MAX_GROUND = 16  # explicit families list every basis: test-scale ground sets only
 
@@ -356,34 +358,32 @@ class Matroid:
         One grow() scan: each element tried costs one oracle call.  Along
         a weight order this is the minimum basis.
         """
-        return self.grow(self.scan(), order)
+        return frozenset(self.grow(self.scan(), order))
 
     def scan(self):
         """A fresh augment state of the family, holding nothing; see grow."""
         return self._family.scan()
 
-    def grow(self, state, order: Iterable[int], room: int | None = None) -> frozenset[int]:
-        """Grow an augment state along order; return the elements it took.
+    def grow(self, state, order: Iterable[int]) -> Iterator[int]:
+        """Grow an augment state along order, yielding each element it takes.
 
         Each element tried costs one oracle call (an element this scan
         took already is a no-op test, still counted), and a deleted one
-        raises before it is charged.  The scan stops, spending no further
-        call, once it has taken room elements.  state is scan() or a
-        state grown before, and order offers no element it holds; its
-        copy() saves the set grown so far, from which a later grow
+        raises before it is charged.  A caller that stops consuming
+        spends no further call.  state is scan() or a state grown
+        before, and order offers no element it holds; its copy() after a
+        yield saves the set grown so far, from which a later grow
         resumes without a test.
         """
         add, deleted, counter = state.add, self.deleted, self._counter
         taken: set[int] = set()
         for e in order:
-            if len(taken) == room:
-                break
             if e in deleted:
                 raise _touches_deleted({e}, deleted)
             counter[0] += 1
             if e not in taken and add(e):
                 taken.add(e)
-        return frozenset(taken)
+                yield e
 
     def exchanges(self, basis: Iterable[int]):
         """The family's exchange state of basis, built uncounted; see replacement."""

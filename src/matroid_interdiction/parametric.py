@@ -315,18 +315,16 @@ class _Run:
     def advance(self, matroid: Matroid, order: list[int], position: dict[int, int], stop: int, k: int) -> bool:
         """Run on to position stop, or until the run holds k elements; False once it holds them."""
         chosen = self.chosen
-        while len(chosen) < k and self.at < stop:
-            # one element per grow, so that the state after each is saved
-            taken = matroid.grow(self.state, order[self.at : stop], 1)
-            if not taken:
+        if len(chosen) < k and self.at < stop:
+            for e in matroid.grow(self.state, order[self.at : stop]):
+                chosen.append(e)
+                self.marks.append(position[e])
+                if len(chosen) == k:  # a run holding k ends: nothing forks past its last element
+                    self.at = position[e] + 1
+                    break
+                self.states.append(self.state.copy())  # the state after each take is saved
+            else:
                 self.at = stop
-                break
-            (e,) = taken
-            chosen.append(e)
-            self.at = position[e] + 1
-            self.marks.append(position[e])
-            if len(chosen) < k:  # a run holding k ends: nothing forks past its last element
-                self.states.append(self.state.copy())
         return len(chosen) < k
 
     def fork(self, p: int) -> "_Run":

@@ -304,8 +304,8 @@ def _check_completion_property(instance, solution):
 
 def _check_incremental_updates(instance, sample_sets):
     """The one-test updates match scratch recomputation at every lone
-    crossing; coincident crossings are outside the updates' contract and
-    reset the replayed state instead."""
+    crossing, reshapes of the union included; coincident crossings are
+    outside the updates' contract and reset the replayed state instead."""
     mat, weights = instance.matroid, instance.weights
     interval, ell, k = instance.interval, instance.ell, instance.rank
     events = all_equality_points(weight_columns(mat, weights), interval, mat.available)
@@ -321,26 +321,15 @@ def _check_incremental_updates(instance, sample_sets):
         next_probe = probe_at(mat, weights, interior_point(lam, hi))
         group = [ev for ev in events[idx:] if ev.lam == lam]
         idx += len(group)
-        fast = len(group) == 1
-        if fast:
-            ev = group[0]
+        scratch = layered_bases(mat, next_probe, depth=ell)
+        if len(group) == 1:
+            (ev,) = group
             swaps: dict = {}  # the crossing's exchange tests, e's layer's first
             new_lb = update_u(mat, lb, ev, next_probe, swaps)
             u1, u2 = lb.union, new_lb.union
-            renamed = u2 != u1
-            if not renamed or u2 == u1 - {ev.leaving} | {ev.entering}:
-                tracked = {
-                    fs2: b2
-                    for fs2, b2 in (
-                        update_interdicted_set(mat, fs, basis, ev, renamed, swaps)
-                        for fs, basis in tracked.items()
-                    )
-                }
-            else:
-                fast = False
+            renamed = u2 != u1 and u2 == u1 - {ev.leaving} | {ev.entering}
+            tracked = dict(update_interdicted_set(mat, fs, basis, ev, renamed, swaps) for fs, basis in tracked.items())
             lb = new_lb
-        scratch = layered_bases(mat, next_probe, depth=ell)
-        if fast:
             assert lb.layers == scratch.layers, (lam, lb.layers, scratch.layers)
             for fs, basis in tracked.items():
                 again = greedy_min_basis(mat.delete(fs), next_probe)

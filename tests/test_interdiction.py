@@ -607,10 +607,14 @@ ORACLE_CALL_PINS = [
     (("graphic", 15, 5, 2, 4), {"brute": 107, "uset": 1182, "tree": 558}),
     (("partition", 12, 3, 2, 5), {"brute": 134, "uset": 1001, "tree": 2964}),
     (("uniform", 10, 4, 2, 7), {"brute": 126, "uset": 848, "tree": 1554}),
+    (("graphic", 15, 5, 2, 1), {"brute": 63, "uset": 600, "tree": 735}),
 ]
+PINNED_SPECS = [spec for spec, _ in ORACLE_CALL_PINS]
+# test ids: a spec's family, with the seed for a family pinned twice
+PIN_IDS = ["graphic", "partition", "uniform", "graphic-s1"]
 
 
-@pytest.mark.parametrize("spec,expected", ORACLE_CALL_PINS, ids=[spec[0] for spec, _ in ORACLE_CALL_PINS])
+@pytest.mark.parametrize("spec,expected", ORACLE_CALL_PINS, ids=PIN_IDS)
 def test_oracle_calls_are_pinned(spec, expected):
     inst = instance_from_dict(generate_random(*spec))
     got = {name: solve(inst, name).oracle_calls for name in expected}
@@ -619,11 +623,15 @@ def test_oracle_calls_are_pinned(spec, expected):
 
 # Per pinned spec: crossing cells, then the runs of equal {F: basis} maps
 # that uset and tree hand the cell loop.
-ENVELOPE_RUN_PINS = [(6, {"uset": 1, "tree": 1}), (52, {"uset": 17, "tree": 17}), (37, {"uset": 23, "tree": 13})]
-PINNED_SPECS = [spec for spec, _ in ORACLE_CALL_PINS]
+ENVELOPE_RUN_PINS = [
+    (6, {"uset": 1, "tree": 1}),
+    (52, {"uset": 17, "tree": 17}),
+    (37, {"uset": 23, "tree": 13}),
+    (9, {"uset": 3, "tree": 3}),
+]
 
 
-@pytest.mark.parametrize("spec,pin", zip(PINNED_SPECS, ENVELOPE_RUN_PINS), ids=[spec[0] for spec in PINNED_SPECS])
+@pytest.mark.parametrize("spec,pin", zip(PINNED_SPECS, ENVELOPE_RUN_PINS), ids=PIN_IDS)
 def test_one_envelope_per_run_of_equal_maps(monkeypatch, spec, pin):
     inst = instance_from_dict(generate_random(*spec))
     cells, expected = pin
@@ -639,7 +647,7 @@ def test_one_envelope_per_run_of_equal_maps(monkeypatch, spec, pin):
         assert (len(maps), len(calls)) == (cells, runs) == (cells, expected[name]), name
 
 
-@pytest.mark.parametrize("spec", [spec for spec, _ in ORACLE_CALL_PINS], ids=[spec[0] for spec, _ in ORACLE_CALL_PINS])
+@pytest.mark.parametrize("spec", PINNED_SPECS, ids=PIN_IDS)
 def test_each_cell_is_sorted_at_most_once_per_solve(monkeypatch, spec):
     # tree grows a candidate tree in every cell; brute and uset sort only
     # the cells where they need a greedy basis; nothing outlives a solve
@@ -698,10 +706,10 @@ def test_brute_equals_the_envelope_of_every_sweep(inst):
 
 # Per pinned spec: the deletion sets, the distinct value functions among
 # their sweeps, and the undominated ones that brute hands upper_envelope.
-BRUTE_ENVELOPE_PINS = [(105, 12, 3), (66, 41, 7), (45, 45, 4)]
+BRUTE_ENVELOPE_PINS = [(105, 12, 3), (66, 41, 7), (45, 45, 4), (105, 16, 3)]
 
 
-@pytest.mark.parametrize("spec,pin", zip(PINNED_SPECS, BRUTE_ENVELOPE_PINS), ids=[spec[0] for spec in PINNED_SPECS])
+@pytest.mark.parametrize("spec,pin", zip(PINNED_SPECS, BRUTE_ENVELOPE_PINS), ids=PIN_IDS)
 def test_brute_merges_only_undominated_sweeps(monkeypatch, spec, pin):
     inst = instance_from_dict(generate_random(*spec))
     envelope, undominated = interdiction.upper_envelope, interdiction._undominated
@@ -770,6 +778,52 @@ def test_uset_tests_each_tracked_basis_once_per_crossing(inst):
     with patch.object(interdiction, "exchange", spy):
         solve(inst, "uset")
     assert len(set(tests)) == len(tests)
+
+
+def test_uset_grows_only_the_sets_new_to_a_reshaped_union(monkeypatch):
+    # the pinned graphic spec with seed 1 has lone crossings that reshape
+    # the union, neither a no-op nor a rename of e to f.  There the sets
+    # still inside keep their carried bases and one greedy runs per set
+    # new to the union; _uset_cells calls layered_bases only in the first
+    # cell and at coincident crossings.  Every cell's family is the
+    # greedy basis of every ell-subset of the scratch union
+    inst = instance_from_dict(generate_random("graphic", 15, 5, 2, 1))
+    mat, ref, ell = inst.matroid.with_fresh_counter(), inst.matroid.with_fresh_counter(), inst.ell
+    cells = interdiction._arrangement(mat, inst)
+    greedy, layered = interdiction.greedy_min_basis, interdiction.layered_bases
+    grown, rebuilt = [], []
+
+    def spy_greedy(matroid, probe):
+        if sys._getframe(1).f_code.co_name == "_track_family":
+            grown.append(matroid.deleted)
+        return greedy(matroid, probe)
+
+    def spy_layered(matroid, probe, *, depth):
+        if sys._getframe(1).f_code.co_name == "_uset_cells":
+            rebuilt.append(probe)
+        return layered(matroid, probe, depth=depth)
+
+    monkeypatch.setattr(interdiction, "greedy_min_basis", spy_greedy)
+    monkeypatch.setattr(interdiction, "layered_bases", spy_layered)
+    union, reshapes = None, []
+    for i, ((_lo, _hi, probe, crossings), tracked) in enumerate(zip(cells, interdiction._uset_cells(mat, inst, cells))):
+        before, union = union, layered(ref, probe, depth=ell).union
+        family = {frozenset(F) for F in combinations(sorted(union), ell)}
+        assert tracked == {F: greedy(ref.delete(F), probe) for F in family}, i
+        if len(crossings) != 1:
+            assert (rebuilt, len(grown), set(grown)) == ([probe], len(family), family), i
+        else:
+            (ev,) = crossings
+            assert rebuilt == [], i
+            if union != before and union != before - {ev.leaving} | {ev.entering}:
+                reshapes.append(i)
+                new = {F for F in family if not F <= before}
+                assert (len(grown), set(grown)) == (len(new), new), i
+            else:
+                assert grown == [], i
+        grown.clear()
+        rebuilt.clear()
+    assert reshapes == [1, 4]
 
 
 # explicit(7, every 3-subset but {0, 1, 2}), ell=2 on the whole line: no

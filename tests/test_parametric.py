@@ -1,7 +1,7 @@
 """Parametric weights, sweeps, and replacement machinery."""
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from unittest.mock import patch
 
 import pytest
@@ -572,7 +572,7 @@ def test_one_walk_sweeps_every_deletion_set_as_it_would_alone(case):
     sets = list(combinations(mat.available, ell))
     walker, first = mat.with_fresh_counter(), mat.with_fresh_counter()
     walk = parametric_sweep(walker, cells, k, sets)
-    first.grow(first.scan(), cells[0][2].order, k)
+    frozenset(islice(first.grow(first.scan(), cells[0][2].order), k))
     alone_calls = first.oracle_calls
     alone = {}
     for fs in sets:
@@ -661,12 +661,12 @@ def test_first_cell_walk_gives_each_set_its_own_greedy_basis(case):
     order = [e for e in probe.order if e not in view.deleted]
     walker, first = view.with_fresh_counter(), view.with_fresh_counter()
     walk = parametric_sweep(walker, cells[:1], k, sets)
-    b0 = first.grow(first.scan(), order, k)
+    b0 = frozenset(islice(first.grow(first.scan(), order), k))
     calls, pairs = first.oracle_calls, set(greedy_queries(order, (), b0, k))
     expected = {}
     for fs in sets:
         alone = view.delete(fs).with_fresh_counter()
-        basis = alone.grow(alone.scan(), [e for e in order if e not in fs], k)
+        basis = frozenset(islice(alone.grow(alone.scan(), [e for e in order if e not in fs]), k))
         calls += alone.oracle_calls
         pairs.update(greedy_queries(order, fs, basis, k))
         if len(basis) < k:

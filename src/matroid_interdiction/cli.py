@@ -20,7 +20,7 @@ import time
 from decimal import Decimal
 from fractions import Fraction
 
-from .envelope import NEG_INF, POS_INF, PiecewiseLinearFunction
+from .envelope import NEG_INF, POS_INF, PiecewiseLinearFunction, aligned_pieces
 from .interdiction import (
     ALGORITHMS,
     EnumerationCapExceeded,
@@ -410,24 +410,17 @@ def _cmd_generate(args) -> int:
 def first_difference(first: PiecewiseLinearFunction, other: PiecewiseLinearFunction) -> dict | None:
     """The smallest lam where other stops matching first, with the segment of each there.
 
-    Both are envelopes over one domain.  Their pieces are walked
-    together, each step ending where the nearer of the two current
-    pieces ends; two pieces match when their lines and labels are equal.
-    None when they match everywhere.
+    Both are envelopes over one domain, walked together by
+    aligned_pieces; two pieces match when their lines and labels are
+    equal.  None when they match everywhere.
     """
-    a, b = first.pieces, other.pieces
-    i = j = 0
-    while i < len(a) and j < len(b):
-        pa, pb = a[i], b[j]
+    for x0, _x1, pa, pb in aligned_pieces(first, other):
         if (pa.line, pa.label) != (pb.line, pb.label):
             return {
-                "lambda": format_rational(max(pa.lo, pb.lo)),
+                "lambda": format_rational(x0),
                 "first_segment": segment_to_dict(pa),
                 "segment": segment_to_dict(pb),
             }
-        end = min(pa.hi, pb.hi)
-        i += pa.hi == end
-        j += pb.hi == end
     return None
 
 

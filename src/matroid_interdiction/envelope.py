@@ -156,25 +156,33 @@ def _sub_pieces(x0, x1, pa: Piece, pb: Piece) -> list[Piece]:
     return [Piece(x0, cross, flat.line, flat.label), Piece(cross, x1, steep.line, steep.label)]
 
 
-def _merge(f: PiecewiseLinearFunction, g: PiecewiseLinearFunction) -> PiecewiseLinearFunction:
-    """Envelope of two functions in one walk over both piece lists: each
-    step ends where the nearer of the two current pieces ends."""
-    if (f.lo, f.hi) != (g.lo, g.hi):
-        raise ValueError("envelope inputs must share one domain")
-    if f.lo == f.hi:
-        return _normalize(f.lo, f.hi, list(f.pieces) + list(g.pieces))
-    out: list[Piece] = []
+def aligned_pieces(f: PiecewiseLinearFunction, g: PiecewiseLinearFunction):
+    """(x0, x1, f's piece, g's piece) for each stretch where neither function changes piece.
+
+    f and g share one domain; the stretches run left to right, each
+    ending where the nearer of the two current pieces ends.  A point
+    domain is one stretch, (lo, lo).
+    """
     i = j = 0
     x0 = f.lo
-    while x0 != f.hi:
+    while True:
         pa, pb = f.pieces[i], g.pieces[j]
         x1 = min(pa.hi, pb.hi)
-        out.extend(_sub_pieces(x0, x1, pa, pb))
-        if pa.hi == x1:
-            i += 1
-        if pb.hi == x1:
-            j += 1
+        yield x0, x1, pa, pb
+        if x1 == f.hi:
+            return
+        i += pa.hi == x1
+        j += pb.hi == x1
         x0 = x1
+
+
+def _merge(f: PiecewiseLinearFunction, g: PiecewiseLinearFunction) -> PiecewiseLinearFunction:
+    """Envelope of two functions in one walk over their aligned pieces."""
+    if (f.lo, f.hi) != (g.lo, g.hi):
+        raise ValueError("envelope inputs must share one domain")
+    if f.lo == f.hi:  # a point tie goes by label, not by slope
+        return _normalize(f.lo, f.hi, list(f.pieces) + list(g.pieces))
+    out = [piece for stretch in aligned_pieces(f, g) for piece in _sub_pieces(*stretch)]
     return _normalize(f.lo, f.hi, out)
 
 

@@ -27,8 +27,9 @@ interdicted basis.
   every cell between consecutive crossings; each distinct layer it
   searches gets one exchange state, shared by every replacement search
   on that layer and carried from cell to cell while consecutive cells
-  search it, so only the last cell's states are held.  Each cell lists
-  the elements of each pool layer in probe order once.
+  search it, in one dict that each cell's tree clears and refills, so
+  only the last cell's states are held.  Each cell lists the elements
+  of each pool layer in probe order once.
 
 Each solve builds one crossing arrangement, whose cells carry the probe
 where every solver evaluates them: its lam and the weight order there,
@@ -64,7 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby
 from math import comb
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .envelope import (
@@ -339,19 +340,13 @@ def _solve_by_cells(instance: MatroidInstance, algorithm: str, cell_bases) -> In
     columns = cells[0][2].columns
     run_envs: list[PiecewiseLinearFunction] = []
     made: dict = {}  # the open run's entries, keyed by (F, basis)
-    run_lo = run_hi = run_bases = None
-    for (lo, hi, _probe, _crossings), bases in zip(cells, cell_bases(mat, instance, cells)):
+    for bases, run in groupby(zip(cells, cell_bases(mat, instance, cells)), key=itemgetter(1)):
         if bases is None:
             (killer,) = parametric_sweep(mat, cells[:1], instance.rank, _deletion_sets(mat, instance.ell))
             return _flat_solution(mat, instance, algorithm, killer)
-        if bases == run_bases:
-            run_hi = hi
-            continue
-        if run_bases is not None:
-            run_envs.append(envelope_of_lines(list(made.values()), columns[0], run_lo, run_hi))
         made = {fb: made.get(fb) or (basis_line(columns, fb[1]), _label(*fb)) for fb in bases.items()}
-        run_lo, run_hi, run_bases = lo, hi, bases
-    run_envs.append(envelope_of_lines(list(made.values()), columns[0], run_lo, run_hi))
+        span = [cell for cell, _bases in run]
+        run_envs.append(envelope_of_lines(list(made.values()), columns[0], span[0][0], span[-1][1]))
     env = concatenate(run_envs)
     return InterdictionSolution(env, _classify(env), algorithm, mat.oracle_calls)
 
@@ -555,33 +550,81 @@ def candidate_tree(
     probe: Probe,
     ell: int,
     states: dict,
-    last: dict,
 ) -> list[tuple[frozenset[int], frozenset[int] | None]]:
     """All relevant deletion candidates at the probe, with multiplicity.
 
     Returns (F, interdicted basis) pairs; a missing replacement yields a
-    rank-killing candidate (basis None).  Every level grows
-    children by _tree_child; the last one expands all k basis elements
-    of each of the C(k + ell - 2, ell - 1) nodes, forbidden ones too, so
-    a full-rank instance gives exactly _tree_candidates(k, ell).
+    rank-killing candidate (basis None).  Every level grows each node's
+    children by replacement chains; the last one expands all k basis
+    elements of each of the C(k + ell - 2, ell - 1) nodes, forbidden
+    ones too, so a full-rank instance gives exactly
+    _tree_candidates(k, ell).
 
-    states receives the exchange state of every layer the tree searches,
-    each taken from last when it holds one, else built.  A state depends
-    on its layer alone and is built uncounted, so the output and the
-    oracle calls do not depend on last: a caller growing one tree per
-    cell passes a fresh states and the previous cell's as last, and
-    keeps no other.
+    The child reached by deleting e repairs its layers by a chain: each
+    repaired layer loses its replaced element to the layer above and
+    steals the next replacement from below; a replacement found outside
+    the maintained layers ends the chain early.  When the next layer is
+    as large as the repaired one it must contain the replacement
+    (replacement elements fall through exactly one layer), so the
+    search is restricted to it, each such pool put in probe order once
+    per tree; otherwise it covers every available element outside the
+    child's deletion set and the repaired layers.  The layers are
+    disjoint, so either pool lies outside the searched layer.  When e
+    itself has no replacement at all, the child's deletion set kills
+    the rank.
+
+    states maps a layer to its exchange state.  It arrives holding the
+    previous cell's and is cleared at entry; on return it holds exactly
+    the layers this tree searched, each state taken over from the
+    previous cell when it held one, else built.  A state depends on its
+    layer alone and is built uncounted, so the output and the oracle
+    calls do not depend on what states held: a caller growing one tree
+    per cell passes the same dict to each and keeps no other.
     """
+    last = states.copy()
+    states.clear()
     root = layered_bases(matroid, probe, depth=ell + 1)
-    k = len(root.layers[0])
-    out: list[tuple[frozenset[int], frozenset[int] | None]] = []
-    if k == 0:
-        return out
+    if not root.layers[0]:
+        return []
     order, deleted = probe.order, matroid.deleted
     ground = [e for e in order if e not in deleted]  # every available element, in probe order
     position = dict(zip(order, range(len(order))))
     pools: dict = {}  # per pool layer, its elements in probe order
-    search = (states, last, pools, ground, position)
+
+    def repaired(child_f, layers, e):
+        """The layers of the child with deletion set child_f, e included; None if it kills the rank."""
+        child_depth = len(layers) - 1
+        child_layers = list(layers[:child_depth])
+        p, x = 0, e
+        while p < child_depth:
+            layer, nxt = layers[p], layers[p + 1]
+            if len(nxt) == len(layer):  # x is in layer, so nxt is not empty
+                candidates = pools.get(nxt)
+                if candidates is None:
+                    candidates = pools[nxt] = sorted(nxt, key=position.__getitem__)
+            else:
+                excluded = child_f.union(layer, *child_layers[:p])
+                candidates = [r for r in ground if r not in excluded]
+            state = states.get(layer)
+            if state is None:
+                state = last.get(layer)
+                states[layer] = state = matroid.exchanges(layer) if state is None else state
+            r = replacement_element(matroid, layer, x, candidates, state)
+            if r is None:
+                if p == 0:
+                    return None
+                child_layers[p] = layers[p] - {x}
+                break
+            child_layers[p] = layers[p] - {x} | {r}
+            for t in range(p + 1, child_depth):  # r's home layer, if one is maintained
+                if r in layers[t]:
+                    p, x = t, r
+                    break
+            else:
+                break
+        return tuple(child_layers)
+
+    out: list[tuple[frozenset[int], frozenset[int] | None]] = []
     nodes: list[tuple[frozenset[int], frozenset[int], tuple[frozenset[int], ...]]] = [
         (frozenset(), frozenset(), root.layers)
     ]
@@ -592,7 +635,7 @@ def candidate_tree(
             taken: set[int] = set(forbidden)
             for e in sorted(layers[0] if leaf else layers[0] - forbidden):
                 child_f = F | {e}
-                child = _tree_child(matroid, child_f, layers, e, search)
+                child = repaired(child_f, layers, e)
                 if child is None:
                     out.append((child_f, None))
                 elif leaf:
@@ -602,60 +645,6 @@ def candidate_tree(
                 taken.add(e)
         nodes = nxt
     return out
-
-
-def _tree_child(matroid, child_f, layers, e, search):
-    """Layers of the child reached by deleting e, repaired by chains.
-
-    child_f is the child's deletion set, e included.  Each repaired
-    layer loses its replaced element to the layer above and steals the
-    next replacement from below; a replacement found outside the
-    maintained layers ends the chain early.  When the next layer is as
-    large as the repaired one it must contain the replacement
-    (replacement elements fall through exactly one layer), so the search
-    is restricted to it; otherwise it covers every available element
-    outside child_f and the repaired layers.  The layers are disjoint,
-    so either pool lies outside the searched layer.  search is
-    candidate_tree's (states, last, pools, ground, position): the
-    searched layer's exchange state comes from states, else from last,
-    else is built; each pool layer is put in probe order once per cell,
-    into pools, and a wide pool is filtered from ground, the available
-    elements in probe order.  Returns None when e has no replacement at
-    all (child_f kills the rank).
-    """
-    states, last, pools, ground, position = search
-    child_depth = len(layers) - 1
-    child_layers = list(layers[:child_depth])
-    p, x = 0, e
-    while p < child_depth:
-        layer, nxt = layers[p], layers[p + 1]
-        if len(nxt) == len(layer):  # x is in layer, so nxt is not empty
-            candidates = pools.get(nxt)
-            if candidates is None:
-                candidates = pools[nxt] = sorted(nxt, key=position.__getitem__)
-        else:
-            excluded = child_f.union(layer, *child_layers[:p])
-            candidates = [r for r in ground if r not in excluded]
-        state = states.get(layer)
-        if state is None:
-            state = last.get(layer)
-            if state is None:
-                state = matroid.exchanges(layer)
-            states[layer] = state
-        r = replacement_element(matroid, layer, x, candidates, state)
-        if r is None:
-            if p == 0:
-                return None
-            child_layers[p] = layers[p] - {x}
-            break
-        child_layers[p] = layers[p] - {x} | {r}
-        for t in range(p + 1, child_depth):  # r's home layer, if one is maintained
-            if r in layers[t]:
-                p, x = t, r
-                break
-        else:
-            break
-    return tuple(child_layers)
 
 
 def solve_tree(instance: MatroidInstance) -> InterdictionSolution:
@@ -668,8 +657,7 @@ def _tree_cells(mat, instance, cells):
     states: dict = {}  # the exchange states of the last cell's tree, by layer
     for _lo, _hi, probe, _crossings in cells:
         bases: dict[frozenset[int], frozenset[int]] = {}
-        states, last = {}, states
-        for F, basis in candidate_tree(mat, probe, instance.ell, states, last):
+        for F, basis in candidate_tree(mat, probe, instance.ell, states):
             if basis is None:
                 yield None
                 return

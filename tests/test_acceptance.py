@@ -188,7 +188,7 @@ def test_criterion_4_combinatorial_bounds(corpus, solved_corpus):
         expected = k * comb(k + ell - 2, ell - 1)
         cap_after = comb(k * ell, ell)
         for lo, hi in zip(boundaries, boundaries[1:]):
-            cands = candidate_tree(mat, probe_at(mat, weights, interior_point(lo, hi)), ell, {}, {})
+            cands = candidate_tree(mat, probe_at(mat, weights, interior_point(lo, hi)), ell, {})
             assert len(cands) == expected, (name, lo, hi, len(cands), expected)
             unique = {}
             for fset, basis in cands:

@@ -278,7 +278,7 @@ def test_candidate_tree_count_and_bases():
     weights = [pw(i, (-1) ** i) for i in range(8)]
     ell = 2
     probe = probe_at(mat, weights, F(1, 3))
-    cands = candidate_tree(mat, probe, ell, {}, {})
+    cands = candidate_tree(mat, probe, ell, {})
     k = 3
     assert len(cands) == k * comb(k + ell - 2, ell - 1)
     for fset, basis in cands:
@@ -297,7 +297,7 @@ def test_candidate_tree_contains_optimum_per_cell():
         probe = probe_at(mat, weights, interior_point(lo, hi))
         best = max(
             value_line(probe.columns, basis).value_at(probe.lam)
-            for _f, basis in candidate_tree(mat, probe, 2, {}, {})
+            for _f, basis in candidate_tree(mat, probe, 2, {})
         )
         assert best == brute.envelope.evaluate(probe.lam)
 
@@ -305,7 +305,7 @@ def test_candidate_tree_contains_optimum_per_cell():
 def test_candidate_tree_flags_killing_sets():
     mat = uniform(4, 2)
     weights = [pw(i, 0) for i in range(4)]
-    cands = candidate_tree(mat, probe_at(mat, weights, F(0)), 3, {}, {})
+    cands = candidate_tree(mat, probe_at(mat, weights, F(0)), 3, {})
     assert any(basis is None for _f, basis in cands)
 
 
@@ -842,14 +842,17 @@ SEVEN = MatroidInstance(
 @example(SEVEN)
 def test_candidate_tree_with_carried_states_equals_a_fresh_one(inst):
     # exchange states depend on their layer alone: a tree given the last
-    # cell's makes the candidates and oracle calls of one built from nothing
+    # cell's makes the candidates and oracle calls of one built from nothing,
+    # and the dict carried on holds exactly the layers that tree searched
     mat = inst.matroid
-    states: dict = {}
+    carried_states: dict = {}
     for _lo, _hi, probe, _crossings in interdiction._arrangement(mat, inst):
-        carried, fresh = mat.with_fresh_counter(), mat.with_fresh_counter()
-        states, last = {}, states
-        assert candidate_tree(carried, probe, inst.ell, states, last) == candidate_tree(fresh, probe, inst.ell, {}, {})
+        carried, fresh, fresh_states = mat.with_fresh_counter(), mat.with_fresh_counter(), {}
+        assert candidate_tree(carried, probe, inst.ell, carried_states) == candidate_tree(
+            fresh, probe, inst.ell, fresh_states
+        )
         assert carried.oracle_calls == fresh.oracle_calls
+        assert carried_states.keys() == fresh_states.keys()
 
 
 @settings(max_examples=100, deadline=None)

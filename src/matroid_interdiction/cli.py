@@ -431,7 +431,8 @@ def bench(paths, algorithms) -> tuple[list[dict], int]:
     segment structures and that the changepoint count respects the
     worst-case bound; a violation flips the exit code to 3.  A row whose
     segments differ from the first algorithm's names where they part,
-    as first_difference.
+    as first_difference.  A solver that the enumeration cap refuses gets
+    a row with its error instead and leaves the exit code alone.
     """
     rows = []
     code = EXIT_OK

@@ -10,14 +10,15 @@ ties are resolved toward the smallest label, with unlabeled pieces
 losing against labeled ones.
 
 upper_envelope, the general merge that the brute-force solver uses,
-computes in Fractions throughout: it merges the inputs pairwise, each
-merge one two-pointer walk over both piece lists that picks the winner
-on either side of a crossing by slope.  envelope_of_lines, the per-cell
-envelope of the other two solvers, takes its lines as int pairs over
-the solve's one denominator d: deduplication, the equal-slope filter,
-the sort and the hull test compare those ints and cross-multiply, and a
-Fraction is built only for each line and breakpoint it emits.  The two
-stay independent, so each checks the other.
+computes in Fractions throughout: a left fold of _merge over the
+inputs, each merge one two-pointer walk over both piece lists that
+picks the winner on either side of a crossing by slope.
+envelope_of_lines, the per-cell envelope of the other two solvers,
+takes its lines as int pairs over the solve's one denominator d:
+deduplication, the equal-slope filter, the sort and the hull test
+compare those ints and cross-multiply, and a Fraction is built only
+for each line and breakpoint it emits.  The two stay independent, so
+each checks the other.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Any, NamedTuple, Sequence
 
 NEG_INF = -math.inf
@@ -189,20 +191,14 @@ def _merge(f: PiecewiseLinearFunction, g: PiecewiseLinearFunction) -> PiecewiseL
 def upper_envelope(fs: Sequence[PiecewiseLinearFunction]) -> PiecewiseLinearFunction:
     """Pointwise maximum of the inputs, labels riding along.
 
-    Divide-and-conquer pairwise merging; each merge walks both piece
+    A left fold of _merge over the inputs; each merge walks both piece
     lists once with two pointers and splits a sub-interval only where
     its two lines cross.  Ties resolve to the smallest label independent
     of merge order.
     """
     if not fs:
         raise ValueError("upper envelope of an empty family")
-    fs = list(fs)
-    while len(fs) > 1:
-        nxt = [_merge(fs[i], fs[i + 1]) for i in range(0, len(fs) - 1, 2)]
-        if len(fs) % 2:
-            nxt.append(fs[-1])
-        fs = nxt
-    return fs[0]
+    return reduce(_merge, fs)
 
 
 def envelope_of_lines(entries: Sequence[tuple[tuple[int, int], Any]], d: int, lo, hi) -> PiecewiseLinearFunction:

@@ -13,10 +13,11 @@ interdicted basis.
   walk keeps one entry per distinct basis, with the sets holding it:
   each crossing visits only the bases it can change, found through an
   index from each element to the bases holding it, and costs each at
-  most one independence test, however many sets hold it.  Of the
-  sweeps, one per distinct value function, that of the smallest
-  deletion set taking it, an integer filter keeps those undominated on
-  some interval of their joint grid, and only those enter the envelope.
+  most one independence test, however many sets hold it.  The sets of
+  one part, those with one history of bases, share one sweep, which
+  the part's first set, its smallest, labels.  One integer filter,
+  _undominated, keeps the parts' sweeps undominated on some interval
+  of their joint grid, and only those enter the envelope.
 * solve_uset tracks layered bases whose union confines all relevant
   deletion sets, updating them with a few oracle calls per lone
   crossing (one exchange test per distinct tracked basis).  A lone
@@ -360,19 +361,17 @@ def solve_brute(instance: MatroidInstance) -> InterdictionSolution:
 
     The walk, parametric_sweep, stops its greedy scans at the rank and
     ends at the first set in enumeration order, the smallest, that kills
-    it.  A sweep's value is a minimum of basis lines, so continuous, and
-    neighbouring lines meet where they cross: its lines in order,
-    neighbours on one line merged, fix the function and key the sweep,
-    as int pairs over the solve's one denominator.  Of the deletion sets
-    whose sweeps take equal values everywhere, only the first in
-    enumeration order, the smallest, is kept: ties go to the smallest
-    label, and a label compares its deletion set first, so the later
-    ones never label a point.  Of those sweeps, _undominated keeps the
-    ones no other sweep dominates on some interval of their joint grid,
-    comparing ints; it keeps the winner of every point (see there), so
-    only those become Fraction functions and enter upper_envelope, which
-    returns what it would over all C(m, ell) sweeps.  No oracle call is
-    made after the walk.
+    it.  The sets of one part share one sweep object, and the part's
+    first set in enumeration order, its smallest, stands for it: ties go
+    to the smallest label, and a label compares its deletion set first,
+    so the later ones never label a point.  _undominated alone filters
+    the parts' sweeps, comparing ints: it keeps the ones no other sweep
+    dominates on some interval of their joint grid, and so the winner of
+    every point (see there).  A sweep equal everywhere to an earlier one
+    ties with it at every grid point and is kept only where the earlier
+    one is.  Only the kept sweeps become Fraction functions and enter
+    upper_envelope, which returns what it would over all C(m, ell)
+    sweeps.  No oracle call is made after the walk.
     """
     mat = instance.matroid.with_fresh_counter()
     k = instance.rank
@@ -381,23 +380,15 @@ def solve_brute(instance: MatroidInstance) -> InterdictionSolution:
     sets = _deletion_sets(mat, instance.ell)  # refused before the arrangement is built
     cells = _arrangement(mat, instance)
     d = cells[0][2].columns[0]
-    distinct: list[tuple] = []  # (F, sweep) per distinct value function, in enumeration order
-    seen: set[tuple] = set()
-    keyed: set[int] = set()  # the sweeps keyed already: a part's sets share one
+    parts: dict[int, tuple] = {}  # per sweep object, its part's first (F, sweep), in enumeration order
     for F, sweep in parametric_sweep(mat, cells, k, sets).items():
         if sweep is None:
             return _flat_solution(mat, instance, "brute", killer=F)
-        if id(sweep) in keyed:
-            continue
-        keyed.add(id(sweep))
-        key = tuple(line for line, _ in groupby(p.line for p in sweep))
-        if key in seen:
-            continue
-        seen.add(key)
-        distinct.append((F, sweep))
+        parts.setdefault(id(sweep), (F, sweep))
+    firsts = list(parts.values())
     funcs = []
-    for t in _undominated([sweep for _F, sweep in distinct]):
-        F, sweep = distinct[t]
+    for t in _undominated([sweep for _F, sweep in firsts]):
+        F, sweep = firsts[t]
         pieces = tuple(Piece(p.lo, p.hi, Line.from_ints(d, *p.line), _label(F, p.basis)) for p in sweep)
         funcs.append(PiecewiseLinearFunction(sweep[0].lo, sweep[-1].hi, pieces))
     env = upper_envelope(funcs)
@@ -584,8 +575,6 @@ def candidate_tree(
     last = states.copy()
     states.clear()
     root = layered_bases(matroid, probe, depth=ell + 1)
-    if not root.layers[0]:
-        return []
     order, deleted = probe.order, matroid.deleted
     ground = [e for e in order if e not in deleted]  # every available element, in probe order
     position = dict(zip(order, range(len(order))))

@@ -445,13 +445,10 @@ def parametric_sweep(
                         holders[x].discard(basis)
 
     hi = cells[-1][1]
-    lines: dict[frozenset[int], tuple[int, int]] = {}
     for members, steps in chain.from_iterable(held.values()):
         pieces = []
         for (start, basis), end in zip(steps, [*(lam for lam, _basis in steps[1:]), hi]):
-            if basis not in lines:
-                lines[basis] = basis_line(probe.columns, basis)
-            pieces.append(SweepPiece(start, end, lines[basis], basis))
+            pieces.append(SweepPiece(start, end, basis_line(probe.columns, basis), basis))
         sweeps.update(dict.fromkeys(members, tuple(pieces)))
     return sweeps
 

@@ -226,25 +226,41 @@ def test_bad_enumeration_cap_exits_2(tmp_path, monkeypatch, capsys, raw, command
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize(
-    "mangle",
-    [
-        lambda d: d.pop("ell"),
-        lambda d: d.update(ell=True),
-        lambda d: d.update(weights=d["weights"][:-1]),
-        lambda d: d["weights"][0].update(a="abc"),
-        lambda d: d["interval"].update(lo="1/0"),
-        lambda d: d["matroid"].update(type="fancy"),
-        lambda d: d["interval"].update(lo="inf"),
-        lambda d: d["interval"].update(hi="-inf"),
-    ],
-)
+# per way to break DIAMOND, what its error message says
+MALFORMED = {
+    lambda d: d.pop("ell"): "missing field 'ell'",
+    lambda d: d.update(ell=True): "ell must be an integer, got True",
+    lambda d: d.update(weights=d["weights"][:-1]): "expected 5 weights, got 4",
+    lambda d: d["weights"][0].update(a="abc"): "weights[0].a: not a rational: 'abc'",
+    lambda d: d["interval"].update(lo="1/0"): "interval.lo: not a rational: '1/0'",
+    lambda d: d["matroid"].update(type="fancy"): "unknown matroid family 'fancy'",
+    lambda d: d["interval"].update(lo="inf"): "interval lo must be a Fraction or -inf",
+    lambda d: d["interval"].update(hi="-inf"): "interval hi must be a Fraction or +inf",
+    lambda d: d["weights"][0].update(a=1.5): "weights[0].a: expected an integer or a rational string, got 1.5",
+    lambda d: d["weights"][0].update(a=True): "weights[0].a: expected an integer or a rational string, got True",
+    lambda d: d["weights"][0].update(b=None): "weights[0].b: expected an integer or a rational string, got None",
+    lambda d: d["weights"][0].update(a="inf"): "weights[0].a: must be finite",
+    lambda d: d.update(weights={}): "weights must be a list",
+}
+
+
+@pytest.mark.parametrize("mangle", MALFORMED)
 def test_malformed_instances_exit_2(tmp_path, capsys, mangle):
     payload = json.loads(json.dumps(DIAMOND))
     mangle(payload)
     assert main(["solve", write_instance(tmp_path, payload)]) == 2
     err = capsys.readouterr().err
-    assert "error:" in err and "Traceback" not in err
+    assert err.startswith("error:") and MALFORMED[mangle] in err and "Traceback" not in err
+
+
+def test_json_integer_weights_read_as_their_string_form(tmp_path):
+    numbers = {**DIAMOND, "weights": [{"a": int(w["a"]), "b": int(w["b"])} for w in DIAMOND["weights"]]}
+    segments = []
+    for payload, name in ((DIAMOND, "strings.json"), (numbers, "numbers.json")):
+        out = tmp_path / f"out-{name}"
+        assert main(["solve", write_instance(tmp_path, payload, name), "-o", str(out)]) == 0
+        segments.append(json.loads(out.read_text())["segments"])
+    assert segments[0] == segments[1]
 
 
 @pytest.mark.parametrize("raw", ["1e-3000000", "1e3000000", "2E1"])
@@ -445,6 +461,13 @@ def test_generate_rejects_infeasible_parameters(tmp_path, capsys):
     assert main(["generate", "uniform", "--m", "4", "--k", "3", "--ell", "2"]) == 2
     assert main(["generate", "nonesuch"]) == 2
     capsys.readouterr()
+    for argv, message in [
+        (["uniform", "--m", "5", "--k", "2", "--ell", "0"], "ell must be >= 1, got 0"),
+        (["graphic", "--k", "1"], "graphic generation needs >= 2 vertices"),
+        (["partition", "--m", "3", "--k", "2", "--ell", "1"], "partition generation needs m >= k*(ell+1), got m=3 k=2 ell=1"),
+    ]:
+        assert main(["generate", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -573,6 +596,20 @@ def test_bench_cross_checks_algorithms(tmp_path):
         assert row["changepoints"] <= row["changepoint_bound"]
         assert row["changepoint_bound"] == changepoint_bound(row["m"], row["k"], row["ell"])
         assert row["oracle_calls"] > 0
+
+
+def test_bench_gives_a_capped_solver_an_error_row(tmp_path, monkeypatch):
+    # the diamond's 5 deletion sets exceed the cap; its tree holds 3 candidates
+    monkeypatch.setenv("INTERDICTION_ENUM_CAP", "4")
+    inst, out = write_instance(tmp_path), tmp_path / "bench.json"
+    assert main(["bench", inst, "--algorithms", "brute,uset,tree", "-o", str(out)]) == 0
+    brute, uset, tree = json.loads(out.read_text())
+    assert brute == {
+        "instance": inst,
+        "algorithm": "brute",
+        "error": "5 deletion sets to enumerate exceed the enumeration cap 4",
+    }
+    assert (uset["algorithm"], tree["algorithm"], tree["agrees_with_first"]) == ("uset", "tree", True)
 
 
 def test_uset_and_tree_agree_past_the_brute_cap(tmp_path, monkeypatch, capsys):

@@ -370,6 +370,8 @@ def test_zero_rank_instance_constant_zero(monkeypatch):
         assert sol.envelope.pieces[0].line == Line(F(0), F(0))
         assert sol.envelope.pieces[0].label == SegmentLabel((0,), ())
         assert sol.oracle_calls == 0
+    # the tree's level loop walks an empty layer 0 and finds no candidate
+    assert candidate_tree(mat, probe_at(mat, inst.weights, F(1)), inst.ell, {}) == []
 
 
 def test_tie_heavy_instance_agrees_across_algorithms():
@@ -700,13 +702,13 @@ def enveloped_sweeps(inst):
 @settings(max_examples=300, deadline=None)
 @given(brute_cases())
 def test_brute_equals_the_envelope_of_every_sweep(inst):
-    # brute hands upper_envelope one sweep per distinct value function
+    # brute hands _undominated one sweep per part, its first set's
     assert solve_brute(inst).envelope == enveloped_sweeps(inst)
 
 
-# Per pinned spec: the deletion sets, the distinct value functions among
-# their sweeps, and the undominated ones that brute hands upper_envelope.
-BRUTE_ENVELOPE_PINS = [(105, 12, 3), (66, 41, 7), (45, 45, 4), (105, 16, 3)]
+# Per pinned spec: the deletion sets, the parts among them (the sets that
+# share one sweep), and the undominated ones that brute hands upper_envelope.
+BRUTE_ENVELOPE_PINS = [(105, 15, 3), (66, 41, 7), (45, 45, 4), (105, 17, 3)]
 
 
 @pytest.mark.parametrize("spec,pin", zip(PINNED_SPECS, BRUTE_ENVELOPE_PINS), ids=PIN_IDS)
@@ -743,8 +745,11 @@ def test_every_labelling_sweep_survives_the_dominance_filter(inst):
         # equal slopes cross nothing, so the grid is -inf and +inf alone,
         # where the highest of the parallel sweeps is largest at both ends
         (tuple(pw(a, 1) for a in range(4)), Interval(NEG_INF, POS_INF), Line(F(2), F(3))),
+        # every set leaves a basis of value 2, and (2,) and (3,) share
+        # one: three parts whose sweeps are equal everywhere
+        ((pw(1, 0),) * 4, Interval(F(-5), F(5)), Line(F(0), F(2))),
     ],
-    ids=["point-tie", "parallel-line"],
+    ids=["point-tie", "parallel-line", "equal-sweeps"],
 )
 def test_the_filter_hands_the_envelope_only_the_winner(monkeypatch, weights, interval, line):
     # uniform(4, 2), ell=1: (0,) leaves the basis (1, 2) and wins everywhere

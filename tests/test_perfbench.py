@@ -5,6 +5,9 @@ import sys
 from importlib.util import module_from_spec, spec_from_file_location
 from pathlib import Path
 
+from matroid_interdiction import cli
+from matroid_interdiction.interdiction import solve
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -35,3 +38,13 @@ def test_traced_functions_resolve(monkeypatch):
         assert getattr(caller, attr) is getattr(defined, name), layer
     matroid = importlib.import_module(f"{run.PROGRAM}.matroid")
     assert callable(matroid.Matroid.is_independent)
+
+
+def test_anchor_oracle_calls(monkeypatch):
+    # the pin that the benchmark's --anchor checks, solved with the package
+    # the suite imported: run.anchor() drops and re-imports the package,
+    # which would split its classes from the ones the other tests hold
+    run = load_run(monkeypatch)
+    instance = cli.instance_from_dict(run.padded_graphic(**run.ANCHOR), "anchor")
+    calls = {solver: solve(instance, solver).oracle_calls for solver in run.ANCHOR_CALLS}
+    assert calls == run.ANCHOR_CALLS

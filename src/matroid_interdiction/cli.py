@@ -266,37 +266,6 @@ def emit_plot_data(solution: InterdictionSolution, step: Fraction) -> str:
     return "\n".join(rows) + "\n"
 
 
-def run(
-    instance: MatroidInstance,
-    algorithm: str = "brute",
-    verify: bool = False,
-    samples: int = 50,
-    seed: int = 0,
-) -> tuple[InterdictionSolution, dict, int]:
-    """Solve one instance; returns (solution, solution file dict, exit code).
-
-    A verification above the enumeration cap is refused before the solve.
-    """
-    if verify:
-        try:
-            check_verification_cap(instance, samples)
-        except EnumerationCapExceeded as exc:
-            raise CliError(EXIT_CAP, f"verification: {exc}")
-    start = time.perf_counter()
-    try:
-        solution = solve(instance, algorithm)
-    except EnumerationCapExceeded as exc:
-        raise CliError(EXIT_CAP, str(exc))
-    wall = time.perf_counter() - start
-    report = None
-    code = EXIT_OK
-    if verify:
-        report = verify_solution(instance, solution, extra_samples=samples, seed=seed)
-        if not report.ok:
-            code = EXIT_VERIFY
-    return solution, solution_to_dict(solution, wall, report), code
-
-
 def _check_enumeration_cap() -> None:
     try:
         enumeration_cap()
@@ -314,7 +283,23 @@ def _cmd_solve(args) -> int:
     if args.emit_plot:  # a bad step must not wait for the solve
         step = parse_rational(args.step, "--step")
         _check_plot_step(step, instance.interval.lo, instance.interval.hi)
-    solution, data, code = run(instance, args.algorithm, args.verify, args.samples, args.seed)
+    if args.verify:  # a verification above the enumeration cap is refused before the solve
+        try:
+            check_verification_cap(instance, args.samples)
+        except EnumerationCapExceeded as exc:
+            raise CliError(EXIT_CAP, f"verification: {exc}")
+    start = time.perf_counter()
+    try:
+        solution = solve(instance, args.algorithm)
+    except EnumerationCapExceeded as exc:
+        raise CliError(EXIT_CAP, str(exc))
+    wall = time.perf_counter() - start
+    report, code = None, EXIT_OK
+    if args.verify:
+        report = verify_solution(instance, solution, extra_samples=args.samples, seed=args.seed)
+        if not report.ok:
+            code = EXIT_VERIFY
+    data = solution_to_dict(solution, wall, report)
     if args.emit_plot:
         _write(args.emit_plot, emit_plot_data(solution, step))
     try:

@@ -576,7 +576,6 @@ def candidate_tree(
     states.clear()
     root = layered_bases(matroid, probe, depth=ell + 1)
     order, deleted = probe.order, matroid.deleted
-    ground = [e for e in order if e not in deleted]  # every available element, in probe order
     position = dict(zip(order, range(len(order))))
     pools: dict = {}  # per pool layer, its elements in probe order
 
@@ -592,8 +591,8 @@ def candidate_tree(
                 if candidates is None:
                     candidates = pools[nxt] = sorted(nxt, key=position.__getitem__)
             else:
-                excluded = child_f.union(layer, *child_layers[:p])
-                candidates = [r for r in ground if r not in excluded]
+                excluded = deleted.union(child_f, layer, *child_layers[:p])
+                candidates = [r for r in order if r not in excluded]
             state = states.get(layer)
             if state is None:
                 state = last.get(layer)

@@ -112,8 +112,8 @@ def all_equality_points(columns: tuple, interval: Interval, elements: Iterable[i
 
     columns are weight_columns(); lines of equal slope never cross.
     Events sharing a lam are ordered by (leaving id, entering id) and
-    share one Fraction lam; crossing_cells reorders each such group into
-    adjacent swaps.
+    share one Fraction lam; crossing_cells orders each such group as a
+    chain of adjacent swaps.
 
     Each crossing is an int pair num / den with den > 0, and the events
     are sorted and grouped on the int key num * D**2 // den, D the
@@ -186,42 +186,38 @@ class Probe:
         return _sort_ground(self.columns, self.lam)
 
 
-
-def _adjacent_swaps(lam: Fraction, group, columns: tuple) -> tuple[EqualityPoint, ...]:
-    """The group of crossings at lam as a chain of adjacent swaps.
-
-    Its elements are insertion-sorted from the order just left of lam,
-    (value at lam, -slope, id), to the one right of it, (value, slope, id).
-    """
-    _d, A, B = columns
-    p, q = lam.numerator, lam.denominator
-    right = {e: (A[e] * q + B[e] * p, B[e], e) for ev in group for e in ev[1:]}
-    order = sorted(right, key=lambda e: (right[e][0], -B[e], e))
-    swaps = []
-    for i, f in enumerate(order):
-        while i and right[order[i - 1]] > right[f]:
-            swaps.append(EqualityPoint(lam, order[i - 1], f))
-            order[i] = order[i - 1]
-            i -= 1
-        order[i] = f
-    return tuple(swaps)
-
-
 def crossing_cells(interval: Interval, events: Sequence[EqualityPoint], columns: tuple):
     """The cells between consecutive distinct crossing lams, left to right.
 
     Each cell is (lo, hi, probe, crossings): probe is the Probe at
     interior_point(lo, hi), where solvers evaluate the cell, over the
-    given weight columns, and crossings are the events at lo, all
-    events sharing a lam in one group (none for the first cell), in
-    _adjacent_swaps order: applied in turn they take the previous
-    probe's order to this one's by adjacent swaps, also on any subset.
+    given weight columns, and crossings are the events at lo (none for
+    the first cell) as a chain of adjacent swaps: applied in turn they
+    take the previous probe's order to this one's.
+
+    The chain is the one an insertion sort makes from the order just
+    left of lo = p / q, (value, -slope, id), to the one right of it,
+    (value, slope, id).  It takes the elements f in left order and moves
+    each past every a before it with a larger right place, nearest (so
+    largest right place) first.  Such a pair has equal values at lo and
+    different slopes, so it is an event at lo with a leaving and f
+    entering, and every event is such a pair; the events therefore sort
+    into the chain by f's left place, then a's right place descending,
+    that is on (A[f] * q + B[f] * p, -B[f], f, -B[a], -a).  Restricted
+    to any subset of the elements, the chain is the insertion sort of
+    that subset in the same way, so it takes the subset's orders one to
+    the other too.
     """
+    _d, A, B = columns
+
+    def chain_place(ev):
+        lam, a, f = ev
+        return A[f] * lam.denominator + B[f] * lam.numerator, -B[f], f, -B[a], -a
+
     cells, lo, crossings = [], interval.lo, ()
     for lam, group in groupby(events, key=attrgetter("lam")):
         cells.append((lo, lam, Probe(interior_point(lo, lam), columns), crossings))
-        group = tuple(group)
-        lo, crossings = lam, group if len(group) == 1 else _adjacent_swaps(lam, group, columns)
+        lo, crossings = lam, tuple(sorted(group, key=chain_place))
     cells.append((lo, interval.hi, Probe(interior_point(lo, interval.hi), columns), crossings))
     return cells
 

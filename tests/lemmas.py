@@ -16,6 +16,9 @@ tests check solutions against next to interdiction.changepoint_bound.
 
 equality_point is the crossing of two weight lines computed in
 Fractions, the reference for all_equality_points on integer columns.
+insertion_swaps is the chain of adjacent swaps of a group of crossings
+sharing a lam, made by insertion-sorting the group's elements, the
+reference for the order crossing_cells gives each group by one sort.
 value_line turns basis_line's int pair back into a Fraction Line, and
 int_lines writes Fraction lines as the int pairs over one denominator
 that envelope_of_lines takes.
@@ -121,6 +124,27 @@ def equality_point(e: int, f: int, we: ParametricWeight, wf: ParametricWeight) -
     if we.b > wf.b:  # e grows faster, so e is the cheaper one before lam
         return EqualityPoint(lam, e, f)
     return EqualityPoint(lam, f, e)
+
+
+def insertion_swaps(lam: Fraction, group, columns: tuple) -> tuple[EqualityPoint, ...]:
+    """The group of crossings at lam as a chain of adjacent swaps.
+
+    Its elements are insertion-sorted from the order just left of lam,
+    (value at lam, -slope, id), to the one right of it, (value, slope, id),
+    and each swap is recorded as the event of the two elements it swaps.
+    """
+    _d, A, B = columns
+    p, q = lam.numerator, lam.denominator
+    right = {e: (A[e] * q + B[e] * p, B[e], e) for ev in group for e in ev[1:]}
+    order = sorted(right, key=lambda e: (right[e][0], -B[e], e))
+    swaps = []
+    for i, f in enumerate(order):
+        while i and right[order[i - 1]] > right[f]:
+            swaps.append(EqualityPoint(lam, order[i - 1], f))
+            order[i] = order[i - 1]
+            i -= 1
+        order[i] = f
+    return tuple(swaps)
 
 
 def value_line(columns: tuple, basis) -> Line:

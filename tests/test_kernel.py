@@ -14,11 +14,11 @@ coprime denominators, where an integer rewrite can go wrong.
 
 The verifier must not share this kernel: KERNEL names every kernel
 helper (the columns, the crossings, the Probe with its constructors and
-sort, the swap order of coincident crossings, the greedy scans, augment
-and exchange states, basis_line and envelope_of_lines), and oracle.py
-may reference none of them.  The
-oracle keeps its own integer path: it scales the weights at each sample
-lam by the lcm of their denominators, not by the solve's columns.
+sort, the cells with the swap order of coincident crossings, the greedy
+scans, augment and exchange states, basis_line and envelope_of_lines),
+and oracle.py may reference none of them.  The oracle keeps its own
+integer path: it scales the weights at each sample lam by the lcm of
+their denominators, not by the solve's columns.
 """
 
 import ast
@@ -224,8 +224,6 @@ KERNEL = {
     "probe_at",
     "crossing_cells",
     "_sort_ground",
-    # coincident crossings as adjacent swaps, ordered on the columns
-    "_adjacent_swaps",
     "greedy",
     # augment and exchange states and the search on them: the oracle
     # stays on one-shot is_independent queries

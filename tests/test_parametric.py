@@ -30,6 +30,7 @@ from matroid_interdiction.parametric import (
 )
 from lemmas import (
     equality_point,
+    insertion_swaps,
     interdicted_basis_via_replacement,
     most_vital_element,
     probe_at,
@@ -470,6 +471,22 @@ def test_crossing_cells_group_exactly_the_events_of_one_lam(case, copies):
         assert lo < probe.lam < hi or lo == probe.lam == hi
         assert all(ev.lam == lo for ev in crossings)
         assert {ev[1:] for ev in crossings} == {ev[1:] for ev in events if ev.lam == lo}
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=pencil_cases())
+@example(case=(uniform(3, 1), (pw(0, 0), pw(0, 2), pw(0, 1)), Interval(F(-1), F(1)), set()))
+def test_crossing_cells_chain_each_group_as_an_insertion_sort(case):
+    # brute's exchange tests follow the chain swap by swap, so its
+    # oracle calls depend on the exact chain, not only on its being
+    # valid: each group comes in the order in which an insertion sort of
+    # its elements swaps them, on the full ground set and on a view
+    mat, weights, interval, deleted = case
+    for view in (mat, mat.delete(deleted)):
+        columns = weight_columns(view, weights)
+        events = all_equality_points(columns, interval, view.available)
+        for lo, _hi, _probe, crossings in crossing_cells(interval, events, columns)[1:]:
+            assert crossings == insertion_swaps(lo, [ev for ev in events if ev.lam == lo], columns)
 
 
 def replay(order, crossings, elements):

@@ -1,13 +1,13 @@
 """Exact piecewise-linear functions over one parameter and their
 labeled upper envelope.
 
-Pieces carry an optional label (for interdiction use: the deletion set
-that produced the piece).  The envelope algebra works on finite lines
-only.  The value +inf exists only as a flat solution: one Piece with
-line=None spanning the whole domain, built by the solvers when a
-deletion kills the rank and never passed back into the algebra.  Value
-ties are resolved toward the smallest label, with unlabeled pieces
-losing against labeled ones.
+Every piece carries a label (for interdiction use: the deletion set
+that produced the piece, with its basis), and labels are ordered.  The
+envelope algebra works on finite lines only.  The value +inf exists
+only as a flat solution: one Piece with line=None spanning the whole
+domain, built by the solvers when a deletion kills the rank and never
+passed back into the algebra.  Value ties are resolved toward the
+smallest label.
 
 upper_envelope, the general merge that the brute-force solver uses,
 computes in Fractions throughout: a left fold of _merge over the
@@ -59,17 +59,12 @@ def interior_point(lo, hi) -> Fraction:
     return Fraction(0)
 
 
-def _label_key(label):
-    # labeled pieces beat unlabeled ones on value ties
-    return (1,) if label is None else (0, label)
-
-
 @dataclass(frozen=True, slots=True)
 class Piece:
     lo: object
     hi: object
     line: Line | None  # None encodes the flat value +inf
-    label: Any = None
+    label: Any
 
     def value_at(self, lam):
         return POS_INF if self.line is None else self.line.value_at(lam)
@@ -91,7 +86,7 @@ class PiecewiseLinearFunction:
                 raise ValueError("pieces must tile the domain without gaps")
 
     @classmethod
-    def from_line(cls, lo, hi, line: Line, label=None) -> "PiecewiseLinearFunction":
+    def from_line(cls, lo, hi, line: Line, label) -> "PiecewiseLinearFunction":
         return cls(lo, hi, (Piece(lo, hi, line, label),))
 
     def piece_at(self, lam) -> Piece:
@@ -110,24 +105,13 @@ class PiecewiseLinearFunction:
         """
         if not self.lo <= lam <= self.hi:
             raise ValueError(f"lam={lam} outside the domain [{self.lo}, {self.hi}]")
-        best = None
-        for p in self.pieces:
-            if p.lo <= lam <= p.hi:
-                v = p.value_at(lam)
-                if best is None or v > best:
-                    best = v
-        return best
+        return max(p.value_at(lam) for p in self.pieces if p.lo <= lam <= p.hi)
 
 
 def _normalize(lo, hi, pieces: list[Piece]) -> PiecewiseLinearFunction:
     """Drop zero-length pieces and merge adjacent equal (line, label) runs."""
     if lo == hi:
-        keep = [p for p in pieces if p.lo == p.hi == lo]
-        best = keep[0]
-        for p in keep[1:]:
-            v_best, v_p = best.value_at(lo), p.value_at(lo)
-            if v_p > v_best or (v_p == v_best and _label_key(p.label) < _label_key(best.label)):
-                best = p
+        best = min(pieces, key=lambda p: (-p.value_at(lo), p.label))
         return PiecewiseLinearFunction(lo, hi, (best,))
     out: list[Piece] = []
     for p in pieces:
@@ -145,7 +129,7 @@ def _sub_pieces(x0, x1, pa: Piece, pb: Piece) -> list[Piece]:
     left of their crossing, the steeper one right of it."""
     la, lb = pa.line, pb.line
     if la == lb:
-        return [Piece(x0, x1, la, min(pa.label, pb.label, key=_label_key))]
+        return [Piece(x0, x1, la, min(pa.label, pb.label))]
     if la.slope == lb.slope:
         w = pa if la.intercept > lb.intercept else pb
         return [Piece(x0, x1, w.line, w.label)]
@@ -212,17 +196,14 @@ def envelope_of_lines(entries: Sequence[tuple[tuple[int, int], Any]], d: int, lo
         raise ValueError("upper envelope of an empty family")
     best: dict[tuple[int, int], Any] = {}
     for key, label in entries:
-        if key not in best or _label_key(label) < _label_key(best[key]):
+        if key not in best or label < best[key]:
             best[key] = label
 
     if lo == hi:
         p, q = lo.numerator, lo.denominator
-        win = None
-        for (s, i), label in best.items():
-            v = s * p + i * q  # d * q * value at lo
-            if win is None or v > win[0] or (v == win[0] and _label_key(label) < _label_key(win[2])):
-                win = (v, (s, i), label)
-        return PiecewiseLinearFunction.from_line(lo, hi, Line.from_ints(d, *win[1]), win[2])
+        # the highest value at lo (d * q times it), then the smallest label
+        _, label, key = min((-(s * p + i * q), label, (s, i)) for (s, i), label in best.items())
+        return PiecewiseLinearFunction.from_line(lo, hi, Line.from_ints(d, *key), label)
 
     # by slope; among equal slopes only the highest intercept can ever win
     lines: list[tuple[int, int]] = []
@@ -280,27 +261,24 @@ def concatenate(fs: Sequence[PiecewiseLinearFunction]) -> PiecewiseLinearFunctio
 class Changepoint:
     lam: Fraction
     kind: str  # "breakpoint" or "interdiction-point"
-    before: Any
-    after: Any
 
 
-def classify_changepoints(envelope: PiecewiseLinearFunction, key=None) -> list[Changepoint]:
+def classify_changepoints(envelope: PiecewiseLinearFunction, key) -> list[Changepoint]:
     """Classify every interior piece boundary of the envelope.
 
     A label change makes an interdiction point; a persisting label with
     a slope change makes a breakpoint. `key` projects a label down to
-    the identity that decides the distinction; by default the whole
-    label counts. Boundaries with equal projected labels and equal
-    lines are not changepoints and are skipped.
+    the identity that decides the distinction (for interdiction use:
+    the deletion set, not its basis). Boundaries with equal projected
+    labels and equal lines are not changepoints and are skipped.
     """
-    ident = (lambda label: label) if key is None else key
     out: list[Changepoint] = []
     for left, right in zip(envelope.pieces, envelope.pieces[1:]):
-        if ident(left.label) != ident(right.label):
+        if key(left.label) != key(right.label):
             kind = "interdiction-point"
         elif left.line != right.line:
             kind = "breakpoint"
         else:
             continue
-        out.append(Changepoint(left.hi, kind, left.label, right.label))
+        out.append(Changepoint(left.hi, kind))
     return out

@@ -64,8 +64,6 @@ class _GraphicFamily:
         for u, v in edges:
             if not (0 <= u < num_vertices and 0 <= v < num_vertices):
                 raise ValueError(f"edge ({u},{v}) has an endpoint outside 0..{num_vertices - 1}")
-        self.num_vertices = num_vertices
-        self.edges = edges
         self.ground_size = len(edges)
         # endpoints renumbered densely over the touched vertices only
         index: dict[int, int] = {}

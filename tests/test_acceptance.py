@@ -388,7 +388,7 @@ def test_criterion_6_envelope_oracle():
             expect = max(line.value_at(lam) for line, _label in entries)
             assert env.evaluate(lam) == expect
             sampled += 1
-        marks = classify_changepoints(env)
+        marks = classify_changepoints(env, key=lambda label: label)
         boundaries = {}
         for left, right in zip(env.pieces, env.pieces[1:]):
             if left.label != right.label:

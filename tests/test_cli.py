@@ -386,7 +386,8 @@ def instance_to_dict(instance: MatroidInstance) -> dict:
     fam = instance.matroid._family
     kind = family_kind(instance.matroid)
     if kind == "graphic":
-        matroid = {"type": kind, "num_vertices": fam.num_vertices, "edges": [list(e) for e in fam.edges]}
+        # the touched vertices, renumbered densely: the same cycle matroid
+        matroid = {"type": kind, "num_vertices": max(1, fam._touched), "edges": [list(e) for e in fam._ends]}
     elif kind == "uniform":
         matroid = {"type": kind, "m": fam.ground_size, "k": fam.k}
     elif kind == "partition":

@@ -89,8 +89,8 @@ def test_upper_envelope_equals_pointwise_max(ls, grid):
 
 
 def test_upper_envelope_domain_mismatch_raises():
-    a = PiecewiseLinearFunction.from_line(F(0), F(1), Line(F(0), F(0)))
-    b = PiecewiseLinearFunction.from_line(F(0), F(2), Line(F(0), F(0)))
+    a = PiecewiseLinearFunction.from_line(F(0), F(1), Line(F(0), F(0)), "a")
+    b = PiecewiseLinearFunction.from_line(F(0), F(2), Line(F(0), F(0)), "b")
     with pytest.raises(ValueError):
         upper_envelope([a, b])
 
@@ -210,16 +210,24 @@ def test_upper_envelope_of_multi_piece_inputs(fs):
 # envelopes of plain lines (the solvers' fast path)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(lines, min_size=1, max_size=50), st.integers(0, 10**6))
-def test_envelope_of_lines_matches_upper_envelope(ls, grid):
+@settings(max_examples=120, deadline=None)
+@given(st.lists(lines, min_size=1, max_size=50), st.integers(0, 10**6), st.booleans())
+# three lines through (0, 0): a three-way tie at the point domain [0, 0]
+@example([Line(F(1), F(0)), Line(F(-1), F(0)), Line(F(0), F(0))], 0, True)
+def test_envelope_of_lines_matches_upper_envelope(ls, grid, point):
     lo, hi = F(-5), F(5)
+    if point:  # where the first and last lines cross, so that those two tie there
+        a, b = ls[0], ls[-1]
+        lo = hi = F(0) if a.slope == b.slope else (b.intercept - a.intercept) / (a.slope - b.slope)
     entries = [(l, i) for i, l in enumerate(ls)]
     fast = envelope_of_lines(*int_lines(entries), lo, hi)
     slow = upper_envelope(
         [PiecewiseLinearFunction.from_line(lo, hi, l, label=i) for i, l in enumerate(ls)]
     )
     assert fast.pieces == slow.pieces
+    if point:
+        top = max(l.value_at(lo) for l in ls)
+        assert [p.label for p in fast.pieces] == [min(i for i, l in enumerate(ls) if l.value_at(lo) == top)]
     lam = lo + (hi - lo) * F(grid, 10**6)
     assert fast.evaluate(lam) == max(l.value_at(lam) for l in ls)
 
@@ -249,8 +257,8 @@ def test_concatenate_merges_equal_boundary_runs():
 
 
 def test_concatenate_rejects_gaps():
-    a = PiecewiseLinearFunction.from_line(F(0), F(1), Line(F(0), F(0)))
-    b = PiecewiseLinearFunction.from_line(F(2), F(3), Line(F(0), F(0)))
+    a = PiecewiseLinearFunction.from_line(F(0), F(1), Line(F(0), F(0)), "a")
+    b = PiecewiseLinearFunction.from_line(F(2), F(3), Line(F(0), F(0)), "b")
     with pytest.raises(ValueError):
         concatenate([a, b])
 
@@ -271,11 +279,8 @@ def test_classify_kinds():
         Piece(F(2), F(3), Line(F(-1), F(5)), "B"),
     )
     env = PiecewiseLinearFunction(F(0), F(3), pieces)
-    marks = classify_changepoints(env)
-    assert marks == [
-        Changepoint(F(1), "breakpoint", "A", "A"),
-        Changepoint(F(2), "interdiction-point", "A", "B"),
-    ]
+    marks = classify_changepoints(env, key=lambda label: label)
+    assert marks == [Changepoint(F(1), "breakpoint"), Changepoint(F(2), "interdiction-point")]
 
 
 def test_classify_with_projection_key():
@@ -285,7 +290,7 @@ def test_classify_with_projection_key():
     )
     env = PiecewiseLinearFunction(F(0), F(2), pieces)
     # full labels differ, but the projected winner is the same set
-    assert classify_changepoints(env)[0].kind == "interdiction-point"
+    assert classify_changepoints(env, key=lambda label: label)[0].kind == "interdiction-point"
     projected = classify_changepoints(env, key=lambda lab: lab[0])
     assert projected[0].kind == "breakpoint"
     # equal line and equal projected label: not a changepoint at all
@@ -304,7 +309,7 @@ def test_classify_with_projection_key():
 @given(st.lists(lines, min_size=2, max_size=20))
 def test_classification_matches_label_diff_oracle(ls):
     env = envelope_of_lines(*int_lines([(l, i) for i, l in enumerate(ls)]), F(-5), F(5))
-    marks = {c.lam: c.kind for c in classify_changepoints(env)}
+    marks = {c.lam: c.kind for c in classify_changepoints(env, key=lambda label: label)}
     expect = {}
     for left, right in zip(env.pieces, env.pieces[1:]):
         if left.label != right.label:

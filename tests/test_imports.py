@@ -1,5 +1,5 @@
 """Every name a module imports is used in that module, and src/ holds
-only what the program runs.
+only what the program runs or reads.
 
 A module in src/ or tests/ that imports a name it never references
 fails here.  The package's __init__ is exempt for the names it lists in
@@ -9,7 +9,9 @@ Every function and class defined in src/ (dunders exempt) must be named
 somewhere other than its own definition: in src/, in perfbench/*.py
 (string constants included, as perfbench looks functions up by name),
 in the README's python blocks or in pyproject.toml's scripts.  A helper
-only the tests use belongs in the tests.
+only the tests use belongs in the tests.  Likewise every field of a
+dataclass or NamedTuple in src/ must be read as an attribute in those
+same sources: a field only the tests read is not stored.
 """
 
 import ast
@@ -75,11 +77,17 @@ def script_names():
     return Counter(name for target in re.findall(r'=\s*"([^"]*)"', section) for name in re.split(r"[.:]", target))
 
 
-def test_src_defines_only_what_the_program_names():
+def program_trees():
+    """The ASTs of src/, and of its callers: perfbench/*.py and the README's python blocks."""
     src = [ast.parse(path.read_text()) for path in sorted(ROOT.joinpath("src").rglob("*.py"))]
     callers = [ast.parse(path.read_text()) for path in sorted(ROOT.joinpath("perfbench").glob("*.py"))]
     readme = ROOT.joinpath("README.md").read_text()
     callers += [ast.parse(block) for block in re.findall(r"```python\n(.*?)```", readme, re.S)]
+    return src, callers
+
+
+def test_src_defines_only_what_the_program_names():
+    src, callers = program_trees()
     names = script_names()
     for tree in [*src, *callers]:
         names += referenced_names(tree)
@@ -93,3 +101,29 @@ def test_src_defines_only_what_the_program_names():
             if names[node.name] - referenced_names(node)[node.name] <= 0:
                 unnamed.add(node.name)
     assert not unnamed, sorted(unnamed)
+
+
+def record_fields(tree):
+    """(class, field) for every annotated field of a dataclass or NamedTuple in tree."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if "dataclass" in {getattr(d, "id", getattr(d, "attr", None)) for d in decorators} or any(
+            getattr(base, "id", None) == "NamedTuple" for base in node.bases
+        ):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield node.name, stmt.target.id
+
+
+def test_src_records_hold_only_fields_the_program_reads():
+    src, callers = program_trees()
+    read = {
+        node.attr
+        for tree in [*src, *callers]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = {f"{cls}.{field}" for tree in src for cls, field in record_fields(tree) if field not in read}
+    assert not unread, sorted(unread)

@@ -124,7 +124,7 @@ def _edge(raw, where: str) -> list:
     return ends
 
 
-def _build_matroid(spec, where: str, weight_count: int) -> Matroid:
+def _build_matroid(spec, where: str) -> Matroid:
     kind = _expect(spec, "type", where)
 
     def field(key, parse=_integer):
@@ -140,10 +140,7 @@ def _build_matroid(spec, where: str, weight_count: int) -> Matroid:
         if kind == "graphic":
             return graphic(field("num_vertices"), field("edges", edges))
         if kind == "uniform":
-            m = field("m")
-            if m > weight_count:  # checked before the family allocates m block ids
-                raise ValueError(f"expected {m} weights, got {weight_count}")
-            return uniform(m, field("k"))
+            return uniform(field("m"), field("k"))
         if kind == "partition":
             return partition(field("blocks", _integers), field("capacities", _integers))
         if kind == "explicit":
@@ -159,7 +156,7 @@ def instance_from_dict(data, where: str = "<instance>") -> MatroidInstance:
     raw_weights = _expect(data, "weights", where)
     if not isinstance(raw_weights, list):
         raise CliError(EXIT_PARSE, f"{where}: weights must be a list")
-    matroid = _build_matroid(spec, f"{where}: matroid", len(raw_weights))
+    matroid = _build_matroid(spec, f"{where}: matroid")
     weights = []
     for i, entry in enumerate(raw_weights):
         a = parse_rational(_expect(entry, "a", f"{where}: weights[{i}]"), f"{where}: weights[{i}].a")
@@ -296,7 +293,7 @@ def _cmd_solve(args) -> int:
     wall = time.perf_counter() - start
     report, code = None, EXIT_OK
     if args.verify:
-        report = verify_solution(instance, solution, extra_samples=args.samples, seed=args.seed)
+        report = verify_solution(instance, solution, extra_samples=args.samples)
         if not report.ok:
             code = EXIT_VERIFY
     data = solution_to_dict(solution, wall, report)
@@ -492,7 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--algorithm", default="brute", help="brute, uset, or tree")
     p_solve.add_argument("--verify", action="store_true", help="check the result against the enumeration oracle")
     p_solve.add_argument("--samples", type=int, default=50, help="extra random verification points")
-    p_solve.add_argument("--seed", type=int, default=0, help="seed for verification sampling")
     p_solve.add_argument("--emit-plot", metavar="PATH", help="write tabular plot samples to PATH")
     p_solve.add_argument("--step", default="1", help="plot sampling step (rational)")
     p_solve.add_argument("-o", "--output", help="solution JSON file (default: stdout)")

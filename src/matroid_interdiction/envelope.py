@@ -47,9 +47,13 @@ class Line(NamedTuple):
 
 
 def interior_point(lo, hi) -> Fraction:
-    """Midpoint of [lo, hi]; one unit inside a missing endpoint."""
-    lo_finite = lo != NEG_INF
-    hi_finite = hi != POS_INF
+    """Midpoint of [lo, hi]; one unit inside a missing endpoint.
+
+    An endpoint is a Fraction or an infinity: isinstance tells them apart
+    without Fraction's slow comparison against a float.
+    """
+    lo_finite = isinstance(lo, Fraction)
+    hi_finite = isinstance(hi, Fraction)
     if lo_finite and hi_finite:
         return (lo + hi) / 2
     if lo_finite:

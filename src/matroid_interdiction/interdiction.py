@@ -11,13 +11,12 @@ interdicted basis.
   matroid's run and forks at each element of its own that the run
   took, so no query is asked twice for the same deletions.  Later the
   walk keeps one entry per distinct basis, with the sets holding it:
-  each crossing visits only the bases it can change, found through an
-  index from each element to the bases holding it, and costs each at
-  most one independence test, however many sets hold it.  The sets of
-  one part, those with one history of bases, share one sweep, which
-  the part's first set, its smallest, labels.  One integer filter,
-  _undominated, keeps the parts' sweeps undominated on some interval
-  of their joint grid, and only those enter the envelope.
+  each crossing visits the bases that hold its leaving element and
+  costs each at most one independence test, however many sets hold
+  it.  The sets of one part, those with one history of bases, share
+  one sweep, which the part's first set, its smallest, labels.  One
+  integer filter, _undominated, keeps the parts' sweeps undominated on
+  some interval of their joint grid, and only those enter the envelope.
 * solve_uset tracks layered bases whose union confines all relevant
   deletion sets, updating them with a few oracle calls per lone
   crossing (one exchange test per distinct tracked basis).  A lone

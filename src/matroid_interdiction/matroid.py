@@ -317,7 +317,6 @@ class Matroid:
             if not 0 <= e < family.ground_size:
                 raise ValueError(f"deleted element {e} outside the ground set")
         self._counter = _counter if _counter is not None else [0]
-        self._available = None
 
     @property
     def ground_size(self) -> int:
@@ -325,12 +324,8 @@ class Matroid:
 
     @property
     def available(self) -> tuple[int, ...]:
-        """Element ids still present, ascending; computed once, as a view never changes."""
-        # set in __init__, not by functools.cached_property, whose write into
-        # __dict__ slows every later attribute read of the view
-        if self._available is None:
-            self._available = tuple(e for e in range(self.ground_size) if e not in self.deleted)
-        return self._available
+        """Element ids still present, ascending."""
+        return tuple(e for e in range(self.ground_size) if e not in self.deleted)
 
     @property
     def oracle_calls(self) -> int:

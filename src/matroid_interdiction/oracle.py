@@ -16,11 +16,9 @@ The enumeration is one walk over the deletion sets, not one greedy run
 per set: the sets come in lexicographic order of their positions in
 the weight order, and each set's run resumes at the first position
 where it differs from the previous set's, with the chosen set restored
-to what it held there.  Until a set's first deleted position its run
-is the rank basis's own, so those answers come from that basis.  Every
-other query is still a one-shot Matroid.is_independent on the chosen
-set plus one element, one that the set's own greedy run from nothing
-would make in the same order.
+to what it held there.  Every query is still a one-shot
+Matroid.is_independent on the chosen set plus one element, one that
+the set's own greedy run from nothing would make in the same order.
 """
 
 from __future__ import annotations
@@ -62,23 +60,19 @@ def _scaled_weights(instance: MatroidInstance, lam: Fraction, elements):
     return n, d, sorted(elements, key=lambda e: (n[e], e))
 
 
-def _interdicted_bases(mat: Matroid, order, n, ell: int, k: int, basis: frozenset[int] | None):
+def _interdicted_bases(mat: Matroid, order, n, ell: int, k: int):
     """Yield (F, outcome) once for every ell-subset F of order.
 
     F lists its ids in order's order.  outcome is (sum of n, basis) for
     the basis _greedy(mat, order, F) finds, or None when M minus F has
     rank below k.  The sets come as position sets in lexicographic
-    order.  basis is _greedy(mat, order, frozenset()), or None when the
-    caller does not hold it: up to its first deleted position a run is
-    that basis's own, so it takes an element exactly when basis holds
-    it, without a query.  A run ends once it holds k elements, as every
-    later query would fail, or, as a kill, once the elements left cannot
-    bring it to k; the sets that agree with it on the positions it
-    passed share its outcome without a query.  Otherwise the next set's
-    run resumes at the first position that changed, from the chosen
-    set, sum and size marked when the run reached that position.  The
-    walk keeps one chosen stack and no recursion, so its depth does not
-    grow with m.
+    order.  A run ends once it holds k elements, as every later query
+    would fail, or, as a kill, once the elements left cannot bring it
+    to k; the sets that agree with it on the positions it passed share
+    its outcome without a query.  Otherwise the next set's run resumes
+    at the first position that changed, from the chosen set, sum and
+    size marked when the run reached that position.  The walk keeps one
+    chosen stack and no recursion, so its depth does not grow with m.
     """
     m = len(order)
     pos = list(range(ell))
@@ -103,7 +97,7 @@ def _interdicted_bases(mat: Matroid, order, n, ell: int, k: int, basis: frozense
             else:
                 e = order[i]
                 held.add(e)
-                if (e in basis) if j == 0 and basis is not None else mat.is_independent(held):
+                if mat.is_independent(held):
                     chosen.append(e)
                     total += n[e]
                 else:
@@ -150,12 +144,11 @@ def oracle_value(instance: MatroidInstance, lam: Fraction, *, scaled=None):
     mat = instance.matroid.with_fresh_counter()
     ell = instance.ell
     n, d, order = _scaled_weights(instance, lam, mat.available) if scaled is None else scaled
-    basis = _greedy(mat, order, frozenset())
-    k = len(basis)
+    k = len(_greedy(mat, order, frozenset()))
     best = None
-    for F, outcome in _interdicted_bases(mat, order, n, ell, k, basis):
+    for F, outcome in _interdicted_bases(mat, order, n, ell, k):
         if outcome is None:
-            F = next(F for F, outcome in _interdicted_bases(mat, mat.available, n, ell, k, None) if outcome is None)
+            F = next(F for F, outcome in _interdicted_bases(mat, mat.available, n, ell, k) if outcome is None)
             return POS_INF, F, _greedy(mat, order, frozenset(F))
         value, basis = outcome
         if best is not None and value < best[0]:

@@ -366,10 +366,9 @@ def parametric_sweep(
     The later cells move bases, not sets: each distinct basis held maps
     to its parts (sets, steps), one per history, the sets that have held
     one basis at every crossing so far, and steps their (lam, basis)
-    wherever that basis changed, a tuple that a split shares.  An index
-    from each element to the bases holding it carries them across.
+    wherever that basis changed, a tuple that a split shares.
     Coincident crossings come as their chain of adjacent swaps, and
-    every swap e -> f, lone or not, visits only the bases in e's entry.
+    every swap e -> f, lone or not, visits the bases held that contain e.
     A basis B gets the one independence test of exchange(), on the
     matroid itself, unless f is deleted from the matroid, in B, or
     deleted by every set of every part: B - e + f then holds no element
@@ -407,24 +406,18 @@ def parametric_sweep(
             return {F: None}
         held.setdefault(run.basis, [([], ((lo, run.basis),))])[0][0].append(F)
         sweeps[F] = None
-    holders: list[set[frozenset[int]]] = [set() for _ in range(matroid.ground_size)]
-    for basis in held:
-        for e in basis:
-            holders[e].add(basis)
     for lam, _hi, _probe, crossings in cells[1:]:
         for ev in crossings:
             e, f = ev.leaving, ev.entering
             if f in deleted:
                 continue
-            for basis in list(holders[e]):
+            for basis in [b for b in held if e in b]:
                 parts = held[basis]
                 if f in basis or all(f in F for members, _steps in parts for F in members):
                     continue
                 swapped = exchange(matroid, basis, ev)
                 if swapped is basis:
                     continue
-                for x in swapped:
-                    holders[x].add(swapped)
                 held.setdefault(swapped, [])
                 held[basis] = []
                 for members, steps in parts:
@@ -437,8 +430,6 @@ def parametric_sweep(
                         held[swapped].append(([F for F in members if f not in F], (*steps, (lam, swapped))))
                 if not held[basis]:
                     del held[basis]
-                    for x in basis:
-                        holders[x].discard(basis)
 
     hi = cells[-1][1]
     for members, steps in chain.from_iterable(held.values()):

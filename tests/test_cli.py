@@ -278,7 +278,8 @@ def test_exponent_notation_exits_2(tmp_path, capsys, raw):
 
 
 def test_a_uniform_ground_set_past_its_weights_exits_2(tmp_path, capsys):
-    # m is checked against the weights before the family allocates m block ids
+    # the instance checks m against its weights; the uniform family stores
+    # nothing per element, so building it first allocates no m-sized table
     payload = {
         "matroid": {"type": "uniform", "m": 10**15, "k": 1},
         "weights": [{"a": "0", "b": "1"}],

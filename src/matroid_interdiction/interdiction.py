@@ -9,7 +9,9 @@ interdicted basis.
   the arrangement, parametric_sweep.  In the first cell the sets share
   their greedy runs, stopped at the rank: a set follows the full
   matroid's run and forks at each element of its own that the run
-  took, so no query is asked twice for the same deletions.  Later the
+  took or has not tried yet; a run that later refuses such an element
+  takes over the fork made there.  So no query is asked twice, and
+  the walk's cost does not depend on the order of the sets.  Later the
   walk keeps one entry per distinct basis, with the sets holding it:
   each crossing visits the bases that hold its leaving element and
   costs each at most one independence test, however many sets hold

@@ -297,7 +297,10 @@ class _Run:
     run forked at any position it passed starts from a copy without a
     test.  at is the next position it would try, forks the runs started
     by deleting the element at a position, and basis its frozen chosen
-    set once it holds k elements or has tried every position.
+    set once it holds k elements or has tried every position.  A run
+    that refuses the element at a position it forked at holds the
+    fork's chosen set from there on, so it takes over the fork's
+    progress, and its forks, in place of the fork.
     """
 
     __slots__ = ("at", "chosen", "marks", "states", "state", "forks", "basis")
@@ -308,20 +311,32 @@ class _Run:
         self.forks: dict[int, _Run] = {}
         self.basis = None
 
-    def advance(self, matroid: Matroid, order: list[int], position: dict[int, int], stop: int, k: int) -> bool:
-        """Run on to position stop, or until the run holds k elements; False once it holds them."""
-        chosen = self.chosen
-        if len(chosen) < k and self.at < stop:
-            for e in matroid.grow(self.state, order[self.at : stop]):
-                chosen.append(e)
+    def advance(self, matroid: Matroid, order: list[int], position: dict[int, int], stop: int, k: int) -> None:
+        """Run on to position stop, or until the run holds k elements.
+
+        The element at a position the run forked at is tried on its own:
+        when the run refuses it, the run adopts the fork, which tried
+        the positions after it from the same chosen set, and may so end
+        past stop.
+        """
+        while len(self.chosen) < k and self.at < stop:
+            p = self.at
+            fork = self.forks.get(p)
+            self.at = p + 1 if fork else stop
+            for e in matroid.grow(self.state, order[p : self.at]):
+                self.chosen.append(e)
                 self.marks.append(position[e])
-                if len(chosen) == k:  # a run holding k ends: nothing forks past its last element
+                if len(self.chosen) == k:  # a run holding k ends: nothing forks past its last element
                     self.at = position[e] + 1
                     break
                 self.states.append(self.state.copy())  # the state after each take is saved
             else:
-                self.at = stop
-        return len(chosen) < k
+                if fork and self.marks[-1:] != [p]:  # p refused: from here on the run holds the fork's set
+                    del self.forks[p]
+                    self.chosen, self.state, self.at, self.basis = fork.chosen, fork.state, fork.at, fork.basis
+                    self.marks += fork.marks
+                    self.states += fork.states[1:]
+                    self.forks.update(fork.forks)
 
     def fork(self, p: int) -> "_Run":
         """The run that deletes the element at p, a position this run reached: one per p."""
@@ -353,15 +368,18 @@ def parametric_sweep(
     order, stopped at k elements, from one walk that shares prefixes.
     The run of B0, the matroid's own greedy basis, comes first; each F
     in turn then follows it along the order, and at each element of F
-    the run has taken it moves to the run forked there, the same for
-    every set with the same deletions up to that point.  An element of
-    F that the run passed over changes nothing, and a run that reaches
-    k before F's next element gives F its basis.  A run tries each
-    position once, resuming from a saved augment state, so no query is
-    asked twice for the same deletions, and every query is one that F's
-    own greedy would ask.  A basis short of k means F kills the rank at
-    every lam; the walk, over cells[:1] too, returns {F: None} for the
-    first such F.
+    the run has taken, or not tried yet, it moves to the run forked
+    there, the same for every set with the same deletions up to that
+    point.  An element of F that the run passed over changes nothing,
+    and a run that reaches k before F's next element gives F its basis.
+    A run tries each position once, resuming from a saved augment
+    state, and a run that refuses the element it forked at takes over
+    the fork's progress, so no two runs try one position with the same
+    chosen set.  Each query is one that B0's or some F's own greedy
+    asks, and none is asked twice, so the walk's cost does not depend
+    on the order of the sets.  A basis short of k means F kills the
+    rank at every lam; the walk, over cells[:1] too, returns {F: None}
+    for the first such F.
 
     The later cells move bases, not sets: each distinct basis held maps
     to its parts (sets, steps), one per history, the sets that have held
@@ -394,7 +412,8 @@ def parametric_sweep(
     for F in deletion_sets:
         run = b0
         for p in sorted(map(position.__getitem__, F)):
-            if p >= run.at and not run.advance(matroid, order, position, p, k):
+            run.advance(matroid, order, position, p, k)
+            if len(run.chosen) == k and run.at <= p:
                 break  # the run holds k elements before p
             if p < run.at and p not in run.marks:
                 continue  # the run passed over p's element

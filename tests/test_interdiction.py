@@ -545,9 +545,9 @@ def test_every_solver_refuses_the_witness_search_above_the_cap(monkeypatch, name
 def test_witness_search_under_the_default_cap():
     # most of the 4060 sets miss the full matroid's first basis and take it
     # without a query, and the rest share the runs forked at their first
-    # deleted elements, so the walk costs 111 calls, not a rank scan each
+    # deleted elements, so the walk costs 90 calls, not a rank scan each
     inst = witness_search_instance()
-    for name, calls in (("brute", 111), ("uset", 735), ("tree", 316)):
+    for name, calls in (("brute", 90), ("uset", 714), ("tree", 295)):
         sol = solve(inst, name)
         assert sol.f_star_at(F(0)) == (27, 28, 29)
         assert sol.oracle_calls == calls
@@ -606,7 +606,7 @@ def test_solution_accessors_and_counter_isolation():
 # solver and family, so a change that alters how many independence tests a
 # solver makes fails here instead of passing unnoticed.
 ORACLE_CALL_PINS = [
-    (("graphic", 15, 5, 2, 4), {"brute": 107, "uset": 1182, "tree": 558}),
+    (("graphic", 15, 5, 2, 4), {"brute": 83, "uset": 1182, "tree": 558}),
     (("partition", 12, 3, 2, 5), {"brute": 134, "uset": 1001, "tree": 2964}),
     (("uniform", 10, 4, 2, 7), {"brute": 126, "uset": 848, "tree": 1554}),
     (("graphic", 15, 5, 2, 1), {"brute": 63, "uset": 600, "tree": 735}),
@@ -704,6 +704,26 @@ def enveloped_sweeps(inst):
 def test_brute_equals_the_envelope_of_every_sweep(inst):
     # brute hands _undominated one sweep per part, its first set's
     assert solve_brute(inst).envelope == enveloped_sweeps(inst)
+
+
+def reflected(inst):
+    """inst under lam -> -lam: every b negated, the interval [-hi, -lo]."""
+    weights = tuple(pw(w.a, -w.b) for w in inst.weights)
+    return MatroidInstance(inst.matroid, weights, inst.ell, Interval(-inst.interval.hi, -inst.interval.lo))
+
+
+@settings(max_examples=300, deadline=None)
+@given(brute_cases())
+def test_every_solver_commutes_with_reflection(inst):
+    # y(lam) of the reflected instance is y(-lam): its pieces are the
+    # originals in reverse order, with mirrored ends, mirrored lines and
+    # the same labels.  The first cell becomes the last, so brute's walk
+    # runs along the other end's weight order
+    for name in ALGORITHMS:
+        pieces = solve(inst, name).segments
+        # a flat +inf piece's line, None, stays None
+        want = [Piece(-p.hi, -p.lo, p.line and Line(-p.line.slope, p.line.intercept), p.label) for p in pieces]
+        assert solve(reflected(inst), name).segments == tuple(reversed(want)), name
 
 
 # Per pinned spec: the deletion sets, the parts among them (the sets that

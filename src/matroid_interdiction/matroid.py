@@ -8,7 +8,8 @@ family; matroid objects never mutate after construction, so they are
 safe to share across solver runs.
 
 Two kinds of independence test share one oracle-call counter.  A
-one-shot query, Matroid.is_independent, tests a whole set from nothing:
+one-shot query, Matroid.is_independent, tests a whole set from nothing,
+given as a set or frozenset (the oracle's chosen sets, exchange's swap):
 a graphic query costs O(|subset| + touched vertices), because the
 family renumbers the vertices its edges touch once and each query runs
 one fresh union-find over those alone.  The other tests run on a
@@ -25,8 +26,9 @@ costs two near-constant root finds; partition, uniform included, keeps
 the room left in each block; explicit keeps the set itself and tests it
 with e by one one-shot query.  Every state has copy(), which saves the
 set grown so far without a test, so a caller that copies it after a
-yield can resume a scan from any element it took.  The view keeps the
-set each scan took, so an id tried twice is a counted no-op;
+yield can resume a scan from any element it took.  An order offers
+distinct elements the state does not hold: probe orders filtered by
+deletion, available, or slices of the first-cell walk's order.
 Matroid.greedy (minimum bases and rank) is one scan from nothing.  The
 enumeration oracle keeps its own greedy on one-shot queries, as a
 reference.
@@ -39,11 +41,11 @@ the forest B once and records each vertex's tree and the basis edges on
 its root path, so c fits when its ends lie in different trees or x lies
 on the tree path between them (exactly one end lies below x); partition
 grows its augment state over B, the room B leaves in each block, so c
-fits when its block has room or is x's block.  Explicit families and
-dependent bases fall back to the same one-shot state as explicit's
-augment state, holding B and testing B - x + c.  A caller that
-searches one basis for several x, or several times, keeps its state;
-the candidate tree keeps each layer's from one cell to the next.
+fits when its block has room or is x's block.  Explicit families use
+the same one-shot state as their augment state, holding B and testing
+B - x + c.  The candidate tree's greedy layers are the only bases
+searched, so B is always independent; the tree keeps each layer's state
+from one cell to the next.
 """
 
 from __future__ import annotations
@@ -88,9 +90,8 @@ class _GraphicFamily:
     def scan(self) -> "_GraphicScan":
         return _GraphicScan(self)
 
-    def exchanges(self, basis: frozenset[int]):
-        state = _ForestExchanges(self, basis)
-        return state if state.independent else _OneShot(self, basis)
+    def exchanges(self, basis: frozenset[int]) -> "_ForestExchanges":
+        return _ForestExchanges(self, basis)
 
 
 class _ForestExchanges:
@@ -102,7 +103,7 @@ class _ForestExchanges:
     path, that is, when exactly one of them lies below x.
     """
 
-    __slots__ = ("independent", "_ends", "_tree", "_path")
+    __slots__ = ("_ends", "_tree", "_path")
 
     def __init__(self, family: _GraphicFamily, basis: frozenset[int]):
         ends, n = family._ends, family._touched
@@ -112,7 +113,6 @@ class _ForestExchanges:
             adjacent[u].append((v, e))
             adjacent[v].append((u, e))
         tree, path = [-1] * n, [0] * n
-        reached = 0  # vertices reached from a root, one basis edge each
         for root in range(n):
             if tree[root] >= 0:
                 continue
@@ -123,9 +123,6 @@ class _ForestExchanges:
                     if tree[v] < 0:
                         tree[v], path[v] = root, path[u] | 1 << e
                         stack.append(v)
-                        reached += 1
-        # any other basis edge closes a cycle
-        self.independent = reached == len(basis)
         self._ends, self._tree, self._path = ends, tree, path
 
     def fits(self, x: int, c: int) -> bool:
@@ -188,11 +185,10 @@ class _PartitionFamily:
     def scan(self) -> "_PartitionScan":
         return _PartitionScan(self)
 
-    def exchanges(self, basis: frozenset[int]):
+    def exchanges(self, basis: frozenset[int]) -> "_PartitionScan":
         state = _PartitionScan(self)
         for e in basis:
-            if not state.add(e):  # B overfills a block
-                return _OneShot(self, basis)
+            state.add(e)
         return state
 
 
@@ -200,7 +196,8 @@ class _UniformFamily(_PartitionFamily):
     """U(k, m): the partition matroid with one block of capacity k.
 
     Its block ids are an empty Counter, which answers 0 for every
-    element and stores none, so the family's size does not grow with m.
+    element and stores none, so the family's size does not grow with m;
+    every test is the partition family's.
     """
 
     kind = "uniform"
@@ -211,10 +208,6 @@ class _UniformFamily(_PartitionFamily):
         self.blocks = Counter()
         self.capacities = (k,)
         self.ground_size = m
-        self.k = k
-
-    def independent(self, subset: frozenset[int]) -> bool:
-        return len(subset) <= self.k
 
 
 class _PartitionScan:
@@ -334,13 +327,12 @@ class Matroid:
     def with_fresh_counter(self) -> "Matroid":
         return Matroid(self._family, self.deleted, [0])
 
-    def is_independent(self, subset: Iterable[int]) -> bool:
-        """One-shot query: one oracle call on the whole subset."""
-        s = subset if isinstance(subset, (set, frozenset)) else frozenset(subset)
-        if not self.deleted.isdisjoint(s):
-            raise _touches_deleted(s, self.deleted)
+    def is_independent(self, subset: set[int] | frozenset[int]) -> bool:
+        """One-shot query: one oracle call on the whole subset, a set."""
+        if not self.deleted.isdisjoint(subset):
+            raise _touches_deleted(subset, self.deleted)
         self._counter[0] += 1
-        return self._family.independent(s)
+        return self._family.independent(subset)
 
     def delete(self, removed: Iterable[int]) -> "Matroid":
         return Matroid(self._family, self.deleted.union(removed), self._counter)
@@ -360,27 +352,23 @@ class Matroid:
     def grow(self, state, order: Iterable[int]) -> Iterator[int]:
         """Grow an augment state along order, yielding each element it takes.
 
-        Each element tried costs one oracle call (an element this scan
-        took already is a no-op test, still counted), and a deleted one
+        Each element tried costs one oracle call, and a deleted one
         raises before it is charged.  A caller that stops consuming
         spends no further call.  state is scan() or a state grown
-        before, and order offers no element it holds; its copy() after a
-        yield saves the set grown so far, from which a later grow
-        resumes without a test.
+        before, and order offers distinct elements that it does not
+        hold; its copy() after a yield saves the set grown so far, from
+        which a later grow resumes without a test.
         """
         add, deleted, counter = state.add, self.deleted, self._counter
-        taken: set[int] = set()
         for e in order:
             if e in deleted:
                 raise _touches_deleted({e}, deleted)
             counter[0] += 1
-            if e not in taken and add(e):
-                taken.add(e)
+            if add(e):
                 yield e
 
-    def exchanges(self, basis: Iterable[int]):
-        """The family's exchange state of basis, built uncounted; see replacement."""
-        basis = frozenset(basis)
+    def exchanges(self, basis: frozenset[int]):
+        """The family's exchange state of an independent basis, built uncounted; see replacement."""
         if not self.deleted.isdisjoint(basis):
             raise _touches_deleted(basis, self.deleted)
         return self._family.exchanges(basis)
@@ -388,10 +376,10 @@ class Matroid:
     def replacement(self, state, x: int, candidates: Iterable[int]) -> int | None:
         """The first candidate c with basis - x + c independent, or None.
 
-        state is self.exchanges(basis).  Candidates come from outside
-        the basis, and each one tried costs one oracle call; a deleted
-        one raises when its turn comes, before it is charged.  A
-        dependent basis may fit no candidate.
+        state is self.exchanges(basis) of an independent basis.
+        Candidates come from outside the basis, and each one tried costs
+        one oracle call; a deleted one raises when its turn comes,
+        before it is charged.
         """
         fits, deleted, counter = state.fits, self.deleted, self._counter
         for c in candidates:

@@ -222,12 +222,22 @@ def _sample_failure(instance: MatroidInstance, mat: Matroid, solution, lam, on_b
         attained = Fraction(sum(n[e] for e in attained_basis), d)
     if attained != expected_value:
         return f"lam={lam}: claimed deletion set {sorted(f_star)} attains {attained}, not {expected_value}"
+    basis = frozenset(piece.label.basis)
     if on_boundary:
-        return None
+        # any basis of M minus F worth the value may label a boundary
+        if expected_value == POS_INF or (
+            len(basis) == instance.rank
+            and basis.isdisjoint(f_star)
+            and basis <= n.keys()
+            and mat.is_independent(basis)
+            and Fraction(sum(n[e] for e in basis), d) == expected_value
+        ):
+            return None
+        return f"lam={lam}: claimed basis {sorted(basis)} is no basis of M minus {sorted(f_star)} worth {expected_value}"
     if tuple(sorted(f_star)) != tuple(expected_f):
         return f"lam={lam}: claimed deletion set {sorted(f_star)}, oracle found {list(expected_f)}"
-    if expected_value != POS_INF and frozenset(piece.label.basis) != expected_basis:
-        return f"lam={lam}: claimed basis {sorted(piece.label.basis)}, oracle basis {sorted(expected_basis)}"
+    if expected_value != POS_INF and basis != expected_basis:
+        return f"lam={lam}: claimed basis {sorted(basis)}, oracle basis {sorted(expected_basis)}"
     return None
 
 
@@ -243,10 +253,11 @@ def verify_solution(
     finite endpoints, and seeded random rationals.  Strictly inside a
     piece the optimal value, deletion set, and basis must all match the
     oracle exactly; on piece boundaries (where several labels attain the
-    optimum) the claimed value must match and the claimed deletion set
-    must attain it.  Each sample walks all C(m, ell) deletion sets (see
-    oracle_value; the sets share the one-shot queries of their common
-    greedy prefixes, but each is still visited), so
+    optimum) the claimed value must match, the claimed deletion set
+    must attain it, and a finite piece's basis must be a basis of M
+    minus that set worth the value.  Each sample walks all C(m, ell)
+    deletion sets (see oracle_value; the sets share the one-shot queries
+    of their common greedy prefixes, but each is still visited), so
     EnumerationCapExceeded is raised, before any point is drawn, when
     C(m, ell) or extra_samples * C(m, ell) exceeds the enumeration cap.
     Each sample evaluates the weights once, as scaled ints (see

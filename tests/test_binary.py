@@ -3,11 +3,10 @@
 A binary matroid is the column matroid of a matrix over GF(2); here each
 column is an int bitmask.  The Matroid view takes any family with
 ground_size, kind, independent, scan and exchanges, whose states answer
-add, fits and copy, so the family needs nothing from src/ but the
-generic one-shot state.  The Fano plane F7, its dual and R10 are
-neither graphic nor partition matroids, so they exercise the solvers'
-general matroid rules: the layered-bases lemma behind uset and the
-candidate tree's one-layer fall-through.
+add, fits and copy, so the family needs nothing from src/.  The Fano
+plane F7, its dual and R10 are neither graphic nor partition matroids,
+so they exercise the solvers' general matroid rules: the layered-bases
+lemma behind uset and the candidate tree's one-layer fall-through.
 """
 
 import random
@@ -18,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matroid_interdiction.interdiction import solve
-from matroid_interdiction.matroid import Matroid, _OneShot
+from matroid_interdiction.matroid import Matroid
 from matroid_interdiction.oracle import verify_solution
 from matroid_interdiction.parametric import Interval, MatroidInstance, pw
 from test_matroid import _bases_of, verify_axioms
@@ -51,8 +50,7 @@ class BinaryFamily:
     def exchanges(self, basis):
         state = Echelon(self)
         for e in basis:
-            if not state.add(e):  # B is dependent
-                return _OneShot(self, basis)
+            state.add(e)
         return state
 
 
@@ -165,14 +163,11 @@ def test_echelon_scan_agrees_with_the_one_shot_query(columns, data):
 def test_echelon_exchanges_agree_with_the_one_shot_query(columns, data):
     mat = binary(columns)
     family, m = mat._family, mat.ground_size
-    basis = frozenset(data.draw(st.sets(st.integers(0, m - 1), min_size=1), label="basis"))
-    shape = data.draw(st.sampled_from(["maximal", "independent", "any"]), label="shape")
-    if shape == "maximal":
+    if data.draw(st.booleans(), label="maximal"):
         basis = mat.greedy(data.draw(st.permutations(range(m)), label="order"))
-    elif shape == "independent":
-        basis = mat.greedy(sorted(basis))
+    else:
+        basis = mat.greedy(sorted(data.draw(st.sets(st.integers(0, m - 1)), label="subset")))
     state = family.exchanges(basis)
-    assert isinstance(state, _OneShot) == (not family.independent(basis))
     for x in basis:
         for c in set(range(m)) - basis:
             assert state.fits(x, c) == family.independent(basis - {x} | {c}), (sorted(basis), x, c)

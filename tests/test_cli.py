@@ -390,7 +390,7 @@ def instance_to_dict(instance: MatroidInstance) -> dict:
         # the touched vertices, renumbered densely: the same cycle matroid
         matroid = {"type": kind, "num_vertices": max(1, fam._touched), "edges": [list(e) for e in fam._ends]}
     elif kind == "uniform":
-        matroid = {"type": kind, "m": fam.ground_size, "k": fam.k}
+        matroid = {"type": kind, "m": fam.ground_size, "k": fam.capacities[0]}
     elif kind == "partition":
         matroid = {"type": kind, "blocks": list(fam.blocks), "capacities": list(fam.capacities)}
     else:

@@ -457,8 +457,8 @@ def test_uniform_is_the_one_block_partition(data):
     assert u.is_independent(subset) == p.is_independent(subset)
     order = data.draw(st.permutations(range(m)), label="order")
     assert u.greedy(order) == p.greedy(order)
-    # subset may be dependent: then both fall back to one-shot tests
-    for basis in (subset, u.greedy(order)):
+    # exchange states take independent bases: subset's greedy part and a maximal one
+    for basis in (u.greedy(sorted(subset)), u.greedy(order)):
         ux, px = u.exchanges(basis), p.exchanges(basis)
         for x in basis:
             assert [ux.fits(x, c) for c in range(m)] == [px.fits(x, c) for c in range(m)]
@@ -724,6 +724,73 @@ def test_every_solver_commutes_with_reflection(inst):
         # a flat +inf piece's line, None, stays None
         want = [Piece(-p.hi, -p.lo, p.line and Line(-p.line.slope, p.line.intercept), p.label) for p in pieces]
         assert solve(reflected(inst), name).segments == tuple(reversed(want)), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(brute_cases(), st.integers(-40, 40), st.integers(1, 8))
+def test_every_solver_commutes_with_splitting(inst, p, q):
+    # the solves on [lo, x] and [x, hi], concatenated, are the whole solve,
+    # labels included, for x at each breakpoint, at lo and at p/q clamped
+    # into the interval; a flat +inf solve keeps its killer on both halves
+    lo, hi = inst.interval.lo, inst.interval.hi
+    for name in ALGORITHMS:
+        whole = solve(inst, name).envelope
+        points = {piece.hi for piece in whole.pieces[:-1]} | {min(max(F(p, q), lo), hi)}
+        if lo != NEG_INF:
+            points.add(lo)
+        for x in points:
+            left, right = (
+                solve(MatroidInstance(inst.matroid, inst.weights, inst.ell, half), name).envelope
+                for half in (Interval(lo, x), Interval(x, hi))
+            )
+            assert concatenate([left, right]) == whole, (name, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(brute_cases(), st.integers(-6, 6), st.integers(1, 4))
+def test_every_solver_commutes_with_shifting(inst, p, q):
+    # every a becomes a + t*b and the interval moves by -t, so y(lam) of
+    # the shifted instance is y(lam + t): the pieces move by -t, each
+    # line's intercept gains t times its slope, and the labels stay
+    t = F(p, q)
+    weights = tuple(pw(w.a + t * w.b, w.b) for w in inst.weights)
+    moved = MatroidInstance(inst.matroid, weights, inst.ell, Interval(inst.interval.lo - t, inst.interval.hi - t))
+    for name in ALGORITHMS:
+        want = tuple(
+            Piece(piece.lo - t, piece.hi - t, piece.line and Line(piece.line.slope, piece.line.intercept + t * piece.line.slope), piece.label)
+            for piece in solve(inst, name).segments
+        )
+        assert solve(moved, name).segments == want, name
+
+
+@settings(max_examples=200, deadline=None)
+@given(brute_cases())
+def test_solvers_and_verifier_meet_the_matroid_contract(inst):
+    # what matroid.py assumes of its callers: no order handed to grow
+    # repeats an element, every basis handed to exchanges is independent
+    # (asked of the family, uncounted), and every one-shot query is a set
+    grow, exchanges, is_independent = Matroid.grow, Matroid.exchanges, Matroid.is_independent
+
+    def spy_grow(self, state, order):
+        order = list(order)
+        assert len(set(order)) == len(order), order
+        return grow(self, state, order)
+
+    def spy_exchanges(self, basis):
+        assert self._family.independent(basis), sorted(basis)
+        return exchanges(self, basis)
+
+    def spy_is_independent(self, subset):
+        assert isinstance(subset, (set, frozenset)), subset
+        return is_independent(self, subset)
+
+    with (
+        patch.object(Matroid, "grow", spy_grow),
+        patch.object(Matroid, "exchanges", spy_exchanges),
+        patch.object(Matroid, "is_independent", spy_is_independent),
+    ):
+        for name in ALGORITHMS:
+            verify_solution(inst, solve(inst, name), extra_samples=3)
 
 
 # Per pinned spec: the deletion sets, the parts among them (the sets that

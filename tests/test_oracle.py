@@ -142,6 +142,42 @@ def test_verify_solution_flags_a_tied_deletion_set_that_is_not_the_smallest():
     assert report.failures == ("lam=3/2: claimed deletion set [1], oracle found [0]",)
 
 
+# CI's tie5.json: on [0, 0] every deletion set reaches 2, and (0,) with
+# basis (1, 2) wins
+TIE5 = {
+    "matroid": {"type": "uniform", "m": 5, "k": 2},
+    "weights": [{"a": "1", "b": "1"}, {"a": "1", "b": "-1"}, {"a": "1", "b": "0"}, {"a": "5", "b": "0"}, {"a": "6", "b": "0"}],
+    "ell": 1,
+    "interval": {"lo": "0", "hi": "0"},
+}
+
+
+@pytest.mark.parametrize(
+    "basis,why",
+    [((2, 3), "worth 6"), ((0, 2), "meets F"), ((1,), "one element short")],
+)
+def test_verify_solution_checks_the_basis_where_every_sample_is_a_boundary(basis, why):
+    # a point interval's one sample is a boundary, where the deletion set
+    # may be any maximizer, but the basis must still be one of M - F worth 2
+    inst = instance_from_dict(TIE5)
+    for name in ("brute", "uset", "tree"):
+        sol = solve(inst, name)
+        assert verify_solution(inst, sol, extra_samples=3).ok
+        report = verify_solution(inst, tamper(sol, 0, basis=basis), extra_samples=3)
+        assert report.failures == (f"lam=0: claimed basis {list(basis)} is no basis of M minus [0] worth 2",), why
+
+
+def test_verify_solution_checks_the_independence_of_a_boundary_basis():
+    # two pairs of parallel edges of weight 1, deleting one edge: the
+    # parallel pair (0, 1) avoids F=(2,), has the rank's 2 elements and
+    # sums to the value 2, but is a cycle
+    inst = MatroidInstance(graphic(3, [(0, 1), (0, 1), (1, 2), (1, 2)]), (pw(1, 0),) * 4, 1, Interval(F(0), F(0)))
+    sol = solve(inst, "brute")
+    assert sol.envelope.pieces[0].label == SegmentLabel((0,), (1, 2))
+    report = verify_solution(inst, tamper(sol, 0, f_star=(2,), basis=(0, 1)), extra_samples=3)
+    assert report.failures == ("lam=0: claimed basis [0, 1] is no basis of M minus [2] worth 2",)
+
+
 def test_verify_solution_reports_ten_failures_then_suppresses():
     # lines one above the optimum fail at all 27 samples, so the check
     # stops at the eleventh

@@ -197,8 +197,7 @@ class LayeredBases:
 
 
 def layered_bases(matroid: Matroid, probe: Probe, *, depth: int) -> LayeredBases:
-    if depth < 1:
-        raise ValueError("layered bases need depth >= 1")
+    """depth greedy layers at the probe, each of the matroid minus the layers above it; none at depth 0."""
     layers: list[frozenset[int]] = []
     cur = matroid
     for _ in range(depth):
@@ -223,12 +222,12 @@ def update_u(
     A lone crossing is an adjacent transposition of the weight order, so
     each layer either keeps its basis or trades e for f, and exchange()
     at e's layer decides which with one independence test.  When the
-    trade fires on the last layer the union simply absorbs f for e.
-    When it fires higher up, every deeper layer is the greedy basis of a
-    minor that just changed (f left it, e returned), and a single trade
-    can ripple through them arbitrarily, so they are recomputed at
-    next_probe.  Layers above e's keep their minors and contain neither
-    e nor f, so they stand, however small the layers below them are.
+    trade fires, every deeper layer is the greedy basis of a minor that
+    just changed (f left it, e returned), and a single trade can ripple
+    through them arbitrarily, so they are recomputed at next_probe: none
+    when e's layer is the last.  Layers above e's keep their minors and
+    contain neither e nor f, so they stand, however small the layers
+    below them are.
     swaps receives that test's answer, keyed by e's layer, as
     update_interdicted_set's swaps at the event keep them.
     """
@@ -244,8 +243,6 @@ def update_u(
     if swapped == layers[je]:
         return lb  # swap refused: e keeps its slot and nothing deeper moves
     prefix = [*layers[:je], swapped]
-    if je == len(layers) - 1:
-        return LayeredBases(tuple(prefix))
     deleted: set[int] = set()
     for layer in prefix:
         deleted |= layer
@@ -598,7 +595,7 @@ def candidate_tree(
             if state is None:
                 state = last.get(layer)
                 states[layer] = state = matroid.exchanges(layer) if state is None else state
-            r = replacement_element(matroid, layer, x, candidates, state)
+            r = replacement_element(matroid, x, candidates, state)
             if r is None:
                 if p == 0:
                     return None

@@ -4,8 +4,9 @@ Four concrete families: graphic (acyclic edge sets of a multigraph),
 partition, uniform (the partition with one block of capacity k), and
 explicit (all bases listed, tiny ground sets only).  Elements are
 dense integer ids 0..m-1.  Deletion returns a new view sharing the
-family; matroid objects never mutate after construction, so they are
-safe to share across solver runs.
+family; matroid objects never change an answer after construction (the
+uniform family only records the ids it has been asked about), so they
+are safe to share across solver runs.
 
 Two kinds of independence test share one oracle-call counter.  A
 one-shot query, Matroid.is_independent, tests a whole set from nothing,
@@ -50,7 +51,7 @@ from one cell to the next.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import defaultdict
 from typing import Iterable, Iterator, Sequence
 
 EXPLICIT_MAX_GROUND = 16  # explicit families list every basis: test-scale ground sets only
@@ -195,9 +196,10 @@ class _PartitionFamily:
 class _UniformFamily(_PartitionFamily):
     """U(k, m): the partition matroid with one block of capacity k.
 
-    Its block ids are an empty Counter, which answers 0 for every
-    element and stores none, so the family's size does not grow with m;
-    every test is the partition family's.
+    Its block ids are a defaultdict(int), which answers 0 for every
+    element without a Python-level call and stores only the ids queried,
+    never one per ground element, so building the family does not grow
+    with m; every test is the partition family's.
     """
 
     kind = "uniform"
@@ -205,7 +207,7 @@ class _UniformFamily(_PartitionFamily):
     def __init__(self, m: int, k: int):
         if not 0 <= k <= m:
             raise ValueError(f"uniform family needs 0 <= k <= m, got m={m} k={k}")
-        self.blocks = Counter()
+        self.blocks = defaultdict(int)
         self.capacities = (k,)
         self.ground_size = m
 

@@ -259,7 +259,8 @@ def verify_solution(
     deletion sets (see oracle_value; the sets share the one-shot queries
     of their common greedy prefixes, but each is still visited), so
     EnumerationCapExceeded is raised, before any point is drawn, when
-    C(m, ell) or extra_samples * C(m, ell) exceeds the enumeration cap.
+    C(m, ell) or extra_samples * C(m, ell) exceeds the enumeration cap,
+    and ValueError when extra_samples is negative.
     Each sample evaluates the weights once, as scaled ints (see
     oracle_value), for both the oracle and the claimed deletion set's
     greedy.
@@ -267,6 +268,8 @@ def verify_solution(
     with "further failures suppressed", and samples_checked then counts
     the samples up to that one.
     """
+    if extra_samples < 0:
+        raise ValueError(f"extra_samples must be non-negative, got {extra_samples}")
     check_verification_cap(instance, extra_samples)
     mat = instance.matroid.with_fresh_counter()
     samples, boundary = _sample_points(instance, solution, extra_samples, seed)

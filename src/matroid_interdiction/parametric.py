@@ -8,11 +8,11 @@ always broken by the fixed total order (weight at lam, element id
 ascending); there is no pluggable tie order.
 
 The equality points cut the interval into cells of fixed weight order:
-the arrangement, built once per solve by crossing_cells, where crossings
-sharing a lam come as adjacent swaps (a symbolic perturbation).  Every
-deleted view of a ground set sweeps the same cells, and one walk over
-them, parametric_sweep, carries the minimum bases of any number of
-deleted views at once, one entry per distinct basis.
+the arrangement, built once per solve by crossing_cells over the
+matroid's available elements, where crossings sharing a lam come as
+adjacent swaps (a symbolic perturbation).  One walk over the cells,
+parametric_sweep, carries the minimum bases of any number of deletion
+sets of that matroid at once, one entry per distinct basis.
 
 Inside a solve every computation runs on plain ints.  Each solve writes
 the weights once in integer form, as columns (weight_columns): a common
@@ -232,23 +232,15 @@ def greedy_min_basis(matroid: Matroid, probe: Probe) -> frozenset[int]:
     return matroid.greedy([e for e in probe.order if e not in deleted])
 
 
-def replacement_element(
-    matroid: Matroid,
-    basis: frozenset[int],
-    e: int,
-    candidates: Sequence[int],
-    exchanges,
-) -> int | None:
-    """The first candidate restoring the basis after e leaves, or None.
+def replacement_element(matroid: Matroid, e: int, candidates: Sequence[int], exchanges) -> int | None:
+    """The first candidate restoring a basis after its element e leaves, or None.
 
-    candidates are the search pool's elements outside the basis, in
-    probe order, so the first that fits is the cheapest; exchanges is
-    the basis's exchange state, matroid.exchanges(basis), which a caller
-    searching one basis more than once keeps.  They are tried in turn by
+    exchanges is the basis's exchange state, matroid.exchanges(basis),
+    which a caller searching one basis more than once keeps; candidates
+    are the search pool's elements outside the basis, in probe order, so
+    the first that fits is the cheapest.  They are tried in turn by
     matroid.replacement, one oracle call each.
     """
-    if e not in basis:
-        raise ValueError(f"element {e} is not in the basis")
     return matroid.replacement(exchanges, e, candidates)
 
 
@@ -351,18 +343,17 @@ def parametric_sweep(
     matroid: Matroid,
     cells: Sequence[tuple],
     k: int,
-    deletion_sets: Iterable[tuple[int, ...]] = ((),),
+    deletion_sets: Iterable[tuple[int, ...]],
 ) -> dict[tuple[int, ...], tuple[SweepPiece, ...] | None]:
     """The minimum-basis sweep of matroid.delete(F) for every F, in one walk over the cells.
 
-    cells is a crossing_cells() arrangement of any superset of the
-    matroid's available elements, k the rank the bases should reach,
-    and deletion_sets distinct tuples of available elements; the
-    default, one empty set, sweeps the matroid itself.  Each F maps to
-    its sweep, one SweepPiece per basis, neighbours holding different
-    bases, so the value is a minimum of basis lines, continuous, and
-    fixed by its lines in order.  The sets of one part, below, share
-    one sweep object.
+    cells is the crossing_cells() arrangement of the matroid's available
+    elements, k the rank the bases should reach, and deletion_sets
+    distinct tuples of available elements; the one empty set sweeps the
+    matroid itself.  Each F maps to its sweep, one SweepPiece per basis,
+    neighbours holding different bases, so the value is a minimum of
+    basis lines, continuous, and fixed by its lines in order.  The sets
+    of one part, below, share one sweep object.
 
     In the first cell each F gets its greedy basis along the probe
     order, stopped at k elements, from one walk that shares prefixes.
@@ -388,18 +379,18 @@ def parametric_sweep(
     Coincident crossings come as their chain of adjacent swaps, and
     every swap e -> f, lone or not, visits the bases held that contain e.
     A basis B gets the one independence test of exchange(), on the
-    matroid itself, unless f is deleted from the matroid, in B, or
-    deleted by every set of every part: B - e + f then holds no element
-    that a set without f deletes, so the answer is the same for each.
-    When B - e + f is independent, each part's sets that delete f keep
-    B, and the others join the entry of B - e + f as a part of their
-    own.  A part moved by several swaps at one lam gets one step there,
-    never on the basis it left: a basis is greedy exactly while certain
-    pairs keep their order, and each pair swaps once.  A set's basis is
-    the greedy basis of its deleted view at every probe, so its pieces
-    match a walk over that set alone, over its own cells, and the walk
-    costs at most the oracle calls of those walks together plus the B0
-    scan: a swap costs a basis one test where each set alone would pay one.
+    matroid itself, unless f is in B or deleted by every set of every
+    part: B - e + f then holds no element that a set without f deletes,
+    so the answer is the same for each.  When B - e + f is independent,
+    each part's sets that delete f keep B, and the others join the entry
+    of B - e + f as a part of their own.  A part moved by several swaps
+    at one lam gets one step there, never on the basis it left: a basis
+    is greedy exactly while certain pairs keep their order, and each
+    pair swaps once.  A set's basis is the greedy basis of its deleted
+    view at every probe, so its pieces match a walk over that view
+    alone, over the view's own cells, and the walk costs at most the
+    oracle calls of those walks together plus the B0 scan: a swap costs
+    a basis one test where each set alone would pay one.
     """
     lo, _hi, probe, _crossings = cells[0]
     deleted = matroid.deleted
@@ -428,8 +419,6 @@ def parametric_sweep(
     for lam, _hi, _probe, crossings in cells[1:]:
         for ev in crossings:
             e, f = ev.leaving, ev.entering
-            if f in deleted:
-                continue
             for basis in [b for b in held if e in b]:
                 parts = held[basis]
                 if f in basis or all(f in F for members, _steps in parts for F in members):

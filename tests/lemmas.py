@@ -53,7 +53,7 @@ def replacement(matroid: Matroid, probe: Probe, basis: frozenset[int], e: int, a
     """
     pool = matroid.available if among is None else among
     candidates = [r for r in probe.order if r in pool and r not in basis]
-    return replacement_element(matroid, basis, e, candidates, matroid.exchanges(basis))
+    return replacement_element(matroid, e, candidates, matroid.exchanges(basis))
 
 
 def interdicted_basis_via_replacement(
@@ -105,7 +105,7 @@ def most_vital_element(
     best_e = None
     best_delta = None
     for e in sorted(basis):
-        r = replacement_element(matroid, basis, e, candidates, exchanges)
+        r = replacement_element(matroid, e, candidates, exchanges)
         delta = POS_INF if r is None else weight_at(weights[r], lam) - weight_at(weights[e], lam)
         if best_delta is None or delta > best_delta:
             best_e, best_delta = e, delta

@@ -229,7 +229,7 @@ def _check_sweep_cells(instance):
     mat, weights, interval = instance.matroid, instance.weights, instance.interval
     columns = weight_columns(mat, weights)
     cells = crossing_cells(interval, all_equality_points(columns, interval, mat.available), columns)
-    (sweep,) = parametric_sweep(mat, cells, instance.rank).values()
+    (sweep,) = parametric_sweep(mat, cells, instance.rank, [()]).values()
     for piece in sweep:
         probe = Probe(interior_point(piece.lo, piece.hi), columns)
         assert greedy_min_basis(mat, probe) == piece.basis

@@ -106,10 +106,10 @@ def test_layered_bases_truncation():
     assert [len(layer) for layer in lb.layers] == [2, 1, 0]
 
 
-def test_layered_bases_depth_validation():
-    with pytest.raises(ValueError):
-        mat = uniform(2, 1)
-        layered_bases(mat, probe_at(mat, [pw(0, 0)] * 2, F(0)), depth=0)
+def test_layered_bases_of_depth_zero_are_empty():
+    mat = uniform(2, 1).with_fresh_counter()
+    assert layered_bases(mat, probe_at(mat, [pw(0, 0)] * 2, F(0)), depth=0).layers == ()
+    assert mat.oracle_calls == 0
 
 
 # ---------------------------------------------------------------------------
@@ -685,11 +685,11 @@ def enveloped_sweeps(inst):
     mat, k = inst.matroid.with_fresh_counter(), inst.rank
     if k == 0:
         return interdiction._flat_solution(mat, inst, "brute").envelope
-    cells = interdiction._arrangement(mat, inst)
+    d = weight_columns(mat, inst.weights)[0]
     funcs = []
-    d = cells[0][2].columns[0]
     for fs in combinations(mat.available, inst.ell):
-        sweep = parametric_sweep(mat.delete(fs), cells, k)[()]
+        view = mat.delete(fs)  # swept alone, over its own cells
+        (sweep,) = parametric_sweep(view, interdiction._arrangement(view, inst), k, [()]).values()
         if sweep is None:
             return interdiction._flat_solution(mat, inst, "brute", killer=fs).envelope
         pieces = tuple(
@@ -952,21 +952,24 @@ def test_candidate_tree_with_carried_states_equals_a_fresh_one(inst):
 @example(SEVEN)
 def test_tree_builds_a_layer_state_once_per_run_of_cells_searching_it(inst):
     # a layer's exchange state is built in the first cell of each run of
-    # consecutive cells whose trees search it, and in no other
-    cell, built, searched = [-1], [], set()
+    # consecutive cells whose trees search it, and in no other; a search
+    # names its layer by the state it is handed
+    cell, built, searched, layer_of = [-1], [], set(), {}
     tree, search, exchanges = candidate_tree, interdiction.replacement_element, Matroid.exchanges
 
     def per_cell(*args):
         cell[0] += 1
         return tree(*args)
 
-    def searching(matroid, basis, *args):
-        searched.add((cell[0], basis))
-        return search(matroid, basis, *args)
+    def searching(matroid, e, candidates, state):
+        searched.add((cell[0], layer_of[id(state)][1]))
+        return search(matroid, e, candidates, state)
 
     def building(self, basis):
         built.append((cell[0], frozenset(basis)))
-        return exchanges(self, basis)
+        state = exchanges(self, basis)
+        layer_of[id(state)] = state, frozenset(basis)  # the state is held, so its id stays its own
+        return state
 
     with (
         patch.object(interdiction, "candidate_tree", per_cell),

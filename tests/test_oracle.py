@@ -232,6 +232,13 @@ def test_verify_solution_checks_the_cap_before_drawing(monkeypatch):
     assert exc.value.subsets == 5 * 10**9
 
 
+def test_verify_solution_refuses_a_negative_sample_count(monkeypatch):
+    # -3 extra samples would draw none and check the fixed points alone
+    monkeypatch.setattr(oracle, "_sample_points", lambda *a: pytest.fail("points drawn for a negative count"))
+    with pytest.raises(ValueError, match="extra_samples must be non-negative, got -3"):
+        verify_solution(diamond_instance(), solve(diamond_instance(), "brute"), extra_samples=-3)
+
+
 def test_verify_solution_handles_infinite_values():
     inst = MatroidInstance(
         uniform(5, 3), tuple(pw(i, (-1) ** i) for i in range(5)), 3, Interval(F(-1), F(1))
